@@ -23,7 +23,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .linalg import nullspace_modp, rank_modp, reduce_rows, rref_modp, span_rows
+from .linalg import (
+    check_modulus,
+    nullspace_modp,
+    rank_modp,
+    reduce_rows,
+    rref_modp,
+    span_rows,
+)
 from .ring import DEFAULT_PRIME, RingContext
 
 
@@ -346,6 +353,7 @@ class LinearSystem:
 
     def verify_vanishing(self) -> bool:
         """Recheck every basis form against every point's local expansion."""
+        check_modulus(self.scheme.p, self.basis.shape[1])
         for pt, m in zip(self.scheme.points, self.scheme.multiplicities):
             if m < 1:
                 continue

@@ -6,7 +6,11 @@ Ideals cache their canonical reduced Groebner basis; equality and
 membership go through that basis.  Intersections use an auxiliary
 variable and a block elimination order; colon ideals come from
 intersections with principal ideals; saturation iterates the colon
-until it stabilizes and reports how many steps that took.
+until it stabilizes and reports how many steps that took.  For a
+weighted-homogeneous ideal, the saturation by a single variable x_i is
+one Groebner basis in the ``saturation`` order for x_i, with each basis
+element divided by its largest x_i-power (Bayer-Stillman);
+``filtrations.symbolic_power`` builds I^n : m^infinity from these.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .groebner import GroebnerBasis, groebner_basis
 from .ring import (
     ContextError,
+    HomogeneityError,
     MonomialOrder,
     Polynomial,
     RingContext,
@@ -318,6 +323,30 @@ def saturate(A: Ideal, B: Ideal) -> Tuple[Ideal, int]:
             return current, index
         current = nxt
         index += 1
+
+
+def saturate_variable(A: Ideal, i: int) -> Ideal:
+    """A : x_i^infinity for a weighted-homogeneous A, from one Groebner basis.
+
+    In the ``saturation`` order for x_i (weighted degree, then x_i-degree
+    ascending) x_i divides a homogeneous polynomial as often as it divides
+    the leading monomial, so dividing every element of the reduced basis
+    by its largest x_i-power gives a basis of A : x_i^infinity (Bayer and
+    Stillman, Invent. Math. 87, 1987).  The quotients are returned as
+    generators in A's ring; their basis for the ring's order is computed
+    when first needed.
+    """
+    ctx = A.ctx
+    if not A.is_homogeneous():
+        raise HomogeneityError("variable saturation needs weighted-homogeneous generators")
+    sat = RingContext(ctx.p, ctx.variables, MonomialOrder.saturation(ctx.weights, i), ctx.weights)
+    gens = []
+    for g in groebner_basis([_reorder(f, sat) for f in A.gens], sat):
+        k = g.lm()[i]
+        terms = [(m[:i] + (m[i] - k,) + m[i + 1 :], c) for m, c in g.terms]
+        terms.sort(key=lambda t: ctx.key(t[0]), reverse=True)
+        gens.append(Polynomial(ctx, terms))
+    return Ideal(ctx, gens)
 
 
 def saturate_by_elimination(A: Ideal, B: Ideal) -> Ideal:

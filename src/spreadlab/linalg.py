@@ -2,18 +2,34 @@
 
 Row reduction uses partial pivoting by first nonzero entry in a fixed
 scan order, so every result is deterministic.  Elimination is applied
-to whole matrices at a time; entries stay below p after each step and
-intermediate products fit comfortably in int64 for the primes used
-here (p^2 * rows stays far below 2^63).
+to whole matrices at a time and entries are residues in [0, p) between
+steps.  Every int64 accumulation is a sum of at most ``terms`` products
+of two residues, so it is exact while terms * (p - 1)^2 < 2^63:
+row reduction forms one product per entry (p up to about 3.04e9), a
+product of matrices sums one product per inner index.  Each operation
+checks that bound for its own shape with :func:`check_modulus` and
+refuses larger primes with ValueError instead of wrapping around.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+_INT64_MAX = 2**63 - 1
+
+
+def check_modulus(p: int, terms: int = 1) -> None:
+    """Refuse p when a sum of ``terms`` residue products can overflow int64."""
+    if terms * (p - 1) ** 2 > _INT64_MAX:
+        raise ValueError(
+            f"modulus {p} is too large for exact int64 arithmetic "
+            f"over {terms} accumulated products"
+        )
+
 
 def rref_modp(A: np.ndarray, p: int):
     """Reduced row echelon form and pivot columns of A over F_p."""
+    check_modulus(p)
     R = np.array(A, dtype=np.int64) % p
     rows, cols = R.shape
     pivots = []
@@ -71,6 +87,7 @@ def reduce_rows(P: np.ndarray, R: np.ndarray, pivots, p: int) -> np.ndarray:
     """Residues of the rows of P modulo the row space of an RREF R."""
     if P.size == 0 or R.size == 0:
         return P % p if P.size else P
+    check_modulus(p, R.shape[0])
     coeffs = P[:, list(pivots)] % p
     return (P - coeffs @ R) % p
 

@@ -24,16 +24,61 @@ class HomogeneityError(ValueError):
     """Input violates the weighted-homogeneity convention."""
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (bound, k): Miller-Rabin to the first k small primes as bases is exact
+# for every n < bound (Jaeschke 1993; Sorenson and Webster 2017).
+_MR_RANGES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+MAX_CERTIFIED_PRIME = _MR_RANGES[-1][0] - 1
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality: trial division by the primes up to 41,
+    then Miller-Rabin with a base set proven exact below MAX_CERTIFIED_PRIME.
+
+    Above that range a value without a small factor raises ValueError
+    rather than receive a probabilistic answer.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 1681:                      # 41^2: trial division was complete
+        return True
+    for bound, k in _MR_RANGES:
+        if n < bound:
+            break
+    else:
+        raise ValueError(
+            f"{n} exceeds {MAX_CERTIFIED_PRIME}, the largest value whose "
+            "primality is decided exactly here"
+        )
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _SMALL_PRIMES[:k]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -67,6 +112,13 @@ def mono_wdeg(a, w):
 # monomial orders
 # ---------------------------------------------------------------------------
 
+def _order_weights(weights) -> tuple:
+    w = tuple(int(x) for x in weights)
+    if any(x <= 0 for x in w):
+        raise ValueError("order weights must be positive")
+    return w
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A multiplicative total order on exponent tuples.
@@ -80,12 +132,19 @@ class MonomialOrder:
     * ``wgrevlex`` -- weighted degree first, grevlex tiebreak.
     * ``block`` -- eliminated variables dominate: any monomial touching
       an eliminated variable outranks every monomial free of them.
+    * ``saturation`` -- weighted degree first, then the degree in one
+      variable x_i ascending, grevlex tiebreak.  In a weighted-homogeneous
+      polynomial the leading monomial has the least x_i-degree, so x_i
+      divides the polynomial whenever it divides its leading monomial
+      (the revlex property of Bayer-Stillman); ``ideals.saturate_variable``
+      reads I : x_i^infinity off one Groebner basis in this order.
     """
 
     kind: str = "grevlex"
     weights: Optional[tuple] = None
     elim: Optional[tuple] = None          # variable indices, block only
     inner: Optional["MonomialOrder"] = None
+    var: Optional[int] = None             # variable index, saturation only
 
     @staticmethod
     def grevlex() -> "MonomialOrder":
@@ -97,10 +156,7 @@ class MonomialOrder:
 
     @staticmethod
     def weighted_grevlex(weights) -> "MonomialOrder":
-        w = tuple(int(x) for x in weights)
-        if any(x <= 0 for x in w):
-            raise ValueError("order weights must be positive")
-        return MonomialOrder("wgrevlex", weights=w)
+        return MonomialOrder("wgrevlex", weights=_order_weights(weights))
 
     @staticmethod
     def block(elim_indices, inner: "MonomialOrder" = None) -> "MonomialOrder":
@@ -109,6 +165,10 @@ class MonomialOrder:
             elim=tuple(sorted(elim_indices)),
             inner=inner or MonomialOrder.grevlex(),
         )
+
+    @staticmethod
+    def saturation(weights, var: int) -> "MonomialOrder":
+        return MonomialOrder("saturation", weights=_order_weights(weights), var=int(var))
 
     def key_function(self, nvars: int):
         """Specialized exponent-tuple -> flat int-tuple key closure."""
@@ -126,6 +186,19 @@ class MonomialOrder:
             def key(exps):
                 return (
                     sum(e * x for e, x in zip(exps, w)),
+                    sum(exps),
+                ) + tuple(-e for e in reversed(exps))
+            return key
+        if k == "saturation":
+            w, i = self.weights, self.var
+            if len(w) != nvars:
+                raise ValueError("order weight length mismatch")
+            if not 0 <= i < nvars:
+                raise ValueError("saturation variable index out of range")
+            def key(exps):
+                return (
+                    sum(e * x for e, x in zip(exps, w)),
+                    -exps[i],
                     sum(exps),
                 ) + tuple(-e for e in reversed(exps))
             return key

@@ -183,6 +183,29 @@ def test_validation_error_exit_2(flat_file, capsys):
     assert code == 2
 
 
+def test_large_prime_session(tmp_path, capsys):
+    f = tmp_path / "big.ring"
+    f.write_text("ring p=2305843009213693951 vars=x,y\nideal i = x^2 - y, y^2\n")
+    code, out = run_cli(["gb", "-f", str(f), "-i", "i"], capsys)
+    assert code == 0 and out["gb"]
+
+
+def test_uncertified_prime_session_exit_2(tmp_path, capsys):
+    f = tmp_path / "huge.ring"
+    f.write_text(f"ring p={2**89 - 1} vars=x,y\nideal i = x\n")
+    code, _ = run_cli(["gb", "-f", str(f), "-i", "i"], capsys)
+    assert code == 2
+
+
+def test_fatpoints_prime_beyond_int64_exit_2(capsys):
+    code, out = run_cli(
+        ["fatpoints", "h0", "--r", "4", "--m", "1", "--d", "2", "--seed", "1",
+         "--p", "4294967311"],
+        capsys,
+    )
+    assert code == 2 and out is None
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -6,6 +6,7 @@ import pytest
 from spreadlab import RingContext
 from spreadlab.fatpoints import (
     FatPointScheme,
+    _condition_rows,
     fiber_generator_census,
     graded_power_containment,
     h0,
@@ -15,6 +16,7 @@ from spreadlab.fatpoints import (
     multiply_forms,
     sample_scheme,
 )
+from spreadlab.linalg import check_modulus, reduce_rows, rref_modp
 
 
 NAGATA_SEED = 42
@@ -221,3 +223,47 @@ def test_multiply_forms_agrees_with_ring():
     for c, m in zip(prod.tolist(), monomial_basis(3)):
         h = h + ctx.monomial(m, int(c))
     assert h == expected
+
+
+# --- int64 range -------------------------------------------------------------
+
+MERSENNE_31 = 2**31 - 1
+
+
+def test_vanishing_recheck_refuses_overflowing_prime():
+    """At p = 2^31 - 1 one product fits in int64 but a 21-term sum does not."""
+    scheme = sample_scheme(16, 1, "none", seed=3, p=MERSENNE_31)
+    for d in (5, 6):
+        ls = linear_system(scheme, d)
+        assert ls.h0 > 0
+        # the kernel itself is exact: checked with Python integers
+        for pt in scheme.points:
+            rows = _condition_rows(pt, 1, d, scheme.p).astype(object)
+            assert not ((rows @ ls.basis.T.astype(object)) % scheme.p).any()
+        with pytest.raises(ValueError):
+            ls.verify_vanishing()
+
+
+def test_row_reduction_refuses_prime_beyond_int64_products():
+    p = 4294967311                   # the least prime above 2^32
+    with pytest.raises(ValueError):
+        rref_modp(np.array([[1, 2], [3, 4]]), p)
+    with pytest.raises(ValueError):
+        linear_system(sample_scheme(4, 1, "none", seed=1, p=p), 2)
+
+
+def test_reduce_rows_bound_follows_inner_dimension():
+    R = np.eye(3, dtype=np.int64)
+    P = np.ones((2, 3), dtype=np.int64)
+    assert not reduce_rows(P, R[:2], (0, 1), MERSENNE_31)[:, :2].any()
+    with pytest.raises(ValueError):
+        reduce_rows(P, R, (0, 1, 2), MERSENNE_31)
+
+
+def test_modulus_bound_is_exact():
+    check_modulus(3037000499)        # (p - 1)^2 just below 2^63
+    with pytest.raises(ValueError):
+        check_modulus(3037000501)
+    check_modulus(MERSENNE_31, 2)
+    with pytest.raises(ValueError):
+        check_modulus(MERSENNE_31, 3)

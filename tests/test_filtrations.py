@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from spreadlab import (
@@ -158,6 +160,19 @@ def test_spread_maximal(ctx3):
 
 def test_spread_mixed_powers(ctx3):
     assert analytic_spread(ideal(ctx3, "x^2", "y^3", "z^5")).ell == 3
+
+
+def test_spread_report_frozen_and_memo_hit_unchanged(ctx3):
+    rep = analytic_spread(ideal(ctx3, "x^2", "x*y", "y^3"))
+    before = (rep.ell, rep.ring_dim, rep.ht, rep.bounds_ok, rep.notes)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.ell = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.presentation.generators = ()
+    again = analytic_spread(ideal(ctx3, "y^3", "x*y", "x^2"))
+    assert again is rep
+    assert (again.ell, again.ring_dim, again.ht, again.bounds_ok, again.notes) == before
+    assert again.presentation.generators
 
 
 def test_spread_rejects_inhomogeneous(ctx3):

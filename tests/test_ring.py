@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from spreadlab import (
     RingContext,
     weighted_degree,
 )
-from spreadlab.ring import mono_mul
+from spreadlab.ring import MAX_CERTIFIED_PRIME, is_prime, mono_mul
 
 
 def test_add_cancellation(ctx3):
@@ -48,6 +49,37 @@ def test_weighted_degree_zero_poly(ctx3):
 def test_prime_checked():
     with pytest.raises(ValueError):
         RingContext(32001, ("x",))
+
+
+def test_large_prime_accepted_quickly():
+    start = time.perf_counter()
+    ctx = RingContext(2**61 - 1, ("x", "y"))
+    assert time.perf_counter() - start < 1.0
+    assert ctx.poly("x + 2*y").terms[1][1] == 2
+
+
+@pytest.mark.parametrize("n", (561, 2047, 3215031751))
+def test_pseudoprimes_rejected(n):
+    # a Carmichael number and strong pseudoprimes to bases 2 and 2, 3, 5, 7
+    assert not is_prime(n)
+    with pytest.raises(ValueError):
+        RingContext(n, ("x",))
+
+
+def test_primality_agrees_with_trial_division():
+    def by_trial(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    rng = random.Random(5)
+    numbers = list(range(3000)) + [rng.randrange(10**6, 10**9) for _ in range(300)]
+    assert [n for n in numbers if is_prime(n)] == [n for n in numbers if by_trial(n)]
+
+
+def test_primality_refused_beyond_certified_range():
+    assert 2**89 - 1 > MAX_CERTIFIED_PRIME
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)
+    assert not is_prime(2**89)      # a small factor still decides exactly
 
 
 def test_weights_positive():
