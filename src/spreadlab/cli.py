@@ -9,20 +9,28 @@ A session file declares one ring, then named ideals and filtrations:
     filtration A = adic:p
     filtration T = trivial-m
 
-Lines starting with ``#`` are comments.  Every command prints exactly
-one JSON object (sorted keys, compact separators) on stdout, carrying
-the schema version, the operation name, an input digest, the seed when
-randomness is involved, the result fields, and bound-check flags where
-they apply.  Exit codes: 0 success, 2 validation problems, 1 internal
-errors.
+Lines starting with ``#`` are comments.  Every subcommand is one entry
+of ``COMMANDS``: its name, help, arguments and a handler returning its
+result fields.  ``main`` wraps those fields in the shared envelope and
+prints exactly one JSON object (sorted keys, every key a string,
+compact separators) on stdout.  The envelope carries the schema
+version, the operation name and an input digest, plus the seed, point
+count, constraint and prime on the randomized fat-point commands.  The
+digest is the first 12 hex digits of a SHA-256 over the session file
+text (for fat points: the subcommand name and the sampled points),
+followed by the command's own arguments in declaration order.  Exit
+codes: 0 success, 2 validation problems (including an unreadable
+session file or a malformed declaration), 1 internal errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from typing import Callable, NamedTuple, Optional
 
 from . import fatpoints as fat
 from .filtrations import (
@@ -52,6 +60,12 @@ _ORDERS = {
     "grevlex": lambda weights: MonomialOrder.grevlex(),
     "lex": lambda weights: MonomialOrder.lex(),
     "weighted-grevlex": lambda weights: MonomialOrder.weighted_grevlex(weights),
+}
+
+_FILTRATION_FORMS = {
+    "trivial-m": "trivial-m",
+    "adic": "adic:NAME",
+    "symbolic": "symbolic:NAME or symbolic:NAME:J",
 }
 
 
@@ -133,21 +147,19 @@ class SessionFile:
         spec = spec.strip()
         if not name or name in self.filtrations:
             raise ValueError(f"line {lineno}: bad or duplicate filtration name {name!r}")
-        parts = spec.split(":")
-        kind = parts[0]
-        if kind == "trivial-m":
-            self.filtrations[name] = (spec, Filtration.trivial_max(self.ctx))
-        elif kind in ("adic", "symbolic"):
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: {kind} filtration needs an ideal name")
-            base = self._ideal(parts[1], lineno)
-            if kind == "adic":
-                self.filtrations[name] = (spec, Filtration.adic(base))
-            else:
-                J = self._ideal(parts[2], lineno) if len(parts) > 2 else None
-                self.filtrations[name] = (spec, Filtration.symbolic(base, J))
+        kind, *names = spec.split(":")
+        if kind == "trivial-m" and not names:
+            F = Filtration.trivial_max(self.ctx)
+        elif kind == "adic" and len(names) == 1:
+            F = Filtration.adic(self._ideal(names[0], lineno))
+        elif kind == "symbolic" and len(names) in (1, 2):
+            J = self._ideal(names[1], lineno) if len(names) == 2 else None
+            F = Filtration.symbolic(self._ideal(names[0], lineno), J)
+        elif kind in _FILTRATION_FORMS:
+            raise ValueError(f"line {lineno}: expected {_FILTRATION_FORMS[kind]}, got {spec!r}")
         else:
             raise ValueError(f"line {lineno}: unknown filtration kind {kind!r}")
+        self.filtrations[name] = (spec, F)
 
     def _ideal(self, name: str, lineno=None) -> Ideal:
         if name not in self.ideals:
@@ -178,351 +190,220 @@ class SessionFile:
         return "\n".join(lines) + "\n"
 
 
-def _digest(*chunks: str) -> str:
-    h = hashlib.sha256()
-    for c in chunks:
-        h.update(c.encode())
-        h.update(b"\x00")
-    return h.hexdigest()[:12]
+def _arg(*flags, **keywords):
+    return flags, keywords
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+_FILE = _arg("-f", "--file", required=True, help="session file")
+_FAT_SHARED = (
+    _arg("--seed", type=int, required=True),
+    _arg("--r", type=int, default=None),
+    _arg("--p", type=int, default=DEFAULT_PRIME),
+    _arg("--elliptic", action="store_true"),
+)
+_IDEAL = _arg("-i", "--ideal", required=True)
+_SECOND = _arg("-j", "--second", required=True)
+_SECOND_OPTIONAL = _arg("-j", "--second", default=None)
+_FILTRATION = _arg("-F", "--filtration", required=True)
+_POLY = _arg("-e", "--poly", required=True)
+_M = _arg("--m", type=int, required=True)
+_D = _arg("--d", type=int, required=True)
+_S = _arg("--s", type=int, default=4)
+_DMAX = _arg("--dmax", type=int, required=True)
 
 
-def _load_session(path: str) -> SessionFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SessionFile.parse(fh.read())
-
-
-def _session_digest(args, *extra) -> str:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return _digest(text, *[str(x) for x in extra])
-
-
-def _gens_json(ideal_obj: Ideal):
+def _gens(ideal_obj: Ideal):
     return [str(g) for g in ideal_obj.gb.basis]
 
 
-def _bounds(ht_val, ell, dim):
+def _ideal_pair(session, args):
+    return session._ideal(args.ideal), session._ideal(args.second)
+
+
+def _ideal_and_optional(session, args):
+    I = session._ideal(args.ideal)
+    return I, (session._ideal(args.second) if args.second else None)
+
+
+def _spread_fields(report):
     return {
-        "ht_le_ell": (ht_val is None) or (ht_val <= ell),
-        "ell_le_dim": ell <= dim,
+        "ell": report.ell, "ht": report.ht, "dim": report.ring_dim,
+        "bounds": {
+            "ht_le_ell": (report.ht is None) or (report.ht <= report.ell),
+            "ell_le_dim": report.ell <= report.ring_dim,
+        },
     }
 
 
-def _scheme_from_args(args) -> fat.FatPointScheme:
-    constraint = "elliptic" if args.elliptic else "none"
-    r = args.r if args.r is not None else (12 if args.elliptic else 16)
-    return fat.sample_scheme(r, 1, constraint, seed=args.seed, p=args.p)
+def _nf(session, args):
+    I = session._ideal(args.ideal)
+    return {"nf": str(normal_form(session.ctx.poly(args.poly), I.gb))}
 
 
-def main(argv=None) -> int:
+def _saturate(session, args):
+    sat, index = saturate(*_ideal_pair(session, args))
+    return {"gens": _gens(sat), "saturation_index": index}
+
+
+def _symbolic(session, args):
+    I, J = _ideal_and_optional(session, args)
+    return {"n": args.power, "gens": _gens(symbolic_power(I, args.power, J))}
+
+
+def _ell(session, args):
+    report = analytic_spread(session._ideal(args.ideal))
+    eq = (report.ht == report.ell) if report.ht is not None else None
+    return {"equimultiple": eq, **_spread_fields(report)}
+
+
+def _ell_trunc(session, args):
+    report = analytic_spread_truncated(session.filtration(args.filtration), args.bound)
+    return {"a": args.bound, "witness_e": report.witness_exponent,
+            "witness_bound": report.witness_bound, **_spread_fields(report)}
+
+
+def _equimult(session, args):
+    rep = equimultiple_check(session._ideal(args.ideal))
+    return {"equimultiple": rep.equimultiple, "ht": rep.ht, "ell": rep.ell}
+
+
+def _sp0(session, args):
+    F = session.filtration(args.filtration)
+    f = session.ctx.poly(args.poly)
+    witness = fiber_nilpotency_witness(F, args.level, f, args.max_power)
+    return {"n": args.level, "max_power": args.max_power, "witness": witness}
+
+
+def _multmap(scheme, args):
+    rep = fat.mult_map_surjective(scheme, args.d, args.m)
+    return {"d": args.d, "m": args.m, "surjective": rep.surjective,
+            "image_dim": rep.image_dim, "target_dim": rep.target_dim}
+
+
+class Command(NamedTuple):
+    name: str
+    help: Optional[str]       # None leaves the command out of the --help listing
+    arguments: tuple          # (flags, add_argument keywords), in digest order
+    run: Callable[..., dict]  # (session or fat-point scheme, args) -> result fields
+    fat: bool = False
+
+
+# Table order is help order; the fat-point commands come last, under "fatpoints".
+COMMANDS = (
+    Command("gb", "reduced Groebner basis of a named ideal", (_IDEAL,),
+            lambda s, a: {"gb": _gens(s._ideal(a.ideal))}),
+    Command("nf", "normal form of a polynomial", (_IDEAL, _POLY), _nf),
+    Command("dim", "Krull dimension of ring/I", (_IDEAL,),
+            lambda s, a: {"dim": krull_dim(s._ideal(a.ideal))}),
+    Command("ht", "height of a proper nonzero ideal", (_IDEAL,),
+            lambda s, a: {"ht": height(s._ideal(a.ideal))}),
+    Command("intersect", None, (_IDEAL, _SECOND),
+            lambda s, a: {"gens": _gens(intersect(*_ideal_pair(s, a)))}),
+    Command("quotient", None, (_IDEAL, _SECOND),
+            lambda s, a: {"gens": _gens(quotient(*_ideal_pair(s, a)))}),
+    Command("saturate", None, (_IDEAL, _SECOND), _saturate),
+    Command("closure-monomial", "integral closure of a monomial ideal", (_IDEAL,),
+            lambda s, a: {"gens": _gens(monomial_integral_closure(s._ideal(a.ideal)))}),
+    Command("symbolic", "symbolic power via saturation",
+            (_IDEAL, _arg("-n", "--power", type=int, required=True), _SECOND_OPTIONAL),
+            _symbolic),
+    Command("ell", "analytic spread of an ideal", (_IDEAL,), _ell),
+    Command("ell-trunc", "analytic spread of a truncated filtration",
+            (_FILTRATION, _arg("-a", "--bound", type=int, required=True)), _ell_trunc),
+    Command("equimult", "equimultiplicity check", (_IDEAL,), _equimult),
+    Command("sp0", "nilpotency witness for a filtration element",
+            (_FILTRATION, _arg("-n", "--level", type=int, required=True), _POLY,
+             _arg("-M", "--max-power", type=int, required=True)), _sp0),
+    Command("fingen-probe", "finite-generation evidence probe",
+            (_IDEAL, _SECOND_OPTIONAL, _arg("-A", "--amax", type=int, default=3),
+             _arg("-N", "--nmax", type=int, default=None)),
+            lambda s, a: finite_generation_probe(*_ideal_and_optional(s, a),
+                                                 a.amax, a.nmax)),
+    Command("h0", "dimension of a linear system", (_M, _D),
+            lambda sc, a: {"d": a.d, "m": a.m, "h0": fat.h0(sc, a.d, a.m)}, fat=True),
+    Command("multmap", "multiplication-map surjectivity", (_M, _D), _multmap, fat=True),
+    Command("contain", "graded power containment sweep",
+            (_arg("--n", type=int, required=True), _S, _DMAX),
+            lambda sc, a: fat.graded_power_containment(sc, a.n, a.s, a.dmax), fat=True),
+    Command("census", "surviving fiber generators census",
+            (_arg("--nmax", type=int, required=True), _DMAX, _S),
+            lambda sc, a: fat.fiber_generator_census(sc, a.nmax, a.dmax, a.s), fat=True),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spreadlab",
         description="Groebner bases, analytic spread, symbolic powers, fat points",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fat_sub = None
+    for cmd in COMMANDS:
+        if cmd.fat and fat_sub is None:
+            fat_sub = sub.add_parser(
+                "fatpoints", help="fat-point interpolation commands"
+            ).add_subparsers(dest="fatcommand", required=True)
+        sp = (fat_sub if cmd.fat else sub).add_parser(
+            cmd.name, **({"help": cmd.help} if cmd.help else {})
+        )
+        for flags, keywords in (_FAT_SHARED if cmd.fat else (_FILE,)):
+            sp.add_argument(*flags, **keywords)
+        dests = tuple(sp.add_argument(*flags, **keywords).dest
+                      for flags, keywords in cmd.arguments)
+        sp.set_defaults(entry=(cmd, dests))
+    return parser
 
-    def session_cmd(name, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        sp.add_argument("-f", "--file", required=True, help="session file")
-        return sp
 
-    sp = session_cmd("gb", help="reduced Groebner basis of a named ideal")
-    sp.add_argument("-i", "--ideal", required=True)
-
-    sp = session_cmd("nf", help="normal form of a polynomial")
-    sp.add_argument("-i", "--ideal", required=True)
-    sp.add_argument("-e", "--poly", required=True)
-
-    sp = session_cmd("dim", help="Krull dimension of ring/I")
-    sp.add_argument("-i", "--ideal", required=True)
-
-    sp = session_cmd("ht", help="height of a proper nonzero ideal")
-    sp.add_argument("-i", "--ideal", required=True)
-
-    for name in ("intersect", "quotient", "saturate"):
-        sp = session_cmd(name)
-        sp.add_argument("-i", "--ideal", required=True)
-        sp.add_argument("-j", "--second", required=True)
-
-    sp = session_cmd("closure-monomial", help="integral closure of a monomial ideal")
-    sp.add_argument("-i", "--ideal", required=True)
-
-    sp = session_cmd("symbolic", help="symbolic power via saturation")
-    sp.add_argument("-i", "--ideal", required=True)
-    sp.add_argument("-n", "--power", type=int, required=True)
-    sp.add_argument("-j", "--second", default=None)
-
-    sp = session_cmd("ell", help="analytic spread of an ideal")
-    sp.add_argument("-i", "--ideal", required=True)
-
-    sp = session_cmd("ell-trunc", help="analytic spread of a truncated filtration")
-    sp.add_argument("-F", "--filtration", required=True)
-    sp.add_argument("-a", "--bound", type=int, required=True)
-
-    sp = session_cmd("equimult", help="equimultiplicity check")
-    sp.add_argument("-i", "--ideal", required=True)
-
-    sp = session_cmd("sp0", help="nilpotency witness for a filtration element")
-    sp.add_argument("-F", "--filtration", required=True)
-    sp.add_argument("-n", "--level", type=int, required=True)
-    sp.add_argument("-e", "--poly", required=True)
-    sp.add_argument("-M", "--max-power", type=int, required=True)
-
-    sp = session_cmd("fingen-probe", help="finite-generation evidence probe")
-    sp.add_argument("-i", "--ideal", required=True)
-    sp.add_argument("-j", "--second", default=None)
-    sp.add_argument("-A", "--amax", type=int, default=3)
-    sp.add_argument("-N", "--nmax", type=int, default=None)
-
-    fatp = sub.add_parser("fatpoints", help="fat-point interpolation commands")
-    fatsub = fatp.add_subparsers(dest="fatcommand", required=True)
-
-    def fat_cmd(name, **kwargs):
-        sp = fatsub.add_parser(name, **kwargs)
-        sp.add_argument("--seed", type=int, required=True)
-        sp.add_argument("--r", type=int, default=None)
-        sp.add_argument("--p", type=int, default=DEFAULT_PRIME)
-        sp.add_argument("--elliptic", action="store_true")
-        return sp
-
-    sp = fat_cmd("h0", help="dimension of a linear system")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-
-    sp = fat_cmd("multmap", help="multiplication-map surjectivity")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-
-    sp = fat_cmd("contain", help="graded power containment sweep")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--s", type=int, default=4)
-    sp.add_argument("--dmax", type=int, required=True)
-
-    sp = fat_cmd("census", help="surviving fiber generators census")
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--dmax", type=int, required=True)
-    sp.add_argument("--s", type=int, default=4)
-
-    args = parser.parse_args(argv)
-
+def _read_session(path: str) -> str:
     try:
-        return _dispatch(args)
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(exc) from None
+
+
+def _str_keys(value):
+    """Write every dict key as a string, so integer keys sort as text."""
+    if isinstance(value, dict):
+        return {str(k): _str_keys(v) for k, v in value.items()}
+    return value
+
+
+def _run(args) -> int:
+    cmd, dests = args.entry
+    if cmd.fat:
+        constraint = "elliptic" if args.elliptic else "none"
+        r = args.r if args.r is not None else (12 if args.elliptic else 16)
+        subject = fat.sample_scheme(r, 1, constraint, seed=args.seed, p=args.p)
+        envelope = {"op": f"fatpoints-{cmd.name}", "seed": args.seed, "r": subject.r,
+                    "constraint": constraint, "p": args.p}
+        chunks = [cmd.name, str(subject.points)]
+    else:
+        text = _read_session(args.file)
+        subject = SessionFile.parse(text)
+        envelope = {"op": cmd.name}
+        chunks = [text]
+    fields = cmd.run(subject, args)
+    digest = hashlib.sha256()
+    for chunk in chunks + [str(getattr(args, d)) for d in dests]:
+        digest.update(chunk.encode() + b"\x00")
+    payload = {"schema": SCHEMA, "digest": digest.hexdigest()[:12], **envelope, **fields}
+    line = json.dumps(_str_keys(payload), sort_keys=True, separators=(",", ":"))
+    sys.stdout.write(line + "\n")
+    return 0
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return _run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:             # internal failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "fatpoints":
-        return _dispatch_fatpoints(args)
-
-    session = _load_session(args.file)
-
-    if cmd == "gb":
-        I = session._ideal(args.ideal)
-        _emit({
-            "schema": SCHEMA, "op": "gb",
-            "digest": _session_digest(args, args.ideal),
-            "gb": _gens_json(I),
-        })
-        return 0
-
-    if cmd == "nf":
-        I = session._ideal(args.ideal)
-        f = session.ctx.poly(args.poly)
-        _emit({
-            "schema": SCHEMA, "op": "nf",
-            "digest": _session_digest(args, args.ideal, args.poly),
-            "nf": str(normal_form(f, I.gb)),
-        })
-        return 0
-
-    if cmd == "dim":
-        I = session._ideal(args.ideal)
-        _emit({
-            "schema": SCHEMA, "op": "dim",
-            "digest": _session_digest(args, args.ideal),
-            "dim": krull_dim(I),
-        })
-        return 0
-
-    if cmd == "ht":
-        I = session._ideal(args.ideal)
-        _emit({
-            "schema": SCHEMA, "op": "ht",
-            "digest": _session_digest(args, args.ideal),
-            "ht": height(I),
-        })
-        return 0
-
-    if cmd in ("intersect", "quotient", "saturate"):
-        A = session._ideal(args.ideal)
-        B = session._ideal(args.second)
-        if cmd == "intersect":
-            out = {"gens": _gens_json(intersect(A, B))}
-        elif cmd == "quotient":
-            out = {"gens": _gens_json(quotient(A, B))}
-        else:
-            sat, index = saturate(A, B)
-            out = {"gens": _gens_json(sat), "saturation_index": index}
-        _emit({
-            "schema": SCHEMA, "op": cmd,
-            "digest": _session_digest(args, args.ideal, args.second),
-            **out,
-        })
-        return 0
-
-    if cmd == "closure-monomial":
-        I = session._ideal(args.ideal)
-        _emit({
-            "schema": SCHEMA, "op": cmd,
-            "digest": _session_digest(args, args.ideal),
-            "gens": _gens_json(monomial_integral_closure(I)),
-        })
-        return 0
-
-    if cmd == "symbolic":
-        I = session._ideal(args.ideal)
-        J = session._ideal(args.second) if args.second else None
-        _emit({
-            "schema": SCHEMA, "op": "symbolic",
-            "digest": _session_digest(args, args.ideal, args.power, args.second),
-            "n": args.power,
-            "gens": _gens_json(symbolic_power(I, args.power, J)),
-        })
-        return 0
-
-    if cmd == "ell":
-        I = session._ideal(args.ideal)
-        report = analytic_spread(I)
-        eq = (report.ht == report.ell) if report.ht is not None else None
-        _emit({
-            "schema": SCHEMA, "op": "ell",
-            "digest": _session_digest(args, args.ideal),
-            "ell": report.ell, "ht": report.ht, "dim": report.ring_dim,
-            "equimultiple": eq,
-            "bounds": _bounds(report.ht, report.ell, report.ring_dim),
-        })
-        return 0
-
-    if cmd == "ell-trunc":
-        F = session.filtration(args.filtration)
-        report = analytic_spread_truncated(F, args.bound)
-        _emit({
-            "schema": SCHEMA, "op": "ell-trunc",
-            "digest": _session_digest(args, args.filtration, args.bound),
-            "a": args.bound,
-            "ell": report.ell, "ht": report.ht, "dim": report.ring_dim,
-            "witness_e": report.witness_exponent,
-            "witness_bound": report.witness_bound,
-            "bounds": _bounds(report.ht, report.ell, report.ring_dim),
-        })
-        return 0
-
-    if cmd == "equimult":
-        I = session._ideal(args.ideal)
-        rep = equimultiple_check(I)
-        _emit({
-            "schema": SCHEMA, "op": "equimult",
-            "digest": _session_digest(args, args.ideal),
-            "equimultiple": rep.equimultiple, "ht": rep.ht, "ell": rep.ell,
-        })
-        return 0
-
-    if cmd == "sp0":
-        F = session.filtration(args.filtration)
-        f = session.ctx.poly(args.poly)
-        witness = fiber_nilpotency_witness(F, args.level, f, args.max_power)
-        _emit({
-            "schema": SCHEMA, "op": "sp0",
-            "digest": _session_digest(args, args.filtration, args.level,
-                                      args.poly, args.max_power),
-            "n": args.level, "max_power": args.max_power,
-            "witness": witness,
-        })
-        return 0
-
-    if cmd == "fingen-probe":
-        I = session._ideal(args.ideal)
-        J = session._ideal(args.second) if args.second else None
-        report = finite_generation_probe(I, J, args.amax, args.nmax)
-        report = {k: (dict(v) if isinstance(v, dict) else v) for k, v in report.items()}
-        for key in ("truncation_matches_symbolic", "truncation_spreads",
-                    "truncation_spread_witness", "symbolic_power_spreads"):
-            report[key] = {str(k): v for k, v in report[key].items()}
-        _emit({
-            "schema": SCHEMA, "op": "fingen-probe",
-            "digest": _session_digest(args, args.ideal, args.second,
-                                      args.amax, args.nmax),
-            **report,
-        })
-        return 0
-
-    raise ValueError(f"unknown command {cmd!r}")
-
-
-def _dispatch_fatpoints(args) -> int:
-    scheme = _scheme_from_args(args)
-    base = {
-        "schema": SCHEMA,
-        "seed": args.seed,
-        "r": scheme.r,
-        "constraint": "elliptic" if args.elliptic else "none",
-        "p": args.p,
-    }
-
-    if args.fatcommand == "h0":
-        value = fat.h0(scheme, args.d, args.m)
-        _emit({
-            **base, "op": "fatpoints-h0",
-            "digest": _digest("h0", str(scheme.points), str(args.m), str(args.d)),
-            "d": args.d, "m": args.m, "h0": value,
-        })
-        return 0
-
-    if args.fatcommand == "multmap":
-        rep = fat.mult_map_surjective(scheme, args.d, args.m)
-        _emit({
-            **base, "op": "fatpoints-multmap",
-            "digest": _digest("multmap", str(scheme.points), str(args.m), str(args.d)),
-            "d": args.d, "m": args.m,
-            "surjective": rep.surjective,
-            "image_dim": rep.image_dim, "target_dim": rep.target_dim,
-        })
-        return 0
-
-    if args.fatcommand == "contain":
-        rep = fat.graded_power_containment(scheme, args.n, args.s, args.dmax)
-        rep["degrees"] = {str(k): v for k, v in rep["degrees"].items()}
-        _emit({
-            **base, "op": "fatpoints-contain",
-            "digest": _digest("contain", str(scheme.points), str(args.n),
-                              str(args.s), str(args.dmax)),
-            **{k: v for k, v in rep.items() if k != "seed"},
-        })
-        return 0
-
-    if args.fatcommand == "census":
-        rep = fat.fiber_generator_census(scheme, args.nmax, args.dmax, args.s)
-        rep["survivors"] = [list(t) for t in rep["survivors"]]
-        _emit({
-            **base, "op": "fatpoints-census",
-            "digest": _digest("census", str(scheme.points), str(args.nmax),
-                              str(args.dmax), str(args.s)),
-            **{k: v for k, v in rep.items() if k != "seed"},
-        })
-        return 0
-
-    raise ValueError(f"unknown fatpoints command {args.fatcommand!r}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .linalg import (
     rref_modp,
     span_rows,
 )
-from .ring import DEFAULT_PRIME, RingContext
+from .ring import DEFAULT_PRIME, RingContext, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,10 @@ class FatPointScheme:
             raise ValueError("one multiplicity per point")
         if len(set(self.points)) != len(self.points):
             raise ValueError("points must be pairwise distinct")
+        if not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
+        if min(self.multiplicities, default=0) < 0:
+            raise ValueError("multiplicities must be nonnegative")
 
     @property
     def r(self) -> int:

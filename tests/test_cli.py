@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -68,6 +69,10 @@ def test_session_errors():
         SessionFile.parse("ring p=32003 vars=x,y order=mystery\n")
     with pytest.raises(ValueError):
         SessionFile.parse("ring p=32003 vars=x,y\nfiltration F = symbolic:q\n")
+    # extra ":" fields are refused, not dropped
+    for spec in ("symbolic:a:a:zzz", "adic:a:x", "trivial-m:x"):
+        with pytest.raises(ValueError, match="line 3"):
+            SessionFile.parse(f"ring p=32003 vars=x,y\nideal a = x\nfiltration F = {spec}\n")
 
 
 # --- commands --------------------------------------------------------------------
@@ -206,6 +211,19 @@ def test_fatpoints_prime_beyond_int64_exit_2(capsys):
     assert code == 2 and out is None
 
 
+@pytest.mark.parametrize("extra", [["--p", "32001"], ["--m", "-1"]])
+def test_fatpoints_invalid_scheme_exit_2(extra, capsys):
+    argv = ["fatpoints", "h0", "--r", "2", "--m", "1", "--d", "1", "--seed", "1"]
+    code, out = run_cli(argv + extra, capsys)
+    assert code == 2 and out is None
+
+
+def test_unreadable_session_exit_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.ring", tmp_path):
+        code, out = run_cli(["dim", "-f", str(path), "-i", "g"], capsys)
+        assert code == 2 and out is None
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -216,3 +234,67 @@ def test_missing_seed_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["fatpoints", "h0", "--m", "1", "--d", "4"])
     assert err.value.code == 2
+
+
+# --- golden output --------------------------------------------------------------------
+
+# SHA-256 of the exact stdout and the exit code of every subcommand; "{curve}"
+# and "{flat}" stand for the two session files.  contain with --dmax 10 pins
+# the key order of integer-keyed reports ("10" sorts before "2").
+GOLDEN = [
+    (("gb", "-f", "{curve}", "-i", "p"), 0,
+     "690ec05287f7fb7e7e88537487d37a2542ff20a186843c353b66769a6945b035"),
+    (("nf", "-f", "{curve}", "-i", "p", "-e", "x^4 + y*z"), 0,
+     "a95491e4e53eba3fe13c932bdfd4c89673126c2e0dd050090839f47416d36781"),
+    (("dim", "-f", "{curve}", "-i", "p"), 0,
+     "b28521dd0bac167f0855c219abf037e1a498a0609cdc543f794d78af98d05e9f"),
+    (("ht", "-f", "{curve}", "-i", "p"), 0,
+     "64e75350a15d5ca67c6cb17a779d6acfc0f7bbc6a48d9c41fa7f367ee6bed539"),
+    (("intersect", "-f", "{flat}", "-i", "p", "-j", "mixed"), 0,
+     "3286f57464b998373adca0348c231f15c3e228582a82f283b77a183080e53304"),
+    (("quotient", "-f", "{flat}", "-i", "mixed", "-j", "p"), 0,
+     "120551edddf3830d3633da9219c01332562bd4914fabb67a09583eec2729ad76"),
+    (("saturate", "-f", "{curve}", "-i", "p", "-j", "m"), 0,
+     "1efacb2a8b47d72e649069ea3fca2657bb2697b1c3c9b037576c263b20a3c05e"),
+    (("closure-monomial", "-f", "{flat}", "-i", "mixed"), 0,
+     "42f4770bdfa05894dc0a3571d806c14920c362f230b03b7f2de88b37ec815226"),
+    (("symbolic", "-f", "{curve}", "-i", "p", "-n", "2"), 0,
+     "b7e624841dab2b3e476863ebfab351f5788760b436d08b9171cdf0d31752624b"),
+    (("ell", "-f", "{curve}", "-i", "p"), 0,
+     "0d138235172bcf3de705a9e9f15cf77c600933339e3da1784ed004387513a54c"),
+    (("ell-trunc", "-f", "{curve}", "-F", "S", "-a", "2"), 0,
+     "f6ad4e376d2fadfd3deb1636c5647c6a6f67f24c08db15f5b44c57c878e2a0fb"),
+    (("equimult", "-f", "{flat}", "-i", "mixed"), 0,
+     "b512a49c2bbe4598ef28e507faff60aaca04a75da422a06dde1a0e3942db9dd2"),
+    (("sp0", "-f", "{flat}", "-F", "T", "-n", "1", "-e", "x", "-M", "4"), 0,
+     "7cbc5a1adddd48d48a81dc25f17972ea8af949b1543fb5484335aa9f329d6178"),
+    (("fingen-probe", "-f", "{flat}", "-i", "p", "-A", "2", "-N", "3"), 0,
+     "614bd62f0ffe210a4a53a54627c5d3864308e445494129b2330b508f1b8d70d4"),
+    (("fatpoints", "h0", "--r", "4", "--m", "1", "--d", "2", "--seed", "1"), 0,
+     "c8d03622d91bfc46c2e9d3bf95517fc8490d5e8a43ec43cf46b4951abdb0b5b4"),
+    (("fatpoints", "multmap", "--r", "4", "--m", "1", "--d", "3", "--seed", "1"), 0,
+     "43160f5b12b1f97016e066bd0bb74c3aef66dc819fd0fe01105e2581a1f4d0b7"),
+    (("fatpoints", "contain", "--r", "2", "--n", "1", "--s", "2", "--dmax", "10",
+      "--seed", "1"), 0,
+     "6d47db3c38961bbdab86a688904eac31f50295d6c32454ed99c9cfa4a2774d1c"),
+    (("fatpoints", "census", "--elliptic", "--r", "3", "--nmax", "1", "--dmax", "3",
+      "--seed", "1"), 0,
+     "6520c016a5a263f180a209dd89a2847a2d129ee669d328235e95a923c7cb2abd"),
+    (("ell", "-f", "{curve}", "-i", "nosuch"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (("frobnicate",), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, sha", GOLDEN, ids=[" ".join(g[0][:2]) for g in GOLDEN]
+)
+def test_golden_output(argv, code, sha, curve_file, flat_file, capsys):
+    argv = [a.format(curve=curve_file, flat=flat_file) for a in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha)

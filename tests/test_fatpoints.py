@@ -65,6 +65,20 @@ def test_duplicate_detection():
         FatPointScheme(32003, ((1, 0, 0), (1, 0, 0)), (1, 1), None, 0)
 
 
+def test_composite_modulus_and_negative_multiplicity_refused():
+    points = ((1, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError):
+        FatPointScheme(32001, points, (1, 1), None, 0)            # 32001 = 3 * 10667
+    with pytest.raises(ValueError):
+        sample_scheme(2, 1, "none", seed=1, p=32001)
+    scheme = FatPointScheme(32003, points, (1, 1), None, 0)
+    with pytest.raises(ValueError):
+        scheme.with_multiplicities(-1)
+    with pytest.raises(ValueError):
+        FatPointScheme(32003, points, (2, -1), None, 0)
+    assert h0(scheme, 1, 0) == 3
+
+
 # --- h0 values -----------------------------------------------------------------
 
 def test_pencil_of_lines():
