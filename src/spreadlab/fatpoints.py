@@ -11,7 +11,11 @@ to order m at a point is imposed characteristic-safely by expanding
 the form along two local parameters at the point and zeroing all
 coefficients of local degree below m (no derivatives, hence no char-p
 division pitfalls; the prime far exceeds every degree used, so the
-truncated-expansion multinomials never collapse).
+truncated-expansion multinomials never collapse).  The local frame at
+a point P is two coordinate unit vectors e_a, e_b with P_c nonzero for
+the third index c, so a monomial x^e expands along P + s e_a + t e_b in
+closed form: its coefficient of s^j t^k is
+C(e_a, j) P_a^(e_a - j) * C(e_b, k) P_b^(e_b - k) * P_c^e_c mod p.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +31,6 @@ import numpy as np
 from .linalg import (
     check_modulus,
     nullspace_modp,
-    rank_modp,
     reduce_rows,
     rref_modp,
     span_rows,
@@ -154,6 +158,106 @@ def _cubic_is_smooth(coeffs, p: int) -> bool:
     return sat.is_unit
 
 
+# ---------------------------------------------------------------------------
+# roots of a univariate polynomial over F_p: coefficient lists, constant
+# term first, entries in [0, p), no trailing zeros
+# ---------------------------------------------------------------------------
+
+def _trim(f: List[int]) -> List[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _poly_sub(f: List[int], g: List[int], p: int) -> List[int]:
+    n = max(len(f), len(g))
+    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+    return _trim([(a - b) % p for a, b in zip(f, g)])
+
+
+def _poly_divmod(f: List[int], g: List[int], p: int):
+    """Quotient and remainder of f by a nonzero g over F_p."""
+    f = list(f)
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = f[i + len(g) - 1] * inv % p
+        q[i] = c
+        for j, gj in enumerate(g):
+            f[i + j] = (f[i + j] - c * gj) % p
+    return _trim(q), _trim(f[: len(g) - 1])
+
+
+def _poly_mulmod(f: List[int], h: List[int], g: List[int], p: int) -> List[int]:
+    prod = [0] * (len(f) + len(h) - 1) if f and h else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(h):
+            prod[i + j] = (prod[i + j] + a * b) % p
+    return _poly_divmod(prod, g, p)[1]
+
+
+def _poly_powmod(f: List[int], e: int, g: List[int], p: int) -> List[int]:
+    """f^e mod g over F_p, by square-and-multiply."""
+    result, f = [1], _poly_divmod(f, g, p)[1]
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, f, g, p)
+        f = _poly_mulmod(f, f, g, p)
+        e >>= 1
+    return result
+
+
+def _poly_gcd(f: List[int], g: List[int], p: int) -> List[int]:
+    """Monic gcd over F_p; f is nonzero."""
+    while g:
+        f, g = g, _poly_divmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _split_roots(g: List[int], p: int) -> List[int]:
+    """Roots of a monic g that is a product of distinct linear factors.
+
+    g splits as gcd(g, (b + delta)^((p - 1)/2) - 1) times the cofactor for
+    the first delta = 0, 1, ... that separates two roots (equal-degree
+    splitting, Cantor-Zassenhaus, Math. Comp. 1981).  For odd p such a
+    delta exists: the nonzero squares are not closed under adding the
+    difference of two roots, since that difference generates F_p.
+    """
+    if len(g) <= 2:
+        return [(-g[0]) % p] if len(g) == 2 else []
+    if p == 2:
+        return [0, 1]                  # the only such g of degree 2 is b(b + 1)
+    delta = 0
+    while True:
+        h = _poly_powmod([delta, 1], (p - 1) // 2, g, p)
+        h = _poly_gcd(g, _poly_sub(h, [1], p), p)
+        if 1 < len(h) < len(g):
+            return _split_roots(h, p) + _split_roots(_poly_divmod(g, h, p)[0], p)
+        delta += 1
+
+
+def _roots_modp(f: List[int], p: int) -> List[int]:
+    """Distinct roots in F_p of a nonzero polynomial f, ascending.
+
+    gcd(f, b^p - b) is the product of the distinct linear factors of f;
+    b^p is reduced mod f on the way, so the cost is polynomial in log p.
+    """
+    f = _trim([c % p for c in f])
+    if len(f) < 2:
+        return []
+    linear = _poly_gcd(f, _poly_sub(_poly_powmod([0, 1], p, f, p), [0, 1], p), p)
+    return sorted(_split_roots(linear, p))
+
+
+def _first_root(f: List[int], start: int, p: int) -> Optional[int]:
+    """The first root of f met in the order start, start + 1, ... mod p,
+    or None; every b is a root of the zero polynomial, so that gives start."""
+    if not any(c % p for c in f):
+        return start
+    return min(_roots_modp(f, p), key=lambda b: (b - start) % p, default=None)
+
+
 def sample_scheme(
     r: int,
     multiplicities=1,
@@ -164,8 +268,11 @@ def sample_scheme(
 ) -> FatPointScheme:
     """Deterministic pseudo-generic configuration of r points from a seed.
 
-    ``constraint="elliptic"`` first draws a smooth cubic, then scans for
-    r distinct points on it.  Exhausting the retry budget (e.g. a tiny
+    ``constraint="elliptic"`` first draws a smooth cubic, then draws
+    lines x1 = a, x3 = 1 and takes on each the first point of the cubic
+    met going x2 = start, start + 1, ... (mod p), until it has r
+    distinct points; the roots on a line come from gcd(f, x2^p - x2), at
+    a cost polynomial in log p.  Exhausting the retry budget (e.g. a tiny
     field) raises a seed error.
     """
     if r < 1:
@@ -219,16 +326,10 @@ def sample_scheme(
         for c, (e1, e2, e3) in zip(coeffs, monomial_basis(3)):
             if c:
                 uni[e2] = (uni[e2] + c * pow(a, e1, p)) % p
-        c3, c2, c1, c0 = uni[3], uni[2], uni[1], uni[0]
-        found = None
-        for off in range(p):
-            b = (start + off) % p
-            if (((c3 * b + c2) * b + c1) * b + c0) % p == 0:
-                found = (a, b, 1)
-                break
-        if found is None:
+        b = _first_root(uni, start, p)
+        if b is None:
             continue
-        pt = _normalize_point(found, p)
+        pt = _normalize_point((a, b, 1), p)
         if pt not in seen:
             seen.add(pt)
             points.append(pt)
@@ -239,107 +340,86 @@ def sample_scheme(
 # interpolation matrices and linear systems
 # ---------------------------------------------------------------------------
 
+# row c holds (a, b, c) with {a, b} the other two coordinates, a < b
+_FRAME_AXES = np.array([[1, 2, 0], [0, 2, 1], [0, 1, 2]], dtype=np.int64)
+
+
+def _frame_axes(points, p: int):
+    """Points reduced mod p as an (r, 3) array, and per point the axes
+    (a, b, c): c is the last coordinate nonzero mod p, so e_a, e_b and
+    the point are a basis (their determinant is +-pt_c)."""
+    P = np.array([[int(x) % p for x in pt] for pt in points], dtype=np.int64)
+    P = P.reshape(-1, 3)
+    nonzero = P != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("degenerate point")
+    return P, _FRAME_AXES[2 - np.argmax(nonzero[:, ::-1], axis=1)]
+
+
 def _local_frame(pt, p: int):
-    """Two vectors completing the point to a basis, chosen canonically."""
-    candidates = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    frame = []
-    for e in candidates:
-        trial = frame + [e]
-        if _det3([pt] + trial + [(0, 0, 0)] * (2 - len(trial)), p, partial=len(trial)):
-            frame.append(e)
-        if len(frame) == 2:
-            return tuple(frame)
-    raise ValueError("degenerate point")
+    """The coordinate unit vectors e_a, e_b completing pt to a basis."""
+    a, b, _ = _frame_axes([pt], p)[1][0].tolist()
+    return tuple(tuple(int(i == axis) for i in range(3)) for axis in (a, b))
 
 
-def _det3(rows, p, partial=2):
-    # full determinant once two candidates are in place; before that,
-    # require the partial frame to stay independent
-    if partial == 1:
-        a, b = rows[0], rows[1]
-        minors = (
-            a[0] * b[1] - a[1] * b[0],
-            a[0] * b[2] - a[2] * b[0],
-            a[1] * b[2] - a[2] * b[1],
-        )
-        return any(m % p for m in minors)
-    a, b, c = rows[0], rows[1], rows[2]
-    det = (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
+def _condition_matrix(points, mults, d: int, p: int) -> np.ndarray:
+    """Rows imposing vanishing to order mults[i] at points[i] on degree-d
+    forms, point after point.
+
+    The local frame at pt is two coordinate unit vectors e_a, e_b, and
+    pt_c is nonzero for the third axis c (:func:`_frame_axes`).  Along
+    pt + s e_a + t e_b a monomial x^e is
+    (pt_a + s)^e_a (pt_b + t)^e_b pt_c^e_c, so its coefficient of s^j t^k
+    is C(e_a, j) pt_a^(e_a - j) * C(e_b, k) pt_b^(e_b - k) * pt_c^e_c mod p.
+    A point of multiplicity m has one row per (j, k) with j + k < m,
+    ordered by j + k and then by j; points of multiplicity 0 have none.
+    """
+    check_modulus(p)
+    kept = [(pt, m) for pt, m in zip(points, mults) if m >= 1]
+    if not kept:
+        return np.zeros((0, len(monomial_basis(d))), dtype=np.int64)
+    P, axes = _frame_axes([pt for pt, _ in kept], p)
+    m = max(mult for _, mult in kept)
+    r = len(kept)
+    point = np.arange(r)[:, None]
+    coords = P[point, axes]                             # pt_a, pt_b, pt_c
+    powers = np.ones((r, 3, d + 1), dtype=np.int64)     # coords^t, t <= d
+    for t in range(1, d + 1):
+        powers[:, :, t] = powers[:, :, t - 1] * coords % p
+    # shifted[:, x, j, e] = C(e, j) coords_x^(e - j): the s^j coefficient
+    # of (coords_x + s)^e, for the two frame axes x
+    binom = np.array(
+        [[comb(e, j) % p for e in range(d + 1)] for j in range(m)], dtype=np.int64
     )
-    return det % p != 0
-
-
-@lru_cache(maxsize=None)
-def _trinomials(e: int, m: int) -> Tuple[Tuple[int, int, int, int], ...]:
-    """(j, k, remaining, multinomial) for (P + sU + tV)^e truncated below m."""
-    from math import comb
-
-    out = []
-    for j in range(min(e, m - 1) + 1):
-        for k in range(min(e - j, m - 1 - j) + 1):
-            out.append((j, k, e - j - k, comb(e, j) * comb(e - j, k)))
-    return tuple(out)
+    drop = np.maximum(np.arange(d + 1)[None, :] - np.arange(m)[:, None], 0)
+    shifted = binom * powers[:, :2, drop] % p
+    j = np.array([j for s in range(m) for j in range(s + 1)], dtype=np.int64)
+    k = np.array([s - j for s in range(m) for j in range(s + 1)], dtype=np.int64)
+    e = np.array(monomial_basis(d), dtype=np.int64).T[axes]   # (r, 3, N): e_a, e_b, e_c
+    point = point[:, :, None]
+    rows = (
+        shifted[point, 0, j[None, :, None], e[:, None, 0, :]]
+        * shifted[point, 1, k[None, :, None], e[:, None, 1, :]] % p
+        * powers[point, 2, e[:, None, 2, :]] % p
+    )
+    # rows are ordered by local degree, so multiplicity m_i keeps a prefix
+    count = np.array([mult * (mult + 1) // 2 for _, mult in kept])
+    return rows[np.arange(j.size)[None, :] < count[:, None]]
 
 
 def _condition_rows(pt, mult: int, d: int, p: int) -> np.ndarray:
     """Rows imposing vanishing to order mult at pt on degree-d forms.
 
-    Expands every degree-d monomial at pt along the local frame and
-    truncates below local degree mult.
+    Row (j, k), j + k < mult, holds each monomial's coefficient of s^j t^k
+    along pt + s e_a + t e_b, for the unit-vector frame e_a, e_b of
+    :func:`_local_frame`: C(e_a, j) pt_a^(e_a - j) * C(e_b, k) pt_b^(e_b - k)
+    * pt_c^e_c mod p (see :func:`_condition_matrix`).
     """
-    U, V = _local_frame(pt, p)
-    basis = monomial_basis(d)
-    pairs = [(j, k) for s in range(mult) for j, k in
-             ((j, s - j) for j in range(s + 1))]
-    pair_index = {jk: i for i, jk in enumerate(pairs)}
-    rows = np.zeros((len(pairs), len(basis)), dtype=np.int64)
-    # per coordinate: truncated expansion of (pt_i + s U_i + t V_i)^e
-    coord_exp: List[Dict[int, Dict[Tuple[int, int], int]]] = []
-    for i in range(3):
-        cache: Dict[int, Dict[Tuple[int, int], int]] = {}
-        for e in range(d + 1):
-            terms: Dict[Tuple[int, int], int] = {}
-            for j, k, rem, mult_coef in _trinomials(e, mult):
-                coef = (
-                    mult_coef
-                    * pow(pt[i], rem, p)
-                    * pow(U[i], j, p)
-                    * pow(V[i], k, p)
-                ) % p
-                if coef:
-                    terms[(j, k)] = (terms.get((j, k), 0) + coef) % p
-            cache[e] = terms
-        coord_exp.append(cache)
-    for col, (e1, e2, e3) in enumerate(basis):
-        acc = {(0, 0): 1}
-        for i, e in ((0, e1), (1, e2), (2, e3)):
-            if e == 0:
-                continue
-            nxt: Dict[Tuple[int, int], int] = {}
-            for (j1, k1), c1 in acc.items():
-                for (j2, k2), c2 in coord_exp[i][e].items():
-                    j, k = j1 + j2, k1 + k2
-                    if j + k < mult:
-                        key = (j, k)
-                        nxt[key] = (nxt.get(key, 0) + c1 * c2) % p
-            acc = nxt
-        for (j, k), c in acc.items():
-            rows[pair_index[(j, k)], col] = c
-    return rows
+    return _condition_matrix([pt], [mult], d, p)
 
 
 def interpolation_matrix(scheme: FatPointScheme, d: int) -> np.ndarray:
-    blocks = [
-        _condition_rows(pt, m, d, scheme.p)
-        for pt, m in zip(scheme.points, scheme.multiplicities)
-        if m >= 1
-    ]
-    if not blocks:
-        return np.zeros((0, len(monomial_basis(d))), dtype=np.int64)
-    return np.vstack(blocks)
+    return _condition_matrix(scheme.points, scheme.multiplicities, d, scheme.p)
 
 
 @dataclass
@@ -357,14 +437,10 @@ class LinearSystem:
 
     def verify_vanishing(self) -> bool:
         """Recheck every basis form against every point's local expansion."""
-        check_modulus(self.scheme.p, self.basis.shape[1])
-        for pt, m in zip(self.scheme.points, self.scheme.multiplicities):
-            if m < 1:
-                continue
-            rows = _condition_rows(pt, m, self.degree, self.scheme.p)
-            if (rows @ self.basis.T % self.scheme.p).any():
-                return False
-        return True
+        s = self.scheme
+        check_modulus(s.p, self.basis.shape[1])
+        rows = _condition_matrix(s.points, s.multiplicities, self.degree, s.p)
+        return not (rows @ self.basis.T % s.p).any()
 
 
 def linear_system(scheme: FatPointScheme, d: int) -> LinearSystem:
@@ -375,9 +451,8 @@ def linear_system(scheme: FatPointScheme, d: int) -> LinearSystem:
     if A.shape[0] == 0:
         basis = np.eye(len(monomial_basis(d)), dtype=np.int64)
         return LinearSystem(scheme, d, basis, 0)
-    rank = rank_modp(A, scheme.p)
     basis = nullspace_modp(A, scheme.p)
-    return LinearSystem(scheme, d, basis, rank)
+    return LinearSystem(scheme, d, basis, A.shape[1] - basis.shape[0])
 
 
 def h0(scheme: FatPointScheme, d: int, m=None) -> int:
@@ -406,6 +481,12 @@ def mult_map_surjective(scheme: FatPointScheme, d: int, m: int) -> MultMapReport
     Compares the span of x_k * (degree d-1 piece) with the degree-d
     piece, both at uniform multiplicity m.
     """
+    return _mult_map(scheme, d, m)[0]
+
+
+def _mult_map(scheme: FatPointScheme, d: int, m: int):
+    """The report of mult_map_surjective, with the RREF rows and pivots of
+    the image x_k * (degree d-1 piece), for callers that reduce against it."""
     if d < 1:
         raise ValueError("degree must be at least 1")
     s = scheme.with_multiplicities(m)
@@ -413,15 +494,19 @@ def mult_map_surjective(scheme: FatPointScheme, d: int, m: int) -> MultMapReport
     target = linear_system(s, d)
     p = scheme.p
     image = _variable_multiples(lower.basis, d - 1, p)
-    image_dim = rank_modp(image, p)
-    return MultMapReport(
-        surjective=(image_dim == target.h0),
-        image_dim=image_dim,
+    if image.size:
+        image, pivots = rref_modp(image, p)
+    else:
+        pivots = ()
+    report = MultMapReport(
+        surjective=(image.shape[0] == target.h0),
+        image_dim=image.shape[0],
         target_dim=target.h0,
         degree=d,
         multiplicity=m,
         seed=scheme.seed,
     )
+    return report, image, pivots
 
 
 def _variable_multiples(space_rows: np.ndarray, d_minus_1: int, p: int) -> np.ndarray:
@@ -500,7 +585,6 @@ def graded_power_containment(
         raise ValueError("n and s must be positive")
     p = scheme.p
     base = scheme.with_multiplicities(n)
-    high = scheme.with_multiplicities(s * n)
 
     pieces: Dict[int, np.ndarray] = {}
     for d in range(0, d_max + 1):
@@ -529,7 +613,7 @@ def graded_power_containment(
     for D in sorted(product_degrees):
         # products vanish to order s*n, so surjectivity of multiplication
         # by linear forms onto the (D, s*n) piece certifies containment
-        cert = mult_map_surjective(scheme, D, s * n)
+        cert, image, pivots = _mult_map(scheme, D, s * n)
         if cert.surjective:
             degrees[D] = {
                 "contained": True,
@@ -545,19 +629,12 @@ def graded_power_containment(
                 "comparison_dim": cert.image_dim,
             }
             continue
-        target = _variable_multiples(linear_system(high, D - 1).basis, D - 1, p)
-        if target.size:
-            tr, tpiv = rref_modp(target, p)
-            residues = reduce_rows(products, tr, tpiv, p)
-            comparison_dim = int(tr.shape[0])
-        else:
-            residues = products % p
-            comparison_dim = 0
+        residues = reduce_rows(products, image, pivots, p)
         degrees[D] = {
             "contained": bool(not residues.any()),
             "via": "product-span reduction",
             "products_dim": int(products.shape[0]),
-            "comparison_dim": comparison_dim,
+            "comparison_dim": cert.image_dim,
         }
     report = {
         "n": n,
@@ -590,26 +667,18 @@ def fiber_generator_census(
     rows = []
     for n in range(1, n_max + 1):
         base = scheme.with_multiplicities(n)
-        high = scheme.with_multiplicities(s * n)
         for d in range(0, d_max + 1):
             piece = linear_system(base, d)
             if piece.h0 == 0:
                 continue
-            if mult_map_surjective(scheme, s * d, s * n).surjective:
+            cert, image, pivots = _mult_map(scheme, s * d, s * n)
+            if cert.surjective:
                 survives = False          # s-th powers land in the x_k multiples
             else:
-                spans = _power_spans({d: piece.basis}, s, s * d, p)
-                products = spans.get(s * d)
-                target = _variable_multiples(
-                    linear_system(high, s * d - 1).basis, s * d - 1, p
+                products = _power_spans({d: piece.basis}, s, s * d, p).get(s * d)
+                survives = products is not None and bool(
+                    reduce_rows(products, image, pivots, p).any()
                 )
-                if products is None:
-                    survives = False
-                elif target.size == 0:
-                    survives = bool(products.any())
-                else:
-                    tr, tpiv = rref_modp(target, p)
-                    survives = bool(reduce_rows(products, tr, tpiv, p).any())
             rows.append(
                 {
                     "n": n,

@@ -42,15 +42,17 @@ def rref_modp(A: np.ndarray, p: int):
         if nz.size == 0:
             continue
         pivot = r + int(nz[0])
+        # rows r.. are zero left of column c, so the pivot row is too and
+        # every row operation below only touches columns c..
         if pivot != r:
-            R[[r, pivot]] = R[[pivot, r]]
+            R[[r, pivot], c:] = R[[pivot, r], c:]
         inv = pow(int(R[r, c]), -1, p)
-        R[r] = (R[r] * inv) % p
+        R[r, c:] = (R[r, c:] * inv) % p
         factors = R[:, c].copy()
         factors[r] = 0
-        mask = factors != 0
-        if mask.any():
-            R[mask] = (R[mask] - factors[mask, None] * R[r][None, :]) % p
+        hit = np.nonzero(factors)[0]
+        if hit.size:
+            R[hit, c:] = (R[hit, c:] - factors[hit, None] * R[r, c:]) % p
         pivots.append(c)
         r += 1
     return R[:r], tuple(pivots)
@@ -68,18 +70,18 @@ def nullspace_modp(A: np.ndarray, p: int) -> np.ndarray:
     Free columns are visited in ascending order and the corresponding
     basis vector has a 1 in that position, so the output is canonical.
     """
-    A = np.array(A, dtype=np.int64) % p
+    A = np.asarray(A)
     rows, cols = A.shape
     if rows == 0 or A.size == 0:
         return np.eye(cols, dtype=np.int64)
     R, pivots = rref_modp(A, p)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(R[i, c])) % p
+    pivots = list(pivots)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-R[:, free].T) % p
     return basis
 
 

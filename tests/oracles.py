@@ -3,10 +3,14 @@
 These deliberately avoid the production code paths: the Buchberger
 oracle runs the naive all-pairs algorithm with no selection strategy
 and no criteria, and the dimension oracle enumerates every variable
-subset.  Both operate on the public Polynomial API only.
+subset.  Both operate on the public Polynomial API only.  The fat-point
+and linear-algebra oracles use plain Python integers: condition rows by
+dict expansion along an arbitrary local frame, Gauss-Jordan elimination,
+and roots of a univariate polynomial by evaluation at every element.
 """
 
 import itertools
+import math
 
 from spreadlab import Polynomial
 from spreadlab.ring import mono_div, mono_divides, mono_lcm
@@ -98,3 +102,85 @@ def brute_force_dim(monomials, nvars):
             if all(not sup <= s for sup in supports):
                 return size
     return best
+
+
+def monomials_of_degree(d):
+    """Exponent triples of degree d, first exponent descending, then second."""
+    return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+
+
+def condition_rows_reference(pt, U, V, mult, d, p):
+    """Vanishing conditions of order mult at pt on degree-d forms.
+
+    Expands every monomial along pt + sU + tV for an arbitrary frame
+    (U, V) with dicts of (j, k) -> coefficient, truncated below local
+    degree mult.  Rows are the (j, k) with j + k < mult, ordered by
+    j + k and then j; columns follow ``monomials_of_degree(d)``.
+    """
+    pairs = [(j, s - j) for s in range(mult) for j in range(s + 1)]
+
+    def coordinate_power(i, e):
+        # (pt_i + s U_i + t V_i)^e, truncated
+        terms = {}
+        for j in range(min(e, mult - 1) + 1):
+            for k in range(min(e - j, mult - 1 - j) + 1):
+                c = (math.comb(e, j) * math.comb(e - j, k) * pow(pt[i], e - j - k, p)
+                     * pow(U[i], j, p) * pow(V[i], k, p)) % p
+                if c:
+                    terms[(j, k)] = (terms.get((j, k), 0) + c) % p
+        return terms
+
+    columns = []
+    for exps in monomials_of_degree(d):
+        acc = {(0, 0): 1}
+        for i, e in enumerate(exps):
+            power = coordinate_power(i, e)
+            nxt = {}
+            for (j1, k1), c1 in acc.items():
+                for (j2, k2), c2 in power.items():
+                    if j1 + j2 + k1 + k2 < mult:
+                        key = (j1 + j2, k1 + k2)
+                        nxt[key] = (nxt.get(key, 0) + c1 * c2) % p
+            acc = nxt
+        columns.append([acc.get(jk, 0) for jk in pairs])
+    return [list(row) for row in zip(*columns)] if pairs else []
+
+
+def gauss_jordan(rows, p):
+    """Reduced row echelon form over F_p with Python integers.
+
+    Returns the nonzero rows and the pivot columns.  The RREF of a matrix
+    is unique, so any correct elimination must agree with it.
+    """
+    R = [[x % p for x in row] for row in rows]
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pivot is None:
+            continue
+        R[r], R[pivot] = R[pivot], R[r]
+        inv = pow(R[r][c], -1, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R[:r], pivots
+
+
+def poly_roots_brute_force(f, p):
+    """Roots in F_p of sum f[i] b^i, by evaluating at every b."""
+    return [b for b in range(p) if sum(c * pow(b, i, p) for i, c in enumerate(f)) % p == 0]
+
+
+def first_root_scan(f, start, p):
+    """The first b = start, start + 1, ... (mod p) with f(b) = 0, or None."""
+    for off in range(p):
+        b = (start + off) % p
+        if sum(c * pow(b, i, p) for i, c in enumerate(f)) % p == 0:
+            return b
+    return None

@@ -1,11 +1,22 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spreadlab
 from spreadlab.cli import SessionFile, main
+
+# a child interpreter imports spreadlab from the same source tree as the tests
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(spreadlab.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 CURVE_SESSION = """\
@@ -172,8 +183,8 @@ def test_fatpoints_census_elliptic(capsys):
 
 def test_byte_identical_output(flat_file):
     cmd = [sys.executable, "-m", "spreadlab.cli", "ell", "-f", flat_file, "-i", "p"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
+    second = subprocess.run(cmd, capture_output=True, env=CHILD_ENV)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
@@ -209,6 +220,15 @@ def test_fatpoints_prime_beyond_int64_exit_2(capsys):
         capsys,
     )
     assert code == 2 and out is None
+
+
+def test_fatpoints_elliptic_large_prime():
+    """Sampling 12 points on a cubic over F_(2^31 - 1) does not scan the field."""
+    cmd = [sys.executable, "-m", "spreadlab", "fatpoints", "h0", "--elliptic",
+           "--p", "2147483647", "--d", "3", "--m", "1", "--seed", "3"]
+    done = subprocess.run(cmd, capture_output=True, env=CHILD_ENV, timeout=30)
+    assert done.returncode == 0
+    assert b'"h0":1' in done.stdout
 
 
 @pytest.mark.parametrize("extra", [["--p", "32001"], ["--m", "-1"]])

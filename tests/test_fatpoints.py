@@ -1,22 +1,42 @@
 import math
+import random
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from oracles import (
+    condition_rows_reference,
+    first_root_scan,
+    gauss_jordan,
+    monomials_of_degree,
+    poly_roots_brute_force,
+)
 from spreadlab import RingContext
 from spreadlab.fatpoints import (
     FatPointScheme,
     _condition_rows,
+    _first_root,
+    _local_frame,
+    _roots_modp,
     fiber_generator_census,
     graded_power_containment,
     h0,
+    interpolation_matrix,
     linear_system,
     monomial_basis,
     mult_map_surjective,
     multiply_forms,
     sample_scheme,
 )
-from spreadlab.linalg import check_modulus, reduce_rows, rref_modp
+from spreadlab.linalg import (
+    check_modulus,
+    nullspace_modp,
+    rank_modp,
+    reduce_rows,
+    rref_modp,
+)
 
 
 NAGATA_SEED = 42
@@ -52,6 +72,59 @@ def test_elliptic_points_on_cubic(elliptic):
         for c, (a, b, e) in zip(elliptic.cubic, monomial_basis(3)):
             total += c * pow(pt[0], a, p) * pow(pt[1], b, p) * pow(pt[2], e, p)
         assert total % p == 0
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_elliptic_sampling_large_prime():
+    """Root finding costs polynomial time in log p, not a scan of F_p."""
+    p = 2**31 - 1
+    with deadline(2.0):
+        scheme = sample_scheme(12, 1, "elliptic", seed=3, p=p)
+    assert len(set(scheme.points)) == 12
+    for pt in scheme.points:
+        total = sum(
+            c * pow(pt[0], a, p) * pow(pt[1], b, p) * pow(pt[2], e, p)
+            for c, (a, b, e) in zip(scheme.cubic, monomial_basis(3))
+        )
+        assert total % p == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 997])
+def test_cubic_roots_against_brute_force(p):
+    rng = random.Random(p)
+    polys = [[0, 0, 0, 0], [5, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
+    for _ in range(40):
+        f = [rng.randrange(p) for _ in range(4)]
+        top = rng.randrange(6)           # below 4: zero the terms of degree >= top
+        polys.append(f[:top] + [0] * (4 - top) if top < 4 else f)
+    for _ in range(20):
+        # planted roots, some repeated, with a unit or vanishing leading part
+        r1, r2 = rng.randrange(p), rng.randrange(p)
+        lead = rng.randrange(1, p)
+        square = [r1 * r1 * lead % p, -2 * r1 * lead % p, lead, 0]
+        polys.append(square)
+        polys.append([-r1 * r1 * r2 * lead % p, (r1 * r1 + 2 * r1 * r2) * lead % p,
+                      -(2 * r1 + r2) * lead % p, lead])
+    for f in polys:
+        brute = poly_roots_brute_force(f, p)
+        if any(c % p for c in f):
+            assert _roots_modp(f, p) == brute, f
+        for start in {0, p - 1, rng.randrange(p)}:
+            assert _first_root(f, start, p) == first_root_scan(f, start, p), (f, start)
 
 
 def test_tiny_field_capacity_error():
@@ -142,7 +215,6 @@ def test_basis_vanishing_independent_route(elliptic):
     d = 7
     ls = linear_system(elliptic.with_multiplicities(m), d)
     ctx = RingContext(elliptic.p, ("s", "t"))
-    from spreadlab.fatpoints import _local_frame
 
     for row in ls.basis[:3]:
         for pt in elliptic.points[:4]:
@@ -159,6 +231,64 @@ def test_basis_vanishing_independent_route(elliptic):
                     )
             for mono, coeff in total.terms:
                 assert mono[0] + mono[1] >= m or coeff == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
+def test_condition_rows_against_dict_expansion(p):
+    rng = random.Random(p)
+    points = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    points += [tuple(rng.randrange(1, p) for _ in range(3)) for _ in range(2)]
+    points += [(0, rng.randrange(1, p), rng.randrange(1, p))]
+    for mult in range(1, 6):
+        for d in range(0, 13):
+            for pt in (points[(mult + d) % len(points)], points[(mult * d) % len(points)]):
+                U, V = _local_frame(pt, p)
+                det = (pt[0] * (U[1] * V[2] - U[2] * V[1])
+                       - pt[1] * (U[0] * V[2] - U[2] * V[0])
+                       + pt[2] * (U[0] * V[1] - U[1] * V[0]))
+                assert det % p != 0                 # (pt, U, V) is a basis
+                expected = condition_rows_reference(pt, U, V, mult, d, p)
+                rows = _condition_rows(pt, mult, d, p)
+                assert rows.shape == (mult * (mult + 1) // 2, len(monomials_of_degree(d)))
+                assert rows.tolist() == expected, (pt, mult, d)
+
+
+# --- row reduction ---------------------------------------------------------------
+
+def seeded_matrices(p, count=25):
+    """Random matrices over F_p with planted dependent rows and zero columns."""
+    rng = np.random.default_rng(p % 1000)
+    for _ in range(count):
+        rows, cols = (int(x) for x in rng.integers(1, 10, size=2))
+        A = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+        if rows >= 3:
+            A[-1] = (A[0] * int(rng.integers(0, p)) + A[1]) % p
+        A[:, rng.integers(0, cols)] = 0
+        yield A
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
+def test_rref_and_nullspace_against_gauss_jordan(p):
+    for A in seeded_matrices(p):
+        rows = A.tolist()
+        expected, expected_pivots = gauss_jordan(rows, p)
+        R, pivots = rref_modp(A, p)
+        assert R.tolist() == expected and list(pivots) == expected_pivots
+        basis = nullspace_modp(A, p)
+        free = [c for c in range(A.shape[1]) if c not in expected_pivots]
+        assert basis.shape == (len(free), A.shape[1])
+        for k, c in enumerate(free):
+            # the canonical kernel vector: 1 at free column c, 0 at the others
+            vec = basis[k].tolist()
+            assert [vec[f] for f in free] == [int(f == c) for f in free]
+            assert all(sum(a * v for a, v in zip(row, vec)) % p == 0 for row in rows)
+
+
+def test_linear_system_rank_is_matrix_rank(nagata, elliptic):
+    for scheme, m, d in ((nagata, 1, 4), (nagata, 2, 9), (elliptic, 1, 5),
+                         (elliptic, 3, 9), (elliptic, 2, 3)):
+        s = scheme.with_multiplicities(m)
+        assert linear_system(s, d).rank == rank_modp(interpolation_matrix(s, d), s.p)
 
 
 # --- multiplication maps ----------------------------------------------------------
