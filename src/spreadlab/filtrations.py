@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +32,6 @@ from .ideals import (
     Ideal,
     ideal_power,
     ideal_product,
-    ideal_sum,
     height,
     intersect,
     krull_dim,
@@ -420,43 +420,124 @@ def _fiber_dimension(I: Ideal) -> Tuple[int, ReesPresentation]:
     return krull_dim(pres.fiber_kernel), pres
 
 
+def _residues_modulo_m_square(gens: Sequence[Polynomial]) -> Dict[Tuple[int, int], dict]:
+    """Each product g_i g_k (i <= k) reduced modulo m*I^2, as a sparse vector.
+
+    The gens must be weighted-homogeneous.  Works degree by degree from
+    the lowest product degree up: (m I^2)_E is spanned by the x_v times
+    a basis of (I^2)_{E - w_v}, and (I^2)_E by (m I^2)_E together with
+    the products of degree E.  Each product is reduced fully against an
+    echelon basis of (m I^2)_E, so its residue lies in the span of the
+    non-pivot monomials, a complement of (m I^2)_E: residues have the
+    ranks of the products' images in I^2 / m I^2.  Vectors are dicts
+    from exponent tuples to residues mod p, pivoted on their largest
+    exponent tuple, with Python-integer arithmetic.
+    """
+    ctx = gens[0].ctx
+    p, weights = ctx.p, ctx.weights
+    degs = [weighted_degree(g) for g in gens]
+    by_degree: Dict[int, List[Tuple[Tuple[int, int], Polynomial]]] = {}
+    for i, k in itertools.combinations_with_replacement(range(len(gens)), 2):
+        by_degree.setdefault(degs[i] + degs[k], []).append(((i, k), gens[i] * gens[k]))
+    square: Dict[int, Dict[tuple, dict]] = {}      # degree E -> echelon of (I^2)_E
+    residues: Dict[Tuple[int, int], dict] = {}
+    for E in range(min(by_degree), max(by_degree) + 1):
+        echelon: Dict[tuple, dict] = {}
+        for v, w in enumerate(weights):
+            for row in square.get(E - w, {}).values():
+                _insert_row(_shift(row, v), echelon, p)
+        pivots = sorted(echelon, reverse=True)
+        for pair, f in by_degree.get(E, ()):
+            vec = dict(f.terms)
+            for lead in pivots:
+                c = vec.get(lead)
+                if c:
+                    _subtract(vec, echelon[lead], c, p)
+            residues[pair] = vec
+            _insert_row(dict(vec), echelon, p)
+        square[E] = echelon
+    return residues
+
+
+def _shift(row: dict, v: int) -> dict:
+    """x_v times a sparse vector."""
+    return {m[:v] + (m[v] + 1,) + m[v + 1:]: c for m, c in row.items()}
+
+
+def _subtract(vec: dict, row: dict, c: int, p: int) -> None:
+    """vec -= c * row in place, dropping zero entries."""
+    for m, a in row.items():
+        value = (vec.get(m, 0) - c * a) % p
+        if value:
+            vec[m] = value
+        else:
+            del vec[m]
+
+
+def _insert_row(vec: dict, echelon: Dict[tuple, dict], p: int) -> bool:
+    """Add vec (consumed) to a semi-echelon basis keyed by pivot; False if dependent."""
+    while vec:
+        lead = max(vec)
+        row = echelon.get(lead)
+        if row is None:
+            inv = pow(vec[lead], -1, p)
+            echelon[lead] = {m: c * inv % p for m, c in vec.items()}
+            return True
+        _subtract(vec, row, vec[lead], p)
+    return False
+
+
+def _rank(rows, p: int) -> int:
+    """Dimension of the span of sparse vectors over F_p."""
+    echelon: Dict[tuple, dict] = {}
+    return sum(_insert_row(dict(row), echelon, p) for row in rows)
+
+
 def _reduction_shortcut(I: Ideal, max_subsets: int = 64):
     """Certified small reduction of I drawn from its own generators.
 
-    Scans subsets of at most nvars canonical generators in canonical
-    order and checks the Nakayama-form certificate
-    I^2 = J*I + m*I^2 exactly; graded Nakayama then makes J a genuine
-    reduction of I, so the two share the analytic spread while J has a
-    much smaller presentation.  Returns (J, note) or None.  Entirely
-    deterministic.
+    Scans subsets J of 2 to nvars canonical generators in canonical
+    order, at most ``max_subsets`` of them, for the Nakayama-form
+    certificate I^2 = J*I + m*I^2; graded Nakayama then makes J a
+    genuine reduction of I, so the two share the analytic spread while
+    J has a much smaller presentation.  Since R = k + m, both sides are
+    the k-span of products g_j g_k plus m*I^2, with j in J on the left
+    and any j on the right; so the certificate holds exactly when the
+    products with a factor in J have the rank of all products modulo
+    m*I^2.  Those residues are computed once per ideal, degree by
+    degree, from the cached basis of I; no further Groebner basis runs.
+    Returns (J, note) for the first subset that passes, else None.
+    Entirely deterministic.
     """
     ctx = I.ctx
     n = ctx.nvars
     gens = list(I.gb.basis)
     if len(gens) <= n:
         return None
-    m_ideal = maximal_ideal(ctx)
-    base = Ideal.from_groebner(I.gb)
-    square = ideal_power(base, 2)
+    p = ctx.p
+    residues = {pair: vec for pair, vec in _residues_modulo_m_square(gens).items() if vec}
+    full = _rank(residues.values(), p)
     tried = 0
     for d in range(2, n + 1):
         for combo in itertools.combinations(range(len(gens)), d):
             tried += 1
             if tried > max_subsets:
                 return None
-            J = Ideal(ctx, [gens[i] for i in combo])
-            lhs = ideal_sum(ideal_product(J, base), ideal_product(m_ideal, square))
-            if lhs == square:
+            rows = [vec for (i, k), vec in residues.items() if i in combo or k in combo]
+            if len(rows) >= full and _rank(rows, p) == full:
                 note = (
                     "analytic spread via certified reduction: generators "
                     f"{list(combo)} of the reduced basis satisfy "
                     "I^2 = J*I + m*I^2, checked exactly"
                 )
-                return J, note
+                return Ideal(ctx, [gens[i] for i in combo]), note
     return None
 
 
-_SPREAD_MEMO: Dict[Ideal, "SpreadReport"] = {}
+# Least recently used reports first; a hit moves its entry to the end.
+_SPREAD_MEMO: "OrderedDict[Ideal, SpreadReport]" = OrderedDict()
+_SPREAD_MEMO_SIZE = 1024
+_SPREAD_MEMO_LOCK = threading.Lock()
 
 
 def analytic_spread(I: Ideal) -> SpreadReport:
@@ -464,10 +545,14 @@ def analytic_spread(I: Ideal) -> SpreadReport:
 
     Requires a proper, weighted-homogeneous ideal (hence contained in
     the ideal of variables).  The report records the classical bounds
-    ht(I) <= ell <= dim R.  Ideals with more generators than variables
-    are first replaced by a certified reduction, which has the same
-    analytic spread and a much smaller presentation; the certificate is
-    recorded in the report notes.
+    ht(I) <= ell <= dim R.  For an ideal with more generators than
+    variables, a few small subsets of its generators are scanned for a
+    certified reduction (``_reduction_shortcut``); when one is found,
+    the fiber is presented from it instead, which has the same analytic
+    spread and a much smaller presentation, and the certificate is
+    recorded in the report notes.  Otherwise the ideal is presented
+    itself.  Reports are memoized for the last 1024 ideals asked about,
+    and a repeated question returns the same report object.
     """
     _validate_spread_input(I)
     n = I.ctx.nvars
@@ -476,8 +561,11 @@ def analytic_spread(I: Ideal) -> SpreadReport:
             ell=0, ring_dim=n, ht=None, bounds_ok=True, presentation=None,
             notes=("zero ideal: fiber is the residue field",),
         )
-    if I in _SPREAD_MEMO:
-        return _SPREAD_MEMO[I]
+    with _SPREAD_MEMO_LOCK:
+        report = _SPREAD_MEMO.get(I)
+        if report is not None:
+            _SPREAD_MEMO.move_to_end(I)
+            return report
     notes = ()
     if len(I.gb.basis) > n:
         found = _reduction_shortcut(I)
@@ -498,7 +586,10 @@ def analytic_spread(I: Ideal) -> SpreadReport:
         presentation=pres,
         notes=notes,
     )
-    _SPREAD_MEMO[I] = report
+    with _SPREAD_MEMO_LOCK:
+        _SPREAD_MEMO[I] = report
+        if len(_SPREAD_MEMO) > _SPREAD_MEMO_SIZE:
+            _SPREAD_MEMO.popitem(last=False)
     return report
 
 

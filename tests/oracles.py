@@ -7,12 +7,17 @@ subset.  Both operate on the public Polynomial API only.  The fat-point
 and linear-algebra oracles use plain Python integers: condition rows by
 dict expansion along an arbitrary local frame, Gauss-Jordan elimination,
 and roots of a univariate polynomial by evaluation at every element.
+The certified-reduction reference compares reduced Groebner bases of
+J*I + m*I^2 and I^2 where the engine compares ranks modulo m*I^2, and
+the exponent rank is the closed-form analytic spread of an
+equigenerated monomial ideal.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
-from spreadlab import Polynomial
+from spreadlab import Ideal, Polynomial, ideal_power, ideal_product, ideal_sum, maximal_ideal
 from spreadlab.ring import mono_div, mono_divides, mono_lcm
 
 
@@ -184,3 +189,53 @@ def first_root_scan(f, start, p):
         if sum(c * pow(b, i, p) for i, c in enumerate(f)) % p == 0:
             return b
     return None
+
+
+def reduction_certificate_reference(I, max_subsets=64):
+    """The certified-reduction scan with a Groebner-basis certificate.
+
+    Same subsets in the same order as ``filtrations._reduction_shortcut``;
+    each J is accepted when the reduced bases of J*I + m*I^2 and I^2
+    coincide.  Returns (J, note) for the first accepted subset, else None.
+    """
+    ctx = I.ctx
+    n = ctx.nvars
+    gens = list(I.gb.basis)
+    if len(gens) <= n:
+        return None
+    m_ideal = maximal_ideal(ctx)
+    base = Ideal.from_groebner(I.gb)
+    square = ideal_power(base, 2)
+    tried = 0
+    for d in range(2, n + 1):
+        for combo in itertools.combinations(range(len(gens)), d):
+            tried += 1
+            if tried > max_subsets:
+                return None
+            J = Ideal(ctx, [gens[i] for i in combo])
+            lhs = ideal_sum(ideal_product(J, base), ideal_product(m_ideal, square))
+            if lhs == square:
+                note = (
+                    "analytic spread via certified reduction: generators "
+                    f"{list(combo)} of the reduced basis satisfy "
+                    "I^2 = J*I + m*I^2, checked exactly"
+                )
+                return J, note
+    return None
+
+
+def exponent_rank(exponents):
+    """Rank over Q of the matrix whose rows are the given exponent vectors."""
+    rows = [[Fraction(e) for e in row] for row in exponents]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
