@@ -78,17 +78,6 @@ def multiply_forms(u: np.ndarray, d1: int, v: np.ndarray, d2: int, p: int) -> np
     return out % p
 
 
-def form_to_text(vec: np.ndarray, d: int, names=("x1", "x2", "x3")) -> str:
-    chunks = []
-    for c, m in zip(vec.tolist(), monomial_basis(d)):
-        if not c:
-            continue
-        factors = [f"{n}^{e}" if e > 1 else n for n, e in zip(names, m) if e]
-        body = "*".join(factors) if factors else "1"
-        chunks.append(body if c == 1 else f"{c}*{body}")
-    return " + ".join(chunks) if chunks else "0"
-
-
 # ---------------------------------------------------------------------------
 # schemes
 # ---------------------------------------------------------------------------

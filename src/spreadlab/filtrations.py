@@ -27,7 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .groebner import groebner_basis
+from .groebner import GroebnerBasis, groebner_basis
 from .ideals import (
     Ideal,
     ideal_power,
@@ -341,6 +341,9 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
     combined = RingContext(
         ctx.p, ctx.variables + tnames, MonomialOrder.grevlex(), ctx.weights + tweights
     )
+    # The t-free elements of a reduced basis in an order that eliminates t
+    # are the reduced basis of the kernel for the block's inner order,
+    # which is the grevlex order of `combined`.
     kernel_gens = []
     for g in gb.basis:
         if all(m[0] == 0 for m, _ in g.terms):
@@ -350,7 +353,7 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
                 reverse=True,
             )
             kernel_gens.append(Polynomial(combined, tuple(terms)))
-    rees_kernel = Ideal(combined, kernel_gens)
+    rees_kernel = Ideal.from_groebner(GroebnerBasis(combined, kernel_gens))
 
     fiber_ctx = RingContext(
         ctx.p, tnames, MonomialOrder.grevlex(), tuple(deg for _, deg, _ in chosen)

@@ -6,54 +6,102 @@ reductions are monic and divisor choice is by basis index, so the
 output is the unique reduced basis of the ideal for the ring's order --
 identical for any ordering or rescaling of the input generators.
 
-Internally a polynomial is a list of (key, monomial, coefficient)
-triples sorted strictly descending, where the key is the ring order's
-flat tuple packed into a single integer (24 bits per component, so
-integer comparison and addition agree with the tuple order).
+Internally a polynomial is a list of (key, exponents, coefficient)
+triples sorted strictly descending by key.  Both are packed integers
+(Monagan and Pearce, CASC 2007):
+
+* the exponents hold one 32-bit field per variable whose top bit is a
+  guard kept clear, so x^a divides x^b exactly when
+  ``((b | guard) - a) & guard == guard``, a product is ``a + b``, a
+  quotient ``a - b``, and the lcm is a per-field max built from the same
+  mask;
+* the key is the order's additive key tuple with one field per
+  component, wide enough for the key of the all-(2^31 - 1) exponent
+  vector, so integer comparison and addition agree with the tuple order
+  for every exponent vector the guard admits.
+
+Every exponent therefore stays below 2^31: inputs beyond that, and any
+product that reaches it during a computation, raise ValueError rather
+than return a basis computed from wrapped keys.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import reduce
+from operator import lshift, mul, or_
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
-from .ring import (
-    ContextError,
-    Polynomial,
-    RingContext,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .ring import ContextError, Polynomial, RingContext
 
-_KEY_BITS = 24
+_FIELD = 32
+_GUARD_SHIFT = _FIELD - 1
+_MAX_EXP = (1 << _GUARD_SHIFT) - 1
+_RANGE_ERROR = f"exponent above {_MAX_EXP} (2^31 - 1) in a Groebner computation"
 
 
-def _packer(ctx: RingContext):
-    keyfn = ctx.key
-    bits = _KEY_BITS
+class _Codec:
+    """Packing of one ring's exponent tuples and order keys."""
 
-    def pack(mono):
-        k = 0
-        for c in keyfn(mono):
-            k = (k << bits) + c
-        return k
+    __slots__ = ("guard", "shifts", "key_weights")
 
-    return pack
+    def __init__(self, ctx: RingContext):
+        n = ctx.nvars
+        self.shifts = tuple(_FIELD * j for j in range(n))
+        self.guard = sum(1 << (s + _GUARD_SHIFT) for s in self.shifts)
+        # Every key component is a sign-definite linear form in the
+        # exponents, so for admitted vectors it lies between 0 and its
+        # value at the all-maximal vector, and so does the difference of
+        # two keys' components.  The order may carry weights of its own,
+        # so the width comes from its key, not from ctx.weights.
+        top = ctx.key((_MAX_EXP,) * n)
+        bits = max(abs(c) for c in top).bit_length()
+
+        def pack_key(k):
+            out = 0
+            for c in k:
+                out = (out << bits) + c
+            return out
+
+        # keys are additive, so a packed key is a dot product
+        self.key_weights = tuple(
+            pack_key(ctx.key(tuple(int(i == j) for i in range(n)))) for j in range(n)
+        )
+
+    def terms(self, f: Polynomial):
+        shifts, weights = self.shifts, self.key_weights
+        out = []
+        for m, c in f.terms:
+            if max(m) > _MAX_EXP:
+                raise ValueError(_RANGE_ERROR)
+            out.append((sum(map(mul, m, weights)), sum(map(lshift, m, shifts)), c))
+        return out
+
+    def key(self, e: int) -> int:
+        return sum(((e >> s) & _MAX_EXP) * w for s, w in zip(self.shifts, self.key_weights))
+
+    def poly(self, ctx: RingContext, terms) -> Polynomial:
+        shifts = self.shifts
+        return Polynomial(
+            ctx, tuple((tuple((e >> s) & _MAX_EXP for s in shifts), c) for _, e, c in terms)
+        )
 
 
-def _to_terms(f: Polynomial, pack=None):
-    pack = pack or _packer(f.ctx)
-    return [(pack(m), m, c) for m, c in f.terms]
+def _codec(ctx: RingContext) -> _Codec:
+    try:
+        return ctx._gb_codec
+    except AttributeError:
+        codec = _Codec(ctx)
+        object.__setattr__(ctx, "_gb_codec", codec)
+        return codec
 
 
-def _from_terms(ctx: RingContext, terms) -> Polynomial:
-    return Polynomial(ctx, tuple((m, c) for _, m, c in terms))
-
-
-def _shift(terms, qkey, qmono, scale, p):
-    return [(k + qkey, mono_mul(m, qmono), (c * scale) % p) for k, m, c in terms]
+def _shift(terms, qkey, qexp, scale, p, guard):
+    exps = [e + qexp for _, e, _ in terms]
+    if reduce(or_, exps, 0) & guard:
+        raise ValueError(_RANGE_ERROR)
+    return [(k + qkey, e, (c * scale) % p) for (k, _, c), e in zip(terms, exps)]
 
 
 def _merge_sub(a, b, p):
@@ -84,8 +132,9 @@ def _merge_sub(a, b, p):
     return out
 
 
-def _normal_form_terms(f, basis, p):
-    """Remainder of f modulo the monic term-lists in basis.
+def _normal_form_terms(f, basis, p, guard):
+    """Remainder of f modulo the monic term-lists in basis, and the
+    number of reduction steps taken.
 
     No remainder term is divisible by any basis leading monomial; the
     divisor for each reduction step is the first match in basis order.
@@ -93,11 +142,13 @@ def _normal_form_terms(f, basis, p):
     work = f
     pos = 0
     rem = []
+    steps = 0
     while pos < len(work):
         key0, m0, c0 = work[pos]
+        m0g = m0 | guard
         hit = None
         for entry in basis:
-            if mono_divides(entry[1], m0):
+            if (m0g - entry[1]) & guard == guard:
                 hit = entry
                 break
         if hit is None:
@@ -105,12 +156,11 @@ def _normal_form_terms(f, basis, p):
             pos += 1
             continue
         hkey, hm, hterms = hit
-        qkey = key0 - hkey
-        qmono = mono_div(m0, hm)
-        scaled_tail = _shift(hterms[1:], qkey, qmono, c0, p)
+        scaled_tail = _shift(hterms[1:], key0 - hkey, m0 - hm, c0, p, guard)
         work = _merge_sub(work[pos + 1 :], scaled_tail, p)
         pos = 0
-    return rem
+        steps += 1
+    return rem, steps
 
 
 def _monic(terms, p):
@@ -122,88 +172,125 @@ def _monic(terms, p):
 
 
 def _buchberger(inputs, ctx: RingContext):
+    """Reduced basis of the packed inputs, and the engine's counters."""
     p = ctx.p
-    pack = _packer(ctx)
+    codec = _codec(ctx)
+    guard = codec.guard
+
+    def lcm(a, b):
+        ge = ((a | guard) - b) & guard          # guard bit set where a >= b
+        return b ^ ((a ^ b) & (ge - (ge >> _GUARD_SHIFT)))
 
     G = []          # monic descending term lists
+    lms = []        # packed leading exponents of G
     entries = []    # (lm_key, lm, terms) view used by the reducer
     heap = []
     pairs = set()   # live (i, j) pairs, i < j
-    lcms = {}       # (i, j) -> lcm monomial
+    lcms = {}       # (i, j) -> packed lcm
+    created = pruned_m = pruned_f = pruned_b = spolys = zeros = steps = 0
 
     def install(h):
         """Gebauer-Moeller update of the pair set for a new element h."""
+        nonlocal created, pruned_m, pruned_f, pruned_b
         t = len(G)
         lm_h = h[0][1]
-        cand = [(i, mono_lcm(G[i][0][1], lm_h)) for i in range(t)]
-        # M: keep only divisibility-minimal lcms
-        keep = []
-        for i, l in cand:
-            if not any(l2 != l and mono_divides(l2, l) for _, l2 in cand):
-                keep.append((i, l))
+        with_h = [lcm(lms[i], lm_h) for i in range(t)]
+        created += t
+        # M: keep only divisibility-minimal lcms.  A divisor is never a
+        # larger integer, so one ascending pass against the minimal lcms
+        # found so far decides each one.
+        minimal = []
+        for l in sorted(set(with_h)):
+            lg = l | guard
+            if not any((lg - m) & guard == guard for m in minimal):
+                minimal.append(l)
+        minimal = set(minimal)
+        keep = [(i, l) for i, l in enumerate(with_h) if l in minimal]
+        pruned_m += t - len(keep)
         # F: one pair per distinct lcm, none at all if some pair is coprime
         classes = {}
         for i, l in keep:
             classes.setdefault(l, []).append(i)
         fresh = []
         for l, idxs in classes.items():
-            if any(mono_mul(G[i][0][1], lm_h) == l for i in idxs):
+            if any(lms[i] + lm_h == l for i in idxs):
                 continue
             fresh.append((min(idxs), l))
+        pruned_f += len(keep) - len(fresh)
         # B: retire old pairs strictly refined by the new leading monomial
         for (i, j) in list(pairs):
             l = lcms[(i, j)]
             if (
-                mono_divides(lm_h, l)
-                and mono_lcm(G[i][0][1], lm_h) != l
-                and mono_lcm(G[j][0][1], lm_h) != l
+                ((l | guard) - lm_h) & guard == guard
+                and with_h[i] != l
+                and with_h[j] != l
             ):
                 pairs.discard((i, j))
                 del lcms[(i, j)]
+                pruned_b += 1
         G.append(h)
-        entries.append((h[0][0], h[0][1], h))
+        lms.append(lm_h)
+        entries.append((h[0][0], lm_h, h))
         for i, l in sorted(fresh):
             pairs.add((i, t))
             lcms[(i, t)] = l
-            heapq.heappush(heap, (pack(l), i, t))
+            heapq.heappush(heap, (codec.key(l), i, t))
 
     for f in inputs:
-        t = _normal_form_terms(f, entries, p)
-        if t:
-            install(_monic(t, p))
-
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        if (i, j) not in pairs:
-            continue
-        pairs.discard((i, j))
-        lcm = lcms.pop((i, j))
-        ki, mi = G[i][0][0], G[i][0][1]
-        kj, mj = G[j][0][0], G[j][0][1]
-        lk = pack(lcm)
-        s = _merge_sub(
-            _shift(G[i][1:], lk - ki, mono_div(lcm, mi), 1, p),
-            _shift(G[j][1:], lk - kj, mono_div(lcm, mj), 1, p),
-            p,
-        )
-        h = _normal_form_terms(s, entries, p)
+        h, n = _normal_form_terms(f, entries, p, guard)
+        steps += n
         if h:
             install(_monic(h, p))
 
-    return _reduce_basis(G, p)
+    while heap:
+        lk, i, j = heapq.heappop(heap)
+        if (i, j) not in pairs:
+            continue
+        pairs.discard((i, j))
+        l = lcms.pop((i, j))
+        s = _merge_sub(
+            _shift(G[i][1:], lk - G[i][0][0], l - lms[i], 1, p, guard),
+            _shift(G[j][1:], lk - G[j][0][0], l - lms[j], 1, p, guard),
+            p,
+        )
+        h, n = _normal_form_terms(s, entries, p, guard)
+        steps += n
+        spolys += 1
+        if h:
+            install(_monic(h, p))
+        else:
+            zeros += 1
+
+    basis, n = _reduce_basis(G, p, guard)
+    stats = {
+        "pairs_created": created,
+        "pruned_m": pruned_m,
+        "pruned_f": pruned_f,
+        "pruned_b": pruned_b,
+        "spolys_reduced": spolys,
+        "zero_reductions": zeros,
+        "reduction_steps": steps + n,
+    }
+    return basis, stats
 
 
-def _reduce_basis(G, p):
-    """Minimalize and tail-reduce to the canonical reduced basis."""
+def _reduce_basis(G, p, guard):
+    """Minimalize and tail-reduce to the canonical reduced basis; also
+    return the number of reduction steps the tail reduction took."""
+
+    def divides(a, b):
+        return ((b | guard) - a) & guard == guard
+
     order = sorted(range(len(G)), key=lambda i: G[i][0][0])
     keep = []
     for i in order:
         lm = G[i][0][1]
-        if any(mono_divides(G[j][0][1], lm) for j in keep):
+        if any(divides(G[j][0][1], lm) for j in keep):
             continue
-        keep = [j for j in keep if not mono_divides(lm, G[j][0][1])]
+        keep = [j for j in keep if not divides(lm, G[j][0][1])]
         keep.append(i)
     basis = [G[i] for i in sorted(keep, key=lambda i: G[i][0][0])]
+    steps = 0
     changed = True
     while changed:
         changed = False
@@ -211,7 +298,8 @@ def _reduce_basis(G, p):
             others = [
                 (g[0][0], g[0][1], g) for j, g in enumerate(basis) if j != i
             ]
-            h = _normal_form_terms(basis[i], others, p)
+            h, n = _normal_form_terms(basis[i], others, p, guard)
+            steps += n
             if not h:
                 basis.pop(i)
                 changed = True
@@ -221,29 +309,40 @@ def _reduce_basis(G, p):
                 basis[i] = h
                 changed = True
     basis.sort(key=lambda g: g[0][0])
-    return basis
+    return basis, steps
 
 
 class GroebnerBasis:
-    """Canonical reduced basis of an ideal for the ring's order."""
+    """Canonical reduced basis of an ideal for the ring's order.
 
-    __slots__ = ("ctx", "basis", "_entries")
+    ``stats`` is a read-only mapping of the Buchberger run that produced
+    the basis, or None for a basis assembled by other means: pairs
+    created, pairs pruned by the M, F and B criteria, S-polynomials
+    reduced, how many of those reduced to zero, and reduction steps
+    (divisor subtractions, the final interreduction included).  Every
+    created pair is either pruned or reduced.  The counts take no part
+    in equality or hashing.
+    """
 
-    def __init__(self, ctx: RingContext, basis: Sequence[Polynomial]):
+    __slots__ = ("ctx", "basis", "_entries", "_stats")
+
+    def __init__(self, ctx: RingContext, basis: Sequence[Polynomial], stats=None):
         self.ctx = ctx
         self.basis = tuple(basis)
         self._entries = None
+        self._stats = None if stats is None else MappingProxyType(dict(stats))
 
     @property
-    def reduced(self) -> bool:
-        return True
+    def stats(self):
+        return self._stats
 
     def _divisors(self):
         if self._entries is None:
-            pack = _packer(self.ctx)
-            self._entries = [
-                (pack(g.lm()), g.lm(), _to_terms(g, pack)) for g in self.basis
-            ]
+            codec = _codec(self.ctx)
+            self._entries = []
+            for g in self.basis:
+                t = codec.terms(g)
+                self._entries.append((t[0][0], t[0][1], t))
         return self._entries
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -251,9 +350,11 @@ class GroebnerBasis:
             raise ContextError("polynomial from a different ring")
         if f.is_zero or not self.basis:
             return f
-        pack = _packer(self.ctx)
-        rem = _normal_form_terms(_to_terms(f, pack), self._divisors(), self.ctx.p)
-        return _from_terms(self.ctx, rem)
+        codec = _codec(self.ctx)
+        rem, _ = _normal_form_terms(
+            codec.terms(f), self._divisors(), self.ctx.p, codec.guard
+        )
+        return codec.poly(self.ctx, rem)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -300,7 +401,7 @@ def groebner_basis(gens: Iterable[Polynomial], ctx: Optional[RingContext] = None
         if not gens:
             raise ValueError("need a ring context for an empty generator list")
         ctx = gens[0].ctx
-    pack = _packer(ctx)
+    codec = _codec(ctx)
     inputs = []
     for g in gens:
         if not isinstance(g, Polynomial):
@@ -308,11 +409,11 @@ def groebner_basis(gens: Iterable[Polynomial], ctx: Optional[RingContext] = None
         if g.ctx != ctx:
             raise ContextError("generators from different rings")
         if not g.is_zero:
-            inputs.append(_to_terms(g, pack))
+            inputs.append(codec.terms(g))
     if not inputs:
         return GroebnerBasis(ctx, ())
-    basis = _buchberger(inputs, ctx)
-    return GroebnerBasis(ctx, [_from_terms(ctx, t) for t in basis])
+    basis, stats = _buchberger(inputs, ctx)
+    return GroebnerBasis(ctx, [codec.poly(ctx, t) for t in basis], stats)
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:

@@ -213,6 +213,15 @@ def test_uncertified_prime_session_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_exponent_beyond_engine_range_exit_2(tmp_path, capsys):
+    f = tmp_path / "wide.ring"
+    f.write_text("ring p=32003 vars=w,x,y,z\nideal h = w^2147483648 + x, y\n")
+    code = main(["gb", "-f", str(f), "-i", "h"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_fatpoints_prime_beyond_int64_exit_2(capsys):
     code, out = run_cli(
         ["fatpoints", "h0", "--r", "4", "--m", "1", "--d", "2", "--seed", "1",

@@ -2,14 +2,17 @@ import dataclasses
 
 import pytest
 
+import spreadlab.ideals as ideals
 from spreadlab import (
     Filtration,
     HomogeneityError,
+    RingContext,
     analytic_spread,
     analytic_spread_truncated,
     equimultiple_check,
     fiber_nilpotency_witness,
     finite_generation_probe,
+    groebner_basis,
     ideal,
     ideal_power,
     ideal_product,
@@ -145,6 +148,37 @@ def test_rees_dimension_is_dim_plus_one(ctx3, curve_prime):
         assert krull_dim(pres.rees_kernel) == 4
     pres = rees_presentation(Filtration.adic(curve_prime), 1)
     assert krull_dim(pres.rees_kernel) == 4
+
+
+def _curve_prime(weights):
+    ctx = RingContext(32003, ("t", "x", "y", "z"), weights=(1,) + weights)
+    param = [f"{v} - t^{e}" for v, e in zip("xyz", weights)]
+    return ideals.eliminate(ideal(ctx, *param), ["t"])
+
+
+def test_rees_kernel_keeps_elimination_basis(monkeypatch, curve_symbolic):
+    rings = []                    # rings of the bases Ideal.gb computes
+    compute = ideals.groebner_basis
+
+    def recording(gens, ctx=None):
+        rings.append(ctx)
+        return compute(gens, ctx)
+
+    monkeypatch.setattr(ideals, "groebner_basis", recording)
+    ctx = RingContext(32003, ("x", "y", "z"))
+    mono6 = ideal(ctx, *(ctx.monomial(m) for m in (
+        (0, 4, 0), (1, 0, 3), (1, 2, 1), (2, 0, 2), (2, 1, 1), (3, 0, 1))))
+    presentations = [
+        rees_presentation(Filtration.adic(_curve_prime(w)), 1)
+        for w in ((3, 4, 5), (3, 4, 7), (4, 5, 6))
+    ]
+    presentations.append(rees_presentation(Filtration.adic(mono6), 1))
+    presentations.append(rees_presentation(curve_symbolic.truncate(2), 2))
+    for pres in presentations:
+        assert pres.rees_kernel.gb.basis == groebner_basis(
+            pres.rees_kernel.gens, pres.ring_ctx
+        ).basis
+        assert pres.ring_ctx not in rings
 
 
 # --- analytic spread -------------------------------------------------------------

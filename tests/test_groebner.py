@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from spreadlab import (
     MonomialOrder,
     RingContext,
@@ -8,6 +10,7 @@ from spreadlab import (
     ideal_equal,
     normal_form,
 )
+from spreadlab.groebner import GroebnerBasis
 from spreadlab.ring import mono_div, mono_lcm
 
 from oracles import naive_buchberger
@@ -99,17 +102,98 @@ def test_ideal_equal(ctx3):
     assert not ideal_equal(ideal(ctx3, ctx3.var("x")), ideal(ctx3, ctx3.poly("x^2")))
 
 
-def test_random_small_ideals_match_oracle(ctx2):
+def _oracle_layouts(n):
+    """One ring per key layout on n variables; the weighted orders carry
+    weights of their own, different from the ring's."""
+    ring_w = tuple(range(1, n + 1))
+    order_w = tuple(range(n, 0, -1))
+    return (
+        ("grevlex", MonomialOrder.grevlex()),
+        ("lex", MonomialOrder.lex()),
+        ("wgrevlex", MonomialOrder.weighted_grevlex(order_w)),
+        ("block", MonomialOrder.block((0,), MonomialOrder.grevlex())),
+        ("saturation", MonomialOrder.saturation(order_w, n - 1)),
+    ), ring_w
+
+
+def test_random_small_ideals_match_oracle():
     rng = random.Random(47)
-    for _ in range(10):
-        gens = []
-        for _ in range(rng.randrange(1, 4)):
-            f = ctx2.zero()
-            for _ in range(rng.randrange(1, 4)):
-                f = f + ctx2.monomial(
-                    (rng.randrange(4), rng.randrange(4)), rng.randrange(1, 32003)
-                )
-            gens.append(f)
-        expected = naive_buchberger(gens, ctx2)
-        got = groebner_basis(gens, ctx2).basis
-        assert tuple(got) == tuple(expected)
+    for p in (101, 32003, 2**61 - 1):
+        for n in (2, 3, 4):
+            layouts, ring_w = _oracle_layouts(n)
+            names = ("x", "y", "z", "w")[:n]
+            # the criterion-free oracle runs for minutes on some draws in
+            # 3-4 variables with exponents up to 3
+            top = 4 if n == 2 else 3
+            for label, order in layouts:
+                ctx = RingContext(p, names, order, ring_w)
+                for _ in range(6):
+                    gens = []
+                    for _ in range(rng.randrange(1, 4)):
+                        f = ctx.zero()
+                        for _ in range(rng.randrange(1, 4)):
+                            f = f + ctx.monomial(
+                                tuple(rng.randrange(top) for _ in range(n)),
+                                rng.randrange(1, p),
+                            )
+                        gens.append(f)
+                    expected = naive_buchberger(gens, ctx)
+                    got = groebner_basis(gens, ctx).basis
+                    assert tuple(got) == tuple(expected), (label, p, n, gens)
+
+
+def test_wide_exponents_match_oracle():
+    # key components of 2^24 and more: a packed key whose fields are
+    # narrower than the order's range wraps and misorders the basis
+    ctx = RingContext(32003, ("w", "x", "y", "z"))
+    f = ctx.poly("x^16777217 + w^16777216*y")
+    g = ctx.poly("w^16777216*z + x^16777217")
+    assert groebner_basis([f, g]).basis == naive_buchberger([f, g], ctx)
+
+
+def test_exponent_beyond_guard_is_refused():
+    ctx = RingContext(32003, ("w", "x", "y", "z"))
+    with pytest.raises(ValueError):
+        groebner_basis([ctx.poly("w^2147483648 + x"), ctx.poly("y")])
+    # at the limit itself the engine still answers
+    top = ctx.poly("w^2147483647 + x")
+    assert groebner_basis([top, ctx.poly("y")]).basis == naive_buchberger(
+        [top, ctx.poly("y")], ctx
+    )
+    # inputs in range whose reduction reaches 2^31: lex, x*y leads f, and
+    # reducing g by f multiplies y^(2^30) by y^(2^30 + 4)
+    lex = RingContext(32003, ("x", "y"), MonomialOrder.lex())
+    f = lex.poly("x*y + y^1073741824")
+    g = lex.poly("x*y^1073741829 + 1")
+    with pytest.raises(ValueError):
+        groebner_basis([f, g])
+    G = groebner_basis([lex.poly("x*y")])
+    with pytest.raises(ValueError):
+        G.normal_form(lex.poly("y^2147483648"))
+
+
+def test_stats_count_one_curve_prime():
+    # the prime of the (t^3, t^4, t^5) curve, by eliminating t
+    ctx = RingContext(
+        32003, ("t", "x", "y", "z"),
+        MonomialOrder.block((0,), MonomialOrder.grevlex()), (1, 3, 4, 5),
+    )
+    G = groebner_basis([ctx.poly(f"{v} - t^{e}") for v, e in zip("xyz", (3, 4, 5))])
+    assert dict(G.stats) == {
+        "pairs_created": 66,
+        "pruned_m": 36,
+        "pruned_f": 3,
+        "pruned_b": 1,
+        "spolys_reduced": 26,
+        "zero_reductions": 17,
+        "reduction_steps": 24,
+    }
+    s = G.stats
+    assert s["pairs_created"] == (
+        s["pruned_m"] + s["pruned_f"] + s["pruned_b"] + s["spolys_reduced"]
+    )
+    with pytest.raises(TypeError):
+        G.stats["pairs_created"] = 0
+    plain = GroebnerBasis(ctx, G.basis)
+    assert plain.stats is None
+    assert plain == G and hash(plain) == hash(G)
