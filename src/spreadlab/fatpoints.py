@@ -42,7 +42,16 @@ from .ring import DEFAULT_PRIME, RingContext, is_prime
 # degree-d monomial bookkeeping (exponent triples, fixed canonical order)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Degree-keyed caches hold at most this many degrees or degree pairs; a
+# sweep to high degree then cannot keep every table for the process's life.
+_CACHE_SIZE = 64
+
+# Entries in one outer-product temporary of _all_pair_products (1 MiB of
+# int64), so a product of two large bases never holds them all at once.
+_PRODUCT_BLOCK = 2**17
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def monomial_basis(d: int) -> Tuple[Tuple[int, int, int], ...]:
     """Exponent triples of degree d, first variable dominant."""
     out = []
@@ -52,30 +61,58 @@ def monomial_basis(d: int) -> Tuple[Tuple[int, int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _monomial_index(d: int) -> Dict[Tuple[int, int, int], int]:
-    return {m: i for i, m in enumerate(monomial_basis(d))}
+def _monomial_position(e: np.ndarray) -> np.ndarray:
+    """Positions in monomial_basis(a + b + c) of exponent triples (..., 3):
+    the (s + 1) s / 2 monomials with first exponent above a come first,
+    s = b + c, and then c of the same a."""
+    s = e[..., 1] + e[..., 2]
+    return s * (s + 1) // 2 + e[..., 2]
 
 
-@lru_cache(maxsize=None)
-def _product_table(d1: int, d2: int) -> np.ndarray:
-    """index[i, j] = position of monomial_i(d1) * monomial_j(d2) in d1+d2."""
-    b1, b2 = monomial_basis(d1), monomial_basis(d2)
-    idx = _monomial_index(d1 + d2)
-    table = np.empty((len(b1), len(b2)), dtype=np.int64)
-    for i, m in enumerate(b1):
-        for j, w in enumerate(b2):
-            table[i, j] = idx[(m[0] + w[0], m[1] + w[1], m[2] + w[2])]
-    return table
+@lru_cache(maxsize=_CACHE_SIZE)
+def _product_groups(d1: int, d2: int):
+    """The flattened outer product of a degree-d1 and a degree-d2 vector,
+    regrouped by product monomial: a column order that sorts the entries
+    by the position of monomial_i(d1) * monomial_j(d2) in degree d1 + d2,
+    and where each position's group starts in that order.  Every
+    monomial of degree d1 + d2 is such a product, so no group is empty."""
+    e1 = np.array(monomial_basis(d1), dtype=np.int64)
+    e2 = np.array(monomial_basis(d2), dtype=np.int64)
+    flat = _monomial_position(e1[:, None, :] + e2[None, :, :]).ravel()
+    order = np.argsort(flat, kind="stable")
+    starts = np.searchsorted(flat[order], np.arange(len(monomial_basis(d1 + d2))))
+    order.flags.writeable = starts.flags.writeable = False    # shared by every caller
+    return order, starts
+
+
+def _all_pair_products(rowsa, da: int, rowsb, db: int, p: int) -> np.ndarray:
+    """Coefficient vectors of u * v for u in rowsa and then v in rowsb,
+    as rows in that order.
+
+    Each row u forms its outer products with a block of rowsb at once
+    (all of it unless that exceeds _PRODUCT_BLOCK entries), reduced mod
+    p, and sums each product monomial's group with one reduceat: a sum
+    of at most min(len(monomial_basis(da)), len(monomial_basis(db)))
+    residues, so it stays in int64.
+    """
+    rowsa = np.asarray(rowsa, dtype=np.int64).reshape(-1, len(monomial_basis(da)))
+    rowsb = np.asarray(rowsb, dtype=np.int64).reshape(-1, len(monomial_basis(db)))
+    order, starts = _product_groups(da, db)
+    nb = rowsb.shape[0]
+    step = max(1, _PRODUCT_BLOCK // order.size)
+    out = np.empty((rowsa.shape[0] * nb, starts.size), dtype=np.int64)
+    for i, u in enumerate(rowsa):
+        for j in range(0, nb, step):
+            block = rowsb[j:j + step]
+            outer = (u[None, :, None] * block[:, None, :] % p).reshape(len(block), order.size)
+            first = i * nb + j
+            out[first:first + len(block)] = np.add.reduceat(outer[:, order], starts, axis=1) % p
+    return out
 
 
 def multiply_forms(u: np.ndarray, d1: int, v: np.ndarray, d2: int, p: int) -> np.ndarray:
     """Coefficient vector of the product of two forms."""
-    table = _product_table(d1, d2)
-    out = np.zeros(len(monomial_basis(d1 + d2)), dtype=np.int64)
-    outer = (u[:, None] * v[None, :]) % p
-    np.add.at(out, table.ravel(), outer.ravel())
-    return out % p
+    return _all_pair_products(u, d1, v, d2, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +169,16 @@ def _evaluate_form(vec, d: int, pt, p: int) -> int:
 
 
 def _cubic_is_smooth(coeffs, p: int) -> bool:
-    """No common projective zero of the cubic and its partials."""
-    from .ideals import Ideal, maximal_ideal, saturate
+    """No common projective zero of the cubic and its partials.
+
+    Over the algebraic closure of F_p the cubic g is singular exactly
+    where g and dg/dx_i all vanish at a nonzero point, so g is smooth
+    exactly when the Jacobian ideal J = (g, dg/dx_1, dg/dx_2, dg/dx_3)
+    has no zero but the origin: J is m-primary or the unit ideal, that
+    is krull_dim(J) <= 0.  That is one Groebner basis of J and no
+    saturation by m.  The zero form is not a cubic, so it is not smooth.
+    """
+    from .ideals import Ideal, krull_dim
 
     ctx = RingContext(p, ("x1", "x2", "x3"))
     g = ctx.zero()
@@ -143,8 +188,7 @@ def _cubic_is_smooth(coeffs, p: int) -> bool:
     if g.is_zero:
         return False
     J = Ideal(ctx, [g, g.deriv("x1"), g.deriv("x2"), g.deriv("x3")])
-    sat, _ = saturate(J, maximal_ideal(ctx))
-    return sat.is_unit
+    return krull_dim(J) <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -464,23 +508,36 @@ class MultMapReport:
     seed: int
 
 
+def _system_table(scheme: FatPointScheme):
+    """linear_system of scheme by (uniform multiplicity, degree), each
+    computed once; one table serves one call, so nothing outlives it."""
+    table: Dict[Tuple[int, int], LinearSystem] = {}
+
+    def system(m: int, d: int) -> LinearSystem:
+        if (m, d) not in table:
+            table[m, d] = linear_system(scheme.with_multiplicities(m), d)
+        return table[m, d]
+
+    return system
+
+
 def mult_map_surjective(scheme: FatPointScheme, d: int, m: int) -> MultMapReport:
     """Does multiplication by linear forms cover the next degree piece?
 
     Compares the span of x_k * (degree d-1 piece) with the degree-d
     piece, both at uniform multiplicity m.
     """
-    return _mult_map(scheme, d, m)[0]
+    return _mult_map(scheme, d, m, _system_table(scheme))[0]
 
 
-def _mult_map(scheme: FatPointScheme, d: int, m: int):
+def _mult_map(scheme: FatPointScheme, d: int, m: int, system):
     """The report of mult_map_surjective, with the RREF rows and pivots of
-    the image x_k * (degree d-1 piece), for callers that reduce against it."""
+    the image x_k * (degree d-1 piece), for callers that reduce against it;
+    ``system`` is the call's :func:`_system_table`."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    s = scheme.with_multiplicities(m)
-    lower = linear_system(s, d - 1)
-    target = linear_system(s, d)
+    lower = system(m, d - 1)
+    target = system(m, d)
     p = scheme.p
     image = _variable_multiples(lower.basis, d - 1, p)
     if image.size:
@@ -498,26 +555,12 @@ def _mult_map(scheme: FatPointScheme, d: int, m: int):
     return report, image, pivots
 
 
+_UNIT_LINEAR_FORMS = np.eye(3, dtype=np.int64)
+
+
 def _variable_multiples(space_rows: np.ndarray, d_minus_1: int, p: int) -> np.ndarray:
-    """Rows spanning x_k * (given degree-(d-1) rows) in degree d."""
-    width = len(monomial_basis(d_minus_1 + 1))
-    if space_rows.size == 0:
-        return np.zeros((0, width), dtype=np.int64)
-    out = []
-    for k in range(3):
-        unit = np.zeros(3, dtype=np.int64)
-        unit[k] = 1
-        for g in space_rows:
-            out.append(multiply_forms(unit, 1, g, d_minus_1, p))
-    return np.array(out, dtype=np.int64)
-
-
-def _all_pair_products(rowsa, da, rowsb, db, p):
-    out = []
-    for u in rowsa:
-        for v in rowsb:
-            out.append(multiply_forms(u, da, v, db, p))
-    return np.array(out, dtype=np.int64)
+    """Rows spanning x_k * (given degree-(d-1) rows) in degree d, k-major."""
+    return _all_pair_products(_UNIT_LINEAR_FORMS, 1, space_rows, d_minus_1, p)
 
 
 def _power_spans(pieces: Dict[int, np.ndarray], s: int, d_max: int, p: int):
@@ -573,11 +616,11 @@ def graded_power_containment(
     if n < 1 or s < 1:
         raise ValueError("n and s must be positive")
     p = scheme.p
-    base = scheme.with_multiplicities(n)
+    system = _system_table(scheme)
 
     pieces: Dict[int, np.ndarray] = {}
     for d in range(0, d_max + 1):
-        ls = linear_system(base, d)
+        ls = system(n, d)
         if ls.h0:
             pieces[d] = ls.basis
 
@@ -602,7 +645,7 @@ def graded_power_containment(
     for D in sorted(product_degrees):
         # products vanish to order s*n, so surjectivity of multiplication
         # by linear forms onto the (D, s*n) piece certifies containment
-        cert, image, pivots = _mult_map(scheme, D, s * n)
+        cert, image, pivots = _mult_map(scheme, D, s * n, system)
         if cert.surjective:
             degrees[D] = {
                 "contained": True,
@@ -653,14 +696,14 @@ def fiber_generator_census(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     p = scheme.p
+    system = _system_table(scheme)
     rows = []
     for n in range(1, n_max + 1):
-        base = scheme.with_multiplicities(n)
         for d in range(0, d_max + 1):
-            piece = linear_system(base, d)
+            piece = system(n, d)
             if piece.h0 == 0:
                 continue
-            cert, image, pivots = _mult_map(scheme, s * d, s * n)
+            cert, image, pivots = _mult_map(scheme, s * d, s * n, system)
             if cert.surjective:
                 survives = False          # s-th powers land in the x_k multiples
             else:

@@ -2,13 +2,19 @@
 
 Row reduction uses partial pivoting by first nonzero entry in a fixed
 scan order, so every result is deterministic.  Elimination is applied
-to whole matrices at a time and entries are residues in [0, p) between
-steps.  Every int64 accumulation is a sum of at most ``terms`` products
-of two residues, so it is exact while terms * (p - 1)^2 < 2^63:
-row reduction forms one product per entry (p up to about 3.04e9), a
-product of matrices sums one product per inner index.  Each operation
-checks that bound for its own shape with :func:`check_modulus` and
-refuses larger primes with ValueError instead of wrapping around.
+to whole matrices at a time.  Every int64 accumulation is a sum of at
+most ``terms`` products of two residues, so it is exact while
+terms * (p - 1)^2 < 2^63; each operation checks that bound for its own
+shape with :func:`check_modulus` and refuses larger primes with
+ValueError instead of wrapping around.  Row reduction delays the
+modular reduction (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS
+2008): each pivot reduces only its factor column and its pivot row,
+subtracts its rank-1 update without reducing, and the trailing block is
+brought back to residues in [0, p) once :func:`reduction_budget` updates
+are pending and once at the end.  Between reductions an entry is a
+residue minus at most ``budget`` products of residues, and a pivot row
+entry times an inverse stays below 2^63 in magnitude.  A product of
+matrices sums one product per inner index.
 """
 
 from __future__ import annotations
@@ -27,35 +33,53 @@ def check_modulus(p: int, terms: int = 1) -> None:
         )
 
 
+def reduction_budget(p: int) -> int:
+    """Rank-1 updates row reduction may leave unreduced: the largest k
+    with (p + k (p - 1)^2)(p - 1) < 2^63, and at least 1.
+
+    An entry p + k (p - 1)^2 in magnitude, scaled by an inverse below p,
+    then stays in int64.  The budget is about 281000 at p = 32003 and
+    falls to 1, a reduction after every pivot, above about 1.66e6.
+    """
+    if p <= 1:
+        return _INT64_MAX
+    k = (_INT64_MAX // (p - 1) - p) // (p - 1) ** 2
+    return max(k, 1)
+
+
 def rref_modp(A: np.ndarray, p: int):
     """Reduced row echelon form and pivot columns of A over F_p."""
     check_modulus(p)
+    budget = reduction_budget(p)
     R = np.array(A, dtype=np.int64) % p
     rows, cols = R.shape
     pivots = []
+    pending = 0
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        col = R[r:, c]
-        nz = np.nonzero(col)[0]
+        factors = R[:, c] % p
+        nz = factors[r:].nonzero()[0]
         if nz.size == 0:
             continue
         pivot = r + int(nz[0])
-        # rows r.. are zero left of column c, so the pivot row is too and
-        # every row operation below only touches columns c..
+        # rows r.. are zero mod p left of column c, so the pivot row is too
+        # and every row operation below only touches columns c..
         if pivot != r:
             R[[r, pivot], c:] = R[[pivot, r], c:]
-        inv = pow(int(R[r, c]), -1, p)
-        R[r, c:] = (R[r, c:] * inv) % p
-        factors = R[:, c].copy()
+            factors[[r, pivot]] = factors[[pivot, r]]
+        inv = pow(int(factors[r]), -1, p)
+        R[r, c:] = R[r, c:] * inv % p
         factors[r] = 0
-        hit = np.nonzero(factors)[0]
-        if hit.size:
-            R[hit, c:] = (R[hit, c:] - factors[hit, None] * R[r, c:]) % p
+        R[:, c:] -= factors[:, None] * R[r, c:]
         pivots.append(c)
         r += 1
-    return R[:r], tuple(pivots)
+        pending += 1
+        if pending == budget:
+            R[:, c + 1:] %= p
+            pending = 0
+    return R[:r] % p, tuple(pivots)
 
 
 def rank_modp(A: np.ndarray, p: int) -> int:

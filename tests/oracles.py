@@ -6,7 +6,8 @@ and no criteria, and the dimension oracle enumerates every variable
 subset.  Both operate on the public Polynomial API only.  The fat-point
 and linear-algebra oracles use plain Python integers: condition rows by
 dict expansion along an arbitrary local frame, Gauss-Jordan elimination,
-and roots of a univariate polynomial by evaluation at every element.
+roots of a univariate polynomial by evaluation at every element, and
+smoothness of a plane cubic by saturating its Jacobian ideal.
 The certified-reduction reference compares reduced Groebner bases of
 J*I + m*I^2 and I^2 where the engine compares ranks modulo m*I^2, and
 the exponent rank is the closed-form analytic spread of an
@@ -17,7 +18,16 @@ import itertools
 import math
 from fractions import Fraction
 
-from spreadlab import Ideal, Polynomial, ideal_power, ideal_product, ideal_sum, maximal_ideal
+from spreadlab import (
+    Ideal,
+    Polynomial,
+    RingContext,
+    ideal_power,
+    ideal_product,
+    ideal_sum,
+    maximal_ideal,
+    saturate,
+)
 from spreadlab.ring import mono_div, mono_divides, mono_lcm
 
 
@@ -189,6 +199,22 @@ def first_root_scan(f, start, p):
         if sum(c * pow(b, i, p) for i, c in enumerate(f)) % p == 0:
             return b
     return None
+
+
+def cubic_is_smooth_by_saturation(coeffs, p):
+    """Smoothness of the plane cubic with the given coefficient vector
+    (monomials of degree 3, first variable dominant) from the saturation
+    of its Jacobian ideal J = (g, dg/dx_i) by (x1, x2, x3): g has no
+    singular point exactly when J : m^inf is the unit ideal."""
+    ctx = RingContext(p, ("x1", "x2", "x3"))
+    monomials = [(a, b, 3 - a - b) for a in range(3, -1, -1) for b in range(3 - a, -1, -1)]
+    g = ctx.zero()
+    for c, m in zip(coeffs, monomials):
+        g = g + ctx.monomial(m, int(c) % p)
+    if g.is_zero:
+        return False
+    J = Ideal(ctx, [g, g.deriv("x1"), g.deriv("x2"), g.deriv("x3")])
+    return saturate(J, maximal_ideal(ctx))[0].is_unit
 
 
 def reduction_certificate_reference(I, max_subsets=64):

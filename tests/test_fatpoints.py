@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     condition_rows_reference,
+    cubic_is_smooth_by_saturation,
     first_root_scan,
     gauss_jordan,
     monomials_of_degree,
@@ -16,10 +17,14 @@ from oracles import (
 from spreadlab import RingContext
 from spreadlab.fatpoints import (
     FatPointScheme,
+    _all_pair_products,
     _condition_rows,
+    _cubic_is_smooth,
     _first_root,
     _local_frame,
+    _product_groups,
     _roots_modp,
+    _variable_multiples,
     fiber_generator_census,
     graded_power_containment,
     h0,
@@ -35,6 +40,7 @@ from spreadlab.linalg import (
     nullspace_modp,
     rank_modp,
     reduce_rows,
+    reduction_budget,
     rref_modp,
 )
 
@@ -101,6 +107,25 @@ def test_elliptic_sampling_large_prime():
             for c, (a, b, e) in zip(scheme.cubic, monomial_basis(3))
         )
         assert total % p == 0
+
+
+# monomials whose coefficients are g(0:0:1) and the partials there, up to 3
+_SINGULAR_AT_E3 = [monomial_basis(3).index(m) for m in ((0, 0, 3), (1, 0, 2), (0, 1, 2))]
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 32003])
+def test_smooth_cubic_verdict_matches_saturation(p):
+    """krull_dim(J) <= 0 decides smoothness as the saturation J : m^inf does."""
+    rng = random.Random(p)
+    for i in range(75):
+        coeffs = [rng.randrange(p) for _ in range(10)]
+        forced = i % 3 == 0
+        if forced:
+            for k in _SINGULAR_AT_E3:
+                coeffs[k] = 0
+        verdict = _cubic_is_smooth(tuple(coeffs), p)
+        assert verdict == cubic_is_smooth_by_saturation(coeffs, p), coeffs
+        assert not (forced and verdict)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 997])
@@ -267,21 +292,64 @@ def seeded_matrices(p, count=25):
         yield A
 
 
+def check_against_gauss_jordan(A, p):
+    rows = A.tolist()
+    expected, expected_pivots = gauss_jordan(rows, p)
+    R, pivots = rref_modp(A, p)
+    assert R.dtype == np.int64
+    assert R.tolist() == expected and list(pivots) == expected_pivots
+    basis = nullspace_modp(A, p)
+    free = [c for c in range(A.shape[1]) if c not in expected_pivots]
+    assert basis.shape == (len(free), A.shape[1])
+    for k, c in enumerate(free):
+        # the canonical kernel vector: 1 at free column c, 0 at the others
+        vec = basis[k].tolist()
+        assert [vec[f] for f in free] == [int(f == c) for f in free]
+        assert all(sum(a * v for a, v in zip(row, vec)) % p == 0 for row in rows)
+    return len(expected_pivots)
+
+
 @pytest.mark.parametrize("p", [2, 3, 101, 32003, 2**31 - 1])
 def test_rref_and_nullspace_against_gauss_jordan(p):
     for A in seeded_matrices(p):
-        rows = A.tolist()
-        expected, expected_pivots = gauss_jordan(rows, p)
-        R, pivots = rref_modp(A, p)
-        assert R.tolist() == expected and list(pivots) == expected_pivots
-        basis = nullspace_modp(A, p)
-        free = [c for c in range(A.shape[1]) if c not in expected_pivots]
-        assert basis.shape == (len(free), A.shape[1])
-        for k, c in enumerate(free):
-            # the canonical kernel vector: 1 at free column c, 0 at the others
-            vec = basis[k].tolist()
-            assert [vec[f] for f in free] == [int(f == c) for f in free]
-            assert all(sum(a * v for a, v in zip(row, vec)) % p == 0 for row in rows)
+        check_against_gauss_jordan(A, p)
+
+
+def test_reduction_budget_is_largest_safe_count():
+    for p in (2, 3, 101, 32003, 1299709, 1660003, 2**31 - 1, 3037000493):
+        k = reduction_budget(p)
+        assert k >= 1
+        if k > 1:
+            assert (p + k * (p - 1) ** 2) * (p - 1) < 2**63
+        assert (p + (k + 1) * (p - 1) ** 2) * (p - 1) >= 2**63
+
+
+# (p, budget): a reduction after every pivot at the two largest primes,
+# every 4 pivots near 1.3e6, never before the end at 32003
+BUDGET_PRIMES = [(2**31 - 1, 1), (3037000493, 1), (1299709, 4), (32003, 281422)]
+
+
+def budget_matrices(p):
+    """Seeded tall, wide, square and rank-deficient matrices up to 60 x 60,
+    some with zero columns, as products of random factors mod p."""
+    rng = np.random.default_rng(p % 10007)
+    for rows, cols, rank, zero_cols in (
+        (60, 60, 60, 0), (60, 60, 41, 3), (60, 24, 24, 2), (24, 60, 24, 0),
+        (60, 45, 13, 4), (33, 60, 33, 5), (50, 50, 1, 0),
+    ):
+        X = rng.integers(0, p, size=(rows, rank)).astype(object)
+        Y = rng.integers(0, p, size=(rank, cols)).astype(object)
+        A = ((X @ Y) % p).astype(np.int64)
+        A[:, rng.choice(cols, size=zero_cols, replace=False)] = 0
+        yield A, rank
+
+
+@pytest.mark.parametrize("p, budget", BUDGET_PRIMES)
+def test_rref_delayed_reduction_against_gauss_jordan(p, budget):
+    assert reduction_budget(p) == budget
+    ranks = [check_against_gauss_jordan(A, p) for A, _ in budget_matrices(p)]
+    # the periodic reduction runs: ranks exceed the budget below 32003's
+    assert max(ranks) == 60 and (budget > 60 or max(ranks) > budget)
 
 
 def test_linear_system_rank_is_matrix_rank(nagata, elliptic):
@@ -367,6 +435,85 @@ def test_multiply_forms_agrees_with_ring():
     for c, m in zip(prod.tolist(), monomial_basis(3)):
         h = h + ctx.monomial(m, int(c))
     assert h == expected
+
+
+def _as_form(ctx, vec, d):
+    f = ctx.zero()
+    for c, m in zip(vec.tolist(), monomial_basis(d)):
+        f = f + ctx.monomial(m, int(c))
+    return f
+
+
+@pytest.mark.parametrize("p", [101, 32003, 2**31 - 1])
+def test_pair_products_and_variable_multiples_agree_with_ring(p):
+    ctx = RingContext(p, ("x1", "x2", "x3"))
+    variables = [ctx.monomial(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    rng = np.random.default_rng(p % 1000 + 7)
+    for da in range(7):
+        rowsa = rng.integers(0, p, size=(2, len(monomial_basis(da))))
+        multiples = _variable_multiples(rowsa, da, p)
+        assert multiples.shape == (6, len(monomial_basis(da + 1)))
+        assert ((0 <= multiples) & (multiples < p)).all()
+        for k, x in enumerate(variables):
+            for i, g in enumerate(rowsa):
+                assert _as_form(ctx, multiples[2 * k + i], da + 1) == x * _as_form(ctx, g, da)
+        for db in range(7):
+            rowsb = rng.integers(0, p, size=(3, len(monomial_basis(db))))
+            out = _all_pair_products(rowsa, da, rowsb, db, p)
+            assert out.shape == (6, len(monomial_basis(da + db)))
+            assert ((0 <= out) & (out < p)).all()
+            for i, u in enumerate(rowsa):
+                for j, v in enumerate(rowsb):
+                    expected = _as_form(ctx, u, da) * _as_form(ctx, v, db)
+                    assert _as_form(ctx, out[3 * i + j], da + db) == expected
+
+
+def test_pair_products_of_empty_inputs():
+    p = 32003
+    rows = np.ones((2, 6), dtype=np.int64)
+    empty = np.zeros((0, 6), dtype=np.int64)
+    assert _all_pair_products(empty, 2, rows, 2, p).shape == (0, 15)
+    assert _all_pair_products(rows, 2, empty, 2, p).shape == (0, 15)
+    assert _variable_multiples(empty, 2, p).shape == (0, 10)
+
+
+def test_pair_products_in_blocks_match_whole(monkeypatch):
+    import spreadlab.fatpoints as fatpoints
+
+    p = 32003
+    rng = np.random.default_rng(3)
+    rowsa = rng.integers(0, p, size=(3, 10))          # degree 3
+    rowsb = rng.integers(0, p, size=(7, 15))          # degree 4
+    whole = _all_pair_products(rowsa, 3, rowsb, 4, p)
+    monkeypatch.setattr(fatpoints, "_PRODUCT_BLOCK", 2 * 10 * 15)   # 2 rows a block
+    assert np.array_equal(_all_pair_products(rowsa, 3, rowsb, 4, p), whole)
+
+
+def test_degree_caches_stay_bounded():
+    for d in range(80):
+        monomial_basis(d)
+        _product_groups(d, 1)
+    for cache in (monomial_basis, _product_groups):
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_each_linear_system_computed_once_per_call(elliptic, monkeypatch):
+    import spreadlab.fatpoints as fatpoints
+
+    computed = []
+    real = fatpoints.linear_system
+
+    def counting(scheme, d):
+        computed.append((scheme.multiplicities, d))
+        return real(scheme, d)
+
+    monkeypatch.setattr(fatpoints, "linear_system", counting)
+    for call in (lambda: graded_power_containment(elliptic, 1, 2, 12),
+                 lambda: fiber_generator_census(elliptic, 2, 6, 2)):
+        computed.clear()
+        call()
+        assert computed and len(computed) == len(set(computed))
 
 
 # --- int64 range -------------------------------------------------------------
