@@ -9,6 +9,10 @@ A session file declares one ring, then named ideals and filtrations:
     filtration A = adic:p
     filtration T = trivial-m
 
+The ring line takes each of the keys ``p``, ``vars``, ``order`` and
+``weights`` at most once, and every variable name must read as one name
+token of the polynomial syntax in ``ring``.
+
 Lines starting with ``#`` are comments.  Every subcommand is one entry
 of ``COMMANDS``: its name, help, arguments and a handler returning its
 result fields.  ``main`` wraps those fields in the shared envelope and
@@ -52,7 +56,7 @@ from .ideals import (
     quotient,
     saturate,
 )
-from .ring import DEFAULT_PRIME, MonomialOrder, RingContext
+from .ring import DEFAULT_PRIME, MonomialOrder, RingContext, _tokenize
 
 SCHEMA = "1"
 
@@ -61,6 +65,17 @@ _ORDERS = {
     "lex": lambda weights: MonomialOrder.lex(),
     "weighted-grevlex": lambda weights: MonomialOrder.weighted_grevlex(weights),
 }
+
+_RING_KEYS = ("p", "vars", "order", "weights")
+
+
+def _is_variable_name(name: str) -> bool:
+    """True when the polynomial syntax reads ``name`` as one variable token."""
+    try:
+        return list(_tokenize(name)) == [("name", name)]
+    except ValueError:
+        return False
+
 
 _FILTRATION_FORMS = {
     "trivial-m": "trivial-m",
@@ -114,11 +129,24 @@ class SessionFile:
             if "=" not in token:
                 raise ValueError(f"line {lineno}: expected key=value, got {token!r}")
             key, value = token.split("=", 1)
+            if key not in _RING_KEYS:
+                raise ValueError(
+                    f"line {lineno}: unknown ring key {key!r} "
+                    f"(expected {', '.join(_RING_KEYS)})"
+                )
+            if key in fields:
+                raise ValueError(f"line {lineno}: duplicate ring key {key!r}")
             fields[key] = value
         p = int(fields.get("p", DEFAULT_PRIME))
         if "vars" not in fields:
             raise ValueError(f"line {lineno}: ring needs vars=")
         variables = tuple(v.strip() for v in fields["vars"].split(",") if v.strip())
+        for name in variables:
+            if not _is_variable_name(name):
+                raise ValueError(
+                    f"line {lineno}: {name!r} cannot name a variable "
+                    "(the polynomial syntax would not read it as one)"
+                )
         weights = None
         if "weights" in fields:
             weights = tuple(int(w) for w in fields["weights"].split(","))

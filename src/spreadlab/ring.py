@@ -561,7 +561,15 @@ def is_weighted_homogeneous(f: Polynomial, weights=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# text syntax: terms joined by +/-, * for products, ^ for powers
+# text syntax
+#
+#   poly   := [sign] term (sign term)*      sign: "+" or "-" (U+2212 reads as "-")
+#   term   := factor ("*" factor)*
+#   factor := int | name ["^" int]
+#
+# An int is a run of digits and a name a letter or "_" followed by letters,
+# digits or "_"; whitespace between tokens is ignored.  "^" applies to a
+# variable only, so "2^3" is refused, and coefficients are reduced mod p.
 # ---------------------------------------------------------------------------
 
 def _tokenize(s: str):
@@ -594,54 +602,57 @@ def _tokenize(s: str):
 
 
 def parse_polynomial(ctx: RingContext, text: str) -> Polynomial:
+    """Read ``text`` in one pass over its tokens.
+
+    Each term is a signed integer coefficient times an exponent list; a
+    repeated variable adds to its exponent.  Terms with equal monomials
+    sum in one dict, which is reduced mod p and sorted once.
+    """
     tokens = list(_tokenize(text))
     if not tokens:
         raise ValueError("empty polynomial text")
+    tokens.append((None, None))           # end marker: peeks see (None, None)
+    index = {name: i for i, name in enumerate(ctx.variables)}
+    nvars = ctx.nvars
+    acc = {}
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
-
-    def take(kind=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of polynomial")
+    coeff = 1
+    if tokens[0][0] in ("+", "-"):
+        coeff = -1 if tokens[0][0] == "-" else 1
+        pos = 1
+    while True:
+        exps = [0] * nvars
+        while True:                       # factors of one term, joined by *
+            tk, tv = tokens[pos]
+            pos += 1
+            if tk == "int":
+                coeff *= int(tv)
+            elif tk == "name":
+                i = index.get(tv)
+                if i is None:
+                    ctx.var_index(tv)     # raises "unknown variable ..."
+                if tokens[pos][0] == "^":
+                    tk, tv = tokens[pos + 1]
+                    if tk != "int":
+                        raise ValueError(
+                            "unexpected end of polynomial" if tk is None
+                            else f"expected int, found {tv!r}"
+                        )
+                    exps[i] += int(tv)
+                    pos += 2
+                else:
+                    exps[i] += 1
+            else:
+                raise ValueError(f"expected a factor, found {tv!r}")
+            if tokens[pos][0] != "*":
+                break
+            pos += 1
+        mono = tuple(exps)
+        acc[mono] = acc.get(mono, 0) + coeff
         tk, tv = tokens[pos]
-        if kind and tk != kind:
-            raise ValueError(f"expected {kind}, found {tv!r}")
+        if tk is None:
+            return Polynomial._from_dict(ctx, acc)
+        if tk != "+" and tk != "-":
+            raise ValueError(f"expected + or -, found {tv!r}")
+        coeff = -1 if tk == "-" else 1
         pos += 1
-        return tv
-
-    def parse_factor() -> Polynomial:
-        tk, tv = peek()
-        if tk == "int":
-            take()
-            return ctx.const(int(tv))
-        if tk == "name":
-            take()
-            base = ctx.var(tv)
-            if peek()[0] == "^":
-                take("^")
-                exp = int(take("int"))
-                return base ** exp
-            return base
-        raise ValueError(f"expected a factor, found {tv!r}")
-
-    def parse_term() -> Polynomial:
-        out = parse_factor()
-        while peek()[0] == "*":
-            take("*")
-            out = out * parse_factor()
-        return out
-
-    sign = 1
-    if peek()[0] in ("+", "-"):
-        sign = -1 if take() == "-" else 1
-    result = parse_term() * sign
-    while pos < len(tokens):
-        op = take()
-        if op not in ("+", "-"):
-            raise ValueError(f"expected + or -, found {op!r}")
-        t = parse_term()
-        result = result + (t if op == "+" else -t)
-    return result

@@ -11,7 +11,8 @@ smoothness of a plane cubic by saturating its Jacobian ideal.
 The certified-reduction reference compares reduced Groebner bases of
 J*I + m*I^2 and I^2 where the engine compares ranks modulo m*I^2, and
 the exponent rank is the closed-form analytic spread of an
-equigenerated monomial ideal.
+equigenerated monomial ideal.  The text-syntax oracle builds every
+factor, product and sum of a polynomial through Polynomial arithmetic.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from spreadlab import (
     maximal_ideal,
     saturate,
 )
-from spreadlab.ring import mono_div, mono_divides, mono_lcm
+from spreadlab.ring import _tokenize, mono_div, mono_divides, mono_lcm
 
 
 def poly_lead_reduce(f, basis):
@@ -265,3 +266,57 @@ def exponent_rank(exponents):
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def parse_polynomial_by_arithmetic(ctx: RingContext, text: str) -> Polynomial:
+    tokens = list(_tokenize(text))
+    if not tokens:
+        raise ValueError("empty polynomial text")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else (None, None)
+
+    def take(kind=None):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError("unexpected end of polynomial")
+        tk, tv = tokens[pos]
+        if kind and tk != kind:
+            raise ValueError(f"expected {kind}, found {tv!r}")
+        pos += 1
+        return tv
+
+    def parse_factor() -> Polynomial:
+        tk, tv = peek()
+        if tk == "int":
+            take()
+            return ctx.const(int(tv))
+        if tk == "name":
+            take()
+            base = ctx.var(tv)
+            if peek()[0] == "^":
+                take("^")
+                exp = int(take("int"))
+                return base ** exp
+            return base
+        raise ValueError(f"expected a factor, found {tv!r}")
+
+    def parse_term() -> Polynomial:
+        out = parse_factor()
+        while peek()[0] == "*":
+            take("*")
+            out = out * parse_factor()
+        return out
+
+    sign = 1
+    if peek()[0] in ("+", "-"):
+        sign = -1 if take() == "-" else 1
+    result = parse_term() * sign
+    while pos < len(tokens):
+        op = take()
+        if op not in ("+", "-"):
+            raise ValueError(f"expected + or -, found {op!r}")
+        t = parse_term()
+        result = result + (t if op == "+" else -t)
+    return result

@@ -86,6 +86,56 @@ def test_session_errors():
             SessionFile.parse(f"ring p=32003 vars=x,y\nideal a = x\nfiltration F = {spec}\n")
 
 
+
+@pytest.mark.parametrize(
+    "ring_line, message",
+    [
+        ("ring p=32003 vars=x,y,z ordr=lex", "unknown ring key 'ordr'"),
+        ("ring p=32003 vars=x,y,z wieghts=3,4,5", "unknown ring key 'wieghts'"),
+        ("ring p=7 vars=x,y,z p=11", "duplicate ring key 'p'"),
+        ("ring p=32003 vars=x,y,z order=lex order=grevlex", "duplicate ring key 'order'"),
+        ("ring p=32003 vars=1,y,z", "'1' cannot name a variable"),
+        ("ring p=32003 vars=x,y,z2^", "'z2^' cannot name a variable"),
+        ("ring p=32003 vars=x,y,t@", "'t@' cannot name a variable"),
+    ],
+)
+def test_bad_ring_declaration_exit_2(ring_line, message, tmp_path, capsys):
+    f = tmp_path / "bad.ring"
+    f.write_text(f"# header\n{ring_line}\nideal a = 1, y\n")
+    code = main(["gb", "-f", str(f), "-i", "a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: line 2: ") and message in captured.err
+
+
+def test_ring_accepts_every_key_once():
+    parsed = SessionFile.parse("ring weights=1,2 order=lex vars=x_1,Y2 p=101\nideal a = x_1*Y2^2\n")
+    assert parsed.ctx.variables == ("x_1", "Y2") and parsed.ctx.weights == (1, 2)
+    assert parsed.order_name == "lex" and parsed.ctx.p == 101
+
+
+def test_session_parse_calls_parser_once_per_generator(monkeypatch):
+    """Generators reach the parser through the ``ring`` module global, which
+    the benchmark tracer rebinds to count ``ring.parse_calls``."""
+    import spreadlab.ring as ring
+
+    seen = []
+    real = ring.parse_polynomial
+
+    def counting(ctx, text):
+        seen.append(text)
+        return real(ctx, text)
+
+    monkeypatch.setattr(ring, "parse_polynomial", counting)
+    SessionFile.parse(CURVE_SESSION)
+    generators = [
+        g.strip()
+        for line in CURVE_SESSION.splitlines() if line.startswith("ideal ")
+        for g in line.split("=", 1)[1].split(",")
+    ]
+    assert seen == generators and len(seen) == 7
+
+
 # --- commands --------------------------------------------------------------------
 
 def test_ell_regular_prime(flat_file, capsys):

@@ -9,7 +9,9 @@ from spreadlab import (
     RingContext,
     weighted_degree,
 )
-from spreadlab.ring import MAX_CERTIFIED_PRIME, is_prime, mono_mul
+from spreadlab.ring import MAX_CERTIFIED_PRIME, is_prime, mono_mul, parse_polynomial
+
+from oracles import parse_polynomial_by_arithmetic
 
 
 def test_add_cancellation(ctx3):
@@ -109,6 +111,103 @@ def test_parser_rejects_garbage(ctx3):
 
 def test_parser_accepts_unicode_minus(ctx3):
     assert ctx3.poly("y^2 − x*z") == ctx3.poly("y^2 - x*z")
+
+
+_PARSER_RINGS = [
+    (order, p, names)
+    for order, names in [
+        (MonomialOrder.grevlex(), ("x", "y", "z")),
+        (MonomialOrder.lex(), ("a", "b1", "c_d", "w")),
+        (MonomialOrder.weighted_grevlex((3, 4, 5)), ("x", "y", "z")),
+    ]
+    for p in (2, 101, 32003, 2**61 - 1)
+]
+
+
+def _random_factor_text(rng, names, p):
+    if rng.random() < 0.25:
+        return str(rng.choice([0, 1, 2, p, p + 1, 2 * p, 3 * p - 1, rng.randrange(1, p), 10**30 + 7]))
+    name = rng.choice(names)
+    shape = rng.random()
+    if shape < 0.45:
+        return name
+    if shape < 0.55:
+        return f"{name}^0"
+    if shape < 0.6:
+        return f"{name}^2147483648"
+    return f"{name}^{rng.randrange(1, 6)}"
+
+
+def _random_term_text(rng, names, p):
+    factors = [_random_factor_text(rng, names, p) for _ in range(rng.randrange(1, 5))]
+    if rng.random() < 0.3:                      # a repeated variable inside the term
+        factors += [rng.choice(factors)] * rng.randrange(1, 3)
+    rng.shuffle(factors)
+    return rng.choice(["*", " * ", "*  "]).join(factors)
+
+
+def _random_valid_text(rng, names, p):
+    terms = [_random_term_text(rng, names, p) for _ in range(rng.randrange(1, 6))]
+    if rng.random() < 0.3:                      # a term and the same term with its sign flipped
+        terms.insert(rng.randrange(len(terms) + 1), terms[-1])
+        ops = ["+"] * (len(terms) - 1)
+        ops[rng.randrange(len(ops))] = "-"
+    else:
+        ops = [rng.choice(["+", "-", "−"]) for _ in terms[1:]]
+    text = rng.choice(["", "", "-", "+", "−", " - "]) + terms[0]
+    for op, term in zip(ops, terms[1:]):
+        text += rng.choice(["", " ", "\t ", "  "]) + op + rng.choice(["", " ", "  "]) + term
+    return rng.choice(["", " ", "\n"]) + text + rng.choice(["", " ", "  "])
+
+
+_MALFORMED = [
+    "", "   ", "-", "+", "−", "2^3", "x^-1", "x^", "x y", "$", "q", "x + q*y",
+    "x +", "x*", "x**y", "x++y", "--x", "x^2^3", "x^*2", "x^y", "3 4", "x + $", "(x)",
+]
+
+
+def _random_malformed_text(rng, names, p):
+    text = _random_valid_text(rng, names, p)
+    kind = rng.randrange(5)
+    if kind == 0:                                # truncated input
+        return text[: rng.randrange(len(text) + 1)]
+    cut = rng.randrange(len(text) + 1)
+    if kind == 1:                                # a doubled or stray operator
+        return text[:cut] + rng.choice(["++", "--", "**", "^^", "+*", "*-", "^", "^-1"]) + text[cut:]
+    if kind == 2:                                # juxtaposed factors
+        return text + " " + rng.choice(names)
+    if kind == 3:                                # an unknown name or character
+        return text[:cut] + rng.choice([" + q", "*qq", "$", "#", "!"]) + text[cut:]
+    return rng.choice(_MALFORMED)
+
+
+def _parse_outcome(parser, ctx, text):
+    try:
+        return "terms", parser(ctx, text).terms
+    except Exception as exc:                    # the exception is part of the contract
+        return "error", type(exc), str(exc)
+
+
+def test_parser_matches_arithmetic_oracle():
+    """The one-pass parser gives the oracle's terms on valid text and the
+    oracle's exception type and message on malformed text."""
+    rng = random.Random(20261018)
+    checked = valid = 0
+    for order, p, names in _PARSER_RINGS:
+        weights = order.weights
+        ctx = RingContext(p, names, order, weights)
+        texts = list(_MALFORMED) + [f"{p}*{names[0]} + {names[1]}", f"{names[0]}*{names[1]}*{names[0]}^2"]
+        for _ in range(120):
+            texts.append(_random_valid_text(rng, names, p))
+        for _ in range(60):
+            texts.append(_random_malformed_text(rng, names, p))
+        for text in texts:
+            got = _parse_outcome(parse_polynomial, ctx, text)
+            assert got == _parse_outcome(parse_polynomial_by_arithmetic, ctx, text), (ctx, text)
+            valid += got[0] == "terms"
+            checked += 1
+    assert checked >= 2000
+    assert 0.5 * checked < valid < checked       # both kinds were exercised
 
 
 def _random_monomials(rng, n, count, maxe=6):
