@@ -11,7 +11,8 @@ A session file declares one ring, then named ideals and filtrations:
 
 The ring line takes each of the keys ``p``, ``vars``, ``order`` and
 ``weights`` at most once, and every variable name must read as one name
-token of the polynomial syntax in ``ring``.
+token of the polynomial syntax in ``ring``.  Every declaration error,
+the ring's own checks included, names its line.
 
 Lines starting with ``#`` are comments.  Every subcommand is one entry
 of ``COMMANDS``: its name, help, arguments and a handler returning its
@@ -67,6 +68,13 @@ _ORDERS = {
 }
 
 _RING_KEYS = ("p", "vars", "order", "weights")
+
+
+def _integer(text: str, key: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {key}= wants an integer, got {text!r}") from None
 
 
 def _is_variable_name(name: str) -> bool:
@@ -137,7 +145,7 @@ class SessionFile:
             if key in fields:
                 raise ValueError(f"line {lineno}: duplicate ring key {key!r}")
             fields[key] = value
-        p = int(fields.get("p", DEFAULT_PRIME))
+        p = _integer(fields.get("p", str(DEFAULT_PRIME)), "p", lineno)
         if "vars" not in fields:
             raise ValueError(f"line {lineno}: ring needs vars=")
         variables = tuple(v.strip() for v in fields["vars"].split(",") if v.strip())
@@ -149,12 +157,15 @@ class SessionFile:
                 )
         weights = None
         if "weights" in fields:
-            weights = tuple(int(w) for w in fields["weights"].split(","))
+            weights = tuple(_integer(w, "weights", lineno) for w in fields["weights"].split(","))
         order_name = fields.get("order", "grevlex")
         if order_name not in _ORDERS:
             raise ValueError(f"line {lineno}: unknown order {order_name!r}")
-        order = _ORDERS[order_name](weights if weights else (1,) * len(variables))
-        ctx = RingContext(p, variables, order, weights)
+        try:
+            order = _ORDERS[order_name](weights if weights else (1,) * len(variables))
+            ctx = RingContext(p, variables, order, weights)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         return cls(ctx, order_name)
 
     def _parse_ideal(self, rest: str, lineno: int):

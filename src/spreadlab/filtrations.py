@@ -45,6 +45,7 @@ from .ring import (
     MonomialOrder,
     Polynomial,
     RingContext,
+    mono_wdeg,
     weighted_degree,
 )
 
@@ -260,12 +261,14 @@ class ReesPresentation:
 def _chosen_generators(F: Filtration, a: int) -> List[Tuple[int, Polynomial]]:
     """Canonical algebra-generator choice through degree a.
 
-    Walks the canonical reduced basis of each member in ascending
-    order and keeps exactly the elements not already produced by
-    products of lower members and previously kept elements.  Degree 1
-    always keeps its full reduced basis; higher degrees only receive
-    variables for genuinely new generators, which keeps presentations
-    small without changing the presented algebra.
+    Walks the canonical reduced basis of each member in the ring's
+    ascending order and keeps exactly the elements not already produced
+    by products of lower members and previously kept elements, so higher
+    degrees only receive variables for genuinely new generators.  The
+    ring's order need not follow weighted degree, so an element kept
+    early may be generated by elements of lower weighted degree kept
+    after it: the kept set need not be minimal.  ``rees_presentation``
+    numbers the kept elements by degree.
     """
     chosen: List[Tuple[int, Polynomial]] = []
     members = {n: F.materialize(n) for n in range(1, a + 1)}
@@ -287,16 +290,31 @@ def _chosen_generators(F: Filtration, a: int) -> List[Tuple[int, Polynomial]]:
 def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
     """Present the Rees algebra of the truncation of F at a.
 
-    The kernel is computed by block-order elimination of t from the
-    relations T{n}_{j} - f_{n,j} t^n; the fiber kernel is generated by
-    the images of the kernel generators under x -> 0.
+    The generators are those ``_chosen_generators`` keeps, numbered
+    T{n}_1, T{n}_2, ... by ascending (n, weighted degree, ring order of
+    the leading monomial).  The kernel is computed by block-order
+    elimination of t from the relations T{n}_{j} - f_{n,j} t^n, where
+    T{n}_{j} weighs wdeg(f_{n,j}) + n and t weighs 1 so that every
+    relation of a weighted-homogeneous filtration is homogeneous and the
+    engine's sugar selection proceeds degree by degree (the weights do
+    not enter the block order).  The fiber kernel is generated by the
+    images of the kernel generators under x -> 0.
     """
     if a < 1:
         raise ValueError("presentation bound must be at least 1")
     ctx = F.ctx
+
+    def wdeg(g):
+        # the largest term degree, which is the degree of a homogeneous g
+        return max(mono_wdeg(m, ctx.weights) for m, _ in g.terms)
+
+    kept = sorted(
+        _chosen_generators(F, a),
+        key=lambda ng: (ng[0], wdeg(ng[1]), ctx.key(ng[1].lm())),
+    )
     chosen: List[Tuple[str, int, Polynomial]] = []
     counters = {n: 0 for n in range(1, a + 1)}
-    for n, g in _chosen_generators(F, a):
+    for n, g in kept:
         counters[n] += 1
         chosen.append((f"T{n}_{counters[n]}", n, g))
 
@@ -320,12 +338,13 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
 
     tweights = tuple(twent(g) for _, _, g in chosen)
 
-    # elimination ring: t@ ranked above base and fiber variables
+    # elimination ring: t@ ranked above base and fiber variables, graded
+    # so that T{n}_j - f t^n is homogeneous
     elim_ctx = RingContext(
         ctx.p,
         (_T_AUX,) + ctx.variables + tnames,
         MonomialOrder.block((0,), MonomialOrder.grevlex()),
-        (1,) + ctx.weights + tweights,
+        (1,) + ctx.weights + tuple(wdeg(g) + n for _, n, g in chosen),
     )
     tvar = elim_ctx.var(_T_AUX)
     relations = []

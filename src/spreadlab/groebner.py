@@ -1,10 +1,19 @@
 """Buchberger engine: canonical reduced Groebner bases and normal forms.
 
-Pair selection follows the normal strategy (smallest lcm first in the
-ring's order) with the Gebauer-Moeller pair pruning criteria.  All
-reductions are monic and divisor choice is by basis index, so the
-output is the unique reduced basis of the ideal for the ring's order --
-identical for any ordering or rescaling of the input generators.
+Pair selection follows the sugar strategy (Giovini, Mora, Niesi,
+Robbiano and Traverso, ISSAC 1991) over the ring's weights, with the
+Gebauer-Moeller pair pruning criteria.  Each basis element carries a
+sugar: an input's is the largest weighted degree of its terms, and an
+element reduced from pair (i, j) takes that pair's sugar,
+max(sugar_i + wdeg(lcm / lm_i), sugar_j + wdeg(lcm / lm_j)).  Pairs are
+reduced by smallest sugar first, then smallest lcm in the ring's order.
+For weighted-homogeneous input the sugar is the weighted degree of the
+lcm, so a block order that eliminates a variable still proceeds degree
+by degree.  The weights steer only which pair comes next, never the
+order itself.  All reductions are monic and divisor choice is by basis
+index, so the output is the unique reduced basis of the ideal for the
+ring's order -- identical for any ordering or rescaling of the input
+generators, and for any selection strategy.
 
 Internally a polynomial is a list of (key, exponents, coefficient)
 triples sorted strictly descending by key.  Both are packed integers
@@ -18,7 +27,10 @@ triples sorted strictly descending by key.  Both are packed integers
 * the key is the order's additive key tuple with one field per
   component, wide enough for the key of the all-(2^31 - 1) exponent
   vector, so integer comparison and addition agree with the tuple order
-  for every exponent vector the guard admits.
+  for every exponent vector the guard admits.  One more field below
+  them holds the weighted degree over the ring's weights, which the
+  sugar bookkeeping reads with a mask; distinct monomials differ in an
+  order field, so it never decides a comparison.
 
 Every exponent therefore stays below 2^31: inputs beyond that, and any
 product that reaches it during a computation, raise ValueError rather
@@ -44,7 +56,7 @@ _RANGE_ERROR = f"exponent above {_MAX_EXP} (2^31 - 1) in a Groebner computation"
 class _Codec:
     """Packing of one ring's exponent tuples and order keys."""
 
-    __slots__ = ("guard", "shifts", "key_weights")
+    __slots__ = ("guard", "shifts", "key_weights", "wdeg_mask")
 
     def __init__(self, ctx: RingContext):
         n = ctx.nvars
@@ -57,16 +69,20 @@ class _Codec:
         # so the width comes from its key, not from ctx.weights.
         top = ctx.key((_MAX_EXP,) * n)
         bits = max(abs(c) for c in top).bit_length()
+        # the low field: weighted degree over ctx.weights
+        wbits = (_MAX_EXP * sum(ctx.weights)).bit_length()
+        self.wdeg_mask = (1 << wbits) - 1
 
-        def pack_key(k):
+        def pack_key(k, w):
             out = 0
             for c in k:
                 out = (out << bits) + c
-            return out
+            return (out << wbits) + w
 
         # keys are additive, so a packed key is a dot product
         self.key_weights = tuple(
-            pack_key(ctx.key(tuple(int(i == j) for i in range(n)))) for j in range(n)
+            pack_key(ctx.key(tuple(int(i == j) for i in range(n))), ctx.weights[j])
+            for j in range(n)
         )
 
     def terms(self, f: Polynomial):
@@ -181,15 +197,18 @@ def _buchberger(inputs, ctx: RingContext):
         ge = ((a | guard) - b) & guard          # guard bit set where a >= b
         return b ^ ((a ^ b) & (ge - (ge >> _GUARD_SHIFT)))
 
+    wmask = codec.wdeg_mask
+
     G = []          # monic descending term lists
     lms = []        # packed leading exponents of G
+    excess = []     # sugar minus the weighted degree of the lm, per element
     entries = []    # (lm_key, lm, terms) view used by the reducer
-    heap = []
+    heap = []       # (sugar, lcm key, i, j)
     pairs = set()   # live (i, j) pairs, i < j
     lcms = {}       # (i, j) -> packed lcm
     created = pruned_m = pruned_f = pruned_b = spolys = zeros = steps = 0
 
-    def install(h):
+    def install(h, sugar):
         """Gebauer-Moeller update of the pair set for a new element h."""
         nonlocal created, pruned_m, pruned_f, pruned_b
         t = len(G)
@@ -230,20 +249,22 @@ def _buchberger(inputs, ctx: RingContext):
                 pruned_b += 1
         G.append(h)
         lms.append(lm_h)
+        excess.append(sugar - (h[0][0] & wmask))
         entries.append((h[0][0], lm_h, h))
         for i, l in sorted(fresh):
             pairs.add((i, t))
             lcms[(i, t)] = l
-            heapq.heappush(heap, (codec.key(l), i, t))
+            lk = codec.key(l)
+            heapq.heappush(heap, ((lk & wmask) + max(excess[i], excess[t]), lk, i, t))
 
     for f in inputs:
         h, n = _normal_form_terms(f, entries, p, guard)
         steps += n
         if h:
-            install(_monic(h, p))
+            install(_monic(h, p), max(k & wmask for k, _, _ in f))
 
     while heap:
-        lk, i, j = heapq.heappop(heap)
+        sugar, lk, i, j = heapq.heappop(heap)
         if (i, j) not in pairs:
             continue
         pairs.discard((i, j))
@@ -257,7 +278,7 @@ def _buchberger(inputs, ctx: RingContext):
         steps += n
         spolys += 1
         if h:
-            install(_monic(h, p))
+            install(_monic(h, p), sugar)
         else:
             zeros += 1
 

@@ -13,6 +13,9 @@ J*I + m*I^2 and I^2 where the engine compares ranks modulo m*I^2, and
 the exponent rank is the closed-form analytic spread of an
 equigenerated monomial ideal.  The text-syntax oracle builds every
 factor, product and sum of a polynomial through Polynomial arithmetic.
+The generator-walk reference keeps, member by member, each reduced
+basis element that the products of lower members and the elements kept
+before it do not generate.
 """
 
 import itertools
@@ -249,6 +252,24 @@ def reduction_certificate_reference(I, max_subsets=64):
                 )
                 return J, note
     return None
+
+
+def greedy_generator_walk(F, a):
+    """The Rees presentation's generator choice through degree a, as
+    (n, generator) pairs: each member's reduced basis is walked in the
+    ring's ascending order, keeping every element not in the ideal of
+    the lower products and the elements kept so far."""
+    members = {n: F.materialize(n) for n in range(1, a + 1)}
+    kept = []
+    for n in range(1, a + 1):
+        absorbed = []
+        for i in range(1, n // 2 + 1):
+            absorbed.extend(ideal_product(members[i], members[n - i]).gens)
+        for g in members[n].gb.basis:
+            if not Ideal(F.ctx, absorbed).contains(g):
+                kept.append((n, g))
+                absorbed.append(g)
+    return kept
 
 
 def exponent_rank(exponents):

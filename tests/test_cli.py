@@ -97,6 +97,14 @@ def test_session_errors():
         ("ring p=32003 vars=1,y,z", "'1' cannot name a variable"),
         ("ring p=32003 vars=x,y,z2^", "'z2^' cannot name a variable"),
         ("ring p=32003 vars=x,y,t@", "'t@' cannot name a variable"),
+        ("ring p=abc vars=x,y,z", "p= wants an integer, got 'abc'"),
+        ("ring p=32003 vars=x,y,z weights=a,1,1", "weights= wants an integer, got 'a'"),
+        ("ring p=32003 vars=x,y,z weights=", "weights= wants an integer, got ''"),
+        ("ring p=32003 vars=x,x,z", "duplicate variable names"),
+        ("ring p=32001 vars=x,y,z", "characteristic 32001 is not prime"),
+        ("ring p=32003 vars=x,y,z weights=1,2", "weight vector length mismatch"),
+        ("ring p=32003 vars=x,y,z weights=1,0,1", "weights must be strictly positive"),
+        ("ring p=32003 vars=x,y,z order=weighted-grevlex weights=1,-2,1", "weight"),
     ],
 )
 def test_bad_ring_declaration_exit_2(ring_line, message, tmp_path, capsys):

@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
+import spreadlab.filtrations as filtrations
 import spreadlab.ideals as ideals
+from oracles import greedy_generator_walk
 from spreadlab import (
     Filtration,
     HomogeneityError,
@@ -179,6 +181,92 @@ def test_rees_kernel_keeps_elimination_basis(monkeypatch, curve_symbolic):
             pres.rees_kernel.gens, pres.ring_ctx
         ).basis
         assert pres.ring_ctx not in rings
+
+
+CURVES = ((3, 4, 5), (3, 4, 7), (3, 5, 7), (3, 5, 8), (4, 5, 6), (4, 6, 7), (5, 6, 7))
+
+
+def _presentations():
+    """Rees presentations of curve primes, two symbolic truncations, a
+    six-monomial ideal and an inhomogeneous ideal, with their inputs."""
+    ctx = RingContext(32003, ("x", "y", "z"))
+    mono6 = ideal(ctx, *(ctx.monomial(m) for m in (
+        (0, 4, 0), (1, 0, 3), (1, 2, 1), (2, 0, 2), (2, 1, 1), (3, 0, 1))))
+    cases = [(Filtration.adic(_curve_prime(w)), 1) for w in CURVES]
+    cases.append((Filtration.symbolic(_curve_prime((3, 4, 5))), 2))
+    cases.append((Filtration.symbolic(_curve_prime((3, 4, 7))), 2))
+    cases.append((Filtration.adic(mono6), 1))
+    cases.append((Filtration.adic(ideal(ctx, "x^2 + y", "y*z - z^3", "x*z")), 1))
+    return [(F, a, rees_presentation(F, a)) for F, a in cases]
+
+
+def test_fiber_variables_in_degree_order():
+    for F, a, pres in _presentations():
+        ctx = F.ctx
+        seen = [
+            (n, max(sum(e * w for e, w in zip(m, ctx.weights)) for m, _ in g.terms),
+             ctx.key(g.lm()))
+            for _, n, g in pres.generators
+        ]
+        assert seen == sorted(seen) and len(set(seen)) == len(seen)
+        # numbered T{n}_1, T{n}_2, ... within each n
+        count = dict.fromkeys(range(1, a + 1), 0)
+        for name, n, _ in pres.generators:
+            count[n] += 1
+            assert name == f"T{n}_{count[n]}"
+        assert pres.fiber_ctx.variables == pres.tvar_names
+        assert pres.ring_ctx.variables == ctx.variables + pres.tvar_names
+
+
+def test_chosen_generators_are_the_greedy_walk():
+    for F, a, pres in _presentations():
+        walk = greedy_generator_walk(F, a)
+        assert sorted((n, g.terms) for _, n, g in pres.generators) == sorted(
+            (n, g.terms) for n, g in walk
+        )
+    # the walk keeps a generator that the two before it in weighted
+    # degree would produce, so these curves keep three fiber variables
+    for w in ((3, 4, 7), (3, 5, 8), (4, 6, 7)):
+        pres = rees_presentation(Filtration.adic(_curve_prime(w)), 1)
+        assert len(pres.generators) == 3
+
+
+def test_rees_relations_homogeneous_for_elimination_weights(monkeypatch):
+    # T{n}_j weighs wdeg(f) + n in the ring that eliminates t, so the
+    # engine sees homogeneous input and its sugar is the lcm's degree
+    handed = []
+    compute = filtrations.groebner_basis
+
+    def recording(gens, ctx=None):
+        handed.append((list(gens), ctx))
+        return compute(gens, ctx)
+
+    monkeypatch.setattr(filtrations, "groebner_basis", recording)
+    _presentations()
+    assert len(handed) == len(CURVES) + 4
+    *graded, (inhomogeneous, _) = handed
+    for gens, _ in graded:
+        assert all(weighted_degree(g) is not None for g in gens)
+    assert any(weighted_degree(g) is None for g in inhomogeneous)
+
+
+def test_rees_kernel_vanishes_under_substitution():
+    for F, a, pres in _presentations():
+        assert not pres.rees_kernel.is_zero
+        _, images = pres.substitution_images()
+        for g in pres.rees_kernel.gb.basis:
+            assert g.subs(images).is_zero, (F, a, str(g))
+
+
+def test_paper_scale_symbolic_cube_and_truncation():
+    # ell of the third symbolic power of the (3, 4, 5) prime
+    P = _curve_prime((3, 4, 5))
+    report = analytic_spread(symbolic_power(P, 3))
+    assert report.ell == 3 and len(report.presentation.generators) == 6
+    # the (4, 5, 7) symbolic algebra truncated at a = 3
+    report = analytic_spread_truncated(Filtration.symbolic(_curve_prime((4, 5, 7))), 3)
+    assert report.ell == 2 and report.witness_exponent == 3
+    assert len(report.presentation.generators) == 5
 
 
 # --- analytic spread -------------------------------------------------------------

@@ -1,14 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from spreadlab import (
     MonomialOrder,
+    Polynomial,
     RingContext,
     groebner_basis,
     ideal,
     ideal_equal,
     normal_form,
+    weighted_degree,
 )
 from spreadlab.groebner import GroebnerBasis
 from spreadlab.ring import mono_div, mono_lcm
@@ -142,6 +145,102 @@ def test_random_small_ideals_match_oracle():
                     assert tuple(got) == tuple(expected), (label, p, n, gens)
 
 
+def _random_form(rng, ctx, degree, weights, terms):
+    """A sum of up to `terms` monomials of weighted degree `degree`."""
+    n = ctx.nvars
+    monos = [
+        m for m in itertools.product(range(degree + 1), repeat=n)
+        if sum(e * w for e, w in zip(m, weights)) == degree
+    ]
+    f = ctx.zero()
+    for m in rng.sample(monos, min(terms, len(monos))):
+        f = f + ctx.monomial(m, rng.randrange(1, ctx.p))
+    return f
+
+
+def test_sugar_selection_matches_oracle_on_rees_relations():
+    # T_j - f_j t^n with T_j weighing wdeg(f_j) + n: homogeneous input in
+    # a block order that eliminates t, where the sugar is wdeg(lcm)
+    rng = random.Random(61)
+    block = MonomialOrder.block((0,), MonomialOrder.grevlex())
+    for p in (101, 32003):
+        for w in ((1, 1), (1, 2), (2, 3)):
+            base = RingContext(p, ("x", "y"), weights=w)
+            for _ in range(4):
+                n = rng.randrange(1, 3)
+                forms, count = [], rng.randrange(2, 4)
+                while len(forms) < count:
+                    f = _random_form(rng, base, rng.randrange(2, 5), w, 2)
+                    if not f.is_zero:
+                        forms.append(f)
+                tnames = tuple(f"T{j}" for j in range(len(forms)))
+                ctx = RingContext(
+                    p, ("t",) + base.variables + tnames, block,
+                    (1,) + w + tuple(weighted_degree(f) + n for f in forms),
+                )
+                rels = []
+                for j, f in enumerate(forms):
+                    lifted = Polynomial(ctx, tuple(
+                        ((n,) + m + (0,) * len(forms), c) for m, c in f.terms
+                    ))
+                    rels.append(ctx.var(tnames[j]) - lifted)
+                assert all(weighted_degree(r) is not None for r in rels)
+                assert groebner_basis(rels, ctx).basis == naive_buchberger(rels, ctx)
+
+
+def test_sugar_selection_matches_oracle_on_inhomogeneous_input():
+    # mixed degrees: an element's sugar then exceeds the weighted degree
+    # of its leading monomial, and pairs carry that excess
+    rng = random.Random(67)
+    orders = (
+        MonomialOrder.block((0,), MonomialOrder.grevlex()),
+        MonomialOrder.block((0, 1), MonomialOrder.grevlex()),
+        MonomialOrder.lex(),
+    )
+    for p in (101, 32003):
+        for w in ((1, 1, 1), (1, 2, 3), (3, 1, 2)):
+            for order in orders:
+                ctx = RingContext(p, ("x", "y", "z"), order, w)
+                for _ in range(3):
+                    gens = []
+                    for _ in range(rng.randrange(2, 4)):
+                        f = ctx.zero()
+                        for d in rng.sample(range(1, 7), 2):
+                            f = f + _random_form(rng, ctx, d, w, 1)
+                        if not f.is_zero:
+                            gens.append(f)
+                    assert any(weighted_degree(g) is None for g in gens)
+                    assert groebner_basis(gens, ctx).basis == naive_buchberger(gens, ctx)
+
+
+def test_stats_pairs_inherit_the_sugar_excess():
+    # block order on x: x*y leads the first input, whose sugar is 3, the
+    # degree of y^2*z.  An element's sugar can exceed the degree of its
+    # leading monomial, and its pairs carry that excess.  Selecting by
+    # the lcm's key alone reduces 16 S-polynomials here in 73 steps;
+    # dropping the excess, or reading an input's sugar off its leading
+    # term, changes the counts too.
+    ctx = RingContext(
+        32003, ("x", "y", "z"), MonomialOrder.block((0,), MonomialOrder.grevlex())
+    )
+    gens = [
+        ctx.poly("-15017*x*y + 1013*y^2*z + 1158"),
+        ctx.poly("-1207*x*y*z^2 - 14399*x*z^2 + 7573*y^2"),
+        ctx.poly("-15629*x*y^2*z^2 + 3403"),
+    ]
+    G = groebner_basis(gens)
+    assert G.basis == naive_buchberger(gens, ctx)
+    assert dict(G.stats) == {
+        "pairs_created": 45,
+        "pruned_m": 17,
+        "pruned_f": 14,
+        "pruned_b": 2,
+        "spolys_reduced": 12,
+        "zero_reductions": 5,
+        "reduction_steps": 27,
+    }
+
+
 def test_wide_exponents_match_oracle():
     # key components of 2^24 and more: a packed key whose fields are
     # narrower than the order's range wraps and misorders the basis
@@ -173,20 +272,22 @@ def test_exponent_beyond_guard_is_refused():
 
 
 def test_stats_count_one_curve_prime():
-    # the prime of the (t^3, t^4, t^5) curve, by eliminating t
+    # the prime of the (t^3, t^4, t^5) curve, by eliminating t; the
+    # relations are homogeneous for the weights, so sugar selection goes
+    # degree by degree through the block order
     ctx = RingContext(
         32003, ("t", "x", "y", "z"),
         MonomialOrder.block((0,), MonomialOrder.grevlex()), (1, 3, 4, 5),
     )
     G = groebner_basis([ctx.poly(f"{v} - t^{e}") for v, e in zip("xyz", (3, 4, 5))])
     assert dict(G.stats) == {
-        "pairs_created": 66,
-        "pruned_m": 36,
-        "pruned_f": 3,
-        "pruned_b": 1,
-        "spolys_reduced": 26,
-        "zero_reductions": 17,
-        "reduction_steps": 24,
+        "pairs_created": 21,
+        "pruned_m": 8,
+        "pruned_f": 2,
+        "pruned_b": 0,
+        "spolys_reduced": 11,
+        "zero_reductions": 7,
+        "reduction_steps": 16,
     }
     s = G.stats
     assert s["pairs_created"] == (

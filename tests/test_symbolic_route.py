@@ -100,6 +100,21 @@ def test_random_homogeneous_ideals_match_oracles(order, p):
     assert checked >= 10
 
 
+def test_lex_instance_of_weighted_degree_five_matches_oracles():
+    # the iterated colon took seconds here while pairs were selected by
+    # lcm in lex order alone
+    ctx = RingContext(101, ("x", "y", "z"), MonomialOrder.lex(), (1, 2, 3))
+    I = ideal(
+        ctx,
+        "-38*x^3*y + 38*x^2*z - 48*y*z",
+        "-42*x^3 - 28*z",
+        "14*x^4 - 23*x^2*y + 46*y^2",
+    )
+    # I holds x^3 - 33z, y^3 - 8z^2 and z^3, so it is m-primary and the
+    # saturation of its square is the unit ideal
+    assert assert_matches_oracles(I, 2).is_unit
+
+
 def _count_intersections(monkeypatch):
     calls = []
     real = filtrations.intersect
