@@ -160,14 +160,6 @@ class FatPointScheme:
         return FatPointScheme(self.p, self.points, mults, self.cubic, self.seed)
 
 
-def _evaluate_form(vec, d: int, pt, p: int) -> int:
-    total = 0
-    for c, m in zip(vec, monomial_basis(d)):
-        if c:
-            total += c * pow(pt[0], m[0], p) * pow(pt[1], m[1], p) * pow(pt[2], m[2], p)
-    return total % p
-
-
 def _cubic_is_smooth(coeffs, p: int) -> bool:
     """No common projective zero of the cubic and its partials.
 

@@ -33,11 +33,9 @@ from .ideals import (
     ideal_power,
     ideal_product,
     height,
-    intersect,
     krull_dim,
     maximal_ideal,
     saturate,
-    saturate_variable,
     unit_ideal,
 )
 from .ring import (
@@ -51,15 +49,11 @@ from .ring import (
 
 
 def symbolic_power(I: Ideal, n: int, J: Optional[Ideal] = None) -> Ideal:
-    """n-th symbolic power as the saturation of I^n by J.
+    """n-th symbolic power as the saturation I^n : J^infinity.
 
     J defaults to the ideal of all variables; arbitrary proper nonzero
-    J are accepted for the general colon-algebra setting.  When J is the
-    ideal of all variables and I is weighted-homogeneous, I^n : J^infinity
-    is the intersection over the variables x_i of I^n : x_i^infinity, each
-    read off one Groebner basis (``ideals.saturate_variable``); every other
-    input goes through the iterated colon of ``ideals.saturate``.  Both
-    routes give the same ideal, hence the same reduced basis.
+    J are accepted for the general colon-algebra setting.  ``saturate``
+    chooses the algorithm from I^n and J.
     """
     if n < 1:
         raise ValueError("symbolic power wants n >= 1")
@@ -67,30 +61,7 @@ def symbolic_power(I: Ideal, n: int, J: Optional[Ideal] = None) -> Ideal:
         raise ValueError("symbolic power of the unit ideal")
     if J is not None and (J.is_zero or not J.is_proper):
         raise ValueError("saturating ideal must be proper and nonzero")
-    power = ideal_power(I, n)
-    m_ideal = maximal_ideal(I.ctx)
-    if (J is None or J == m_ideal) and I.is_homogeneous():
-        return _saturate_by_variables(power)
-    return saturate(power, m_ideal if J is None else J)[0]
-
-
-def _saturate_by_variables(P: Ideal) -> Ideal:
-    """P : m^infinity as the intersection of the P : x_i^infinity.
-
-    A piece containing another piece does not change the intersection,
-    so only the minimal pieces under containment are intersected; for a
-    prime P^n all pieces coincide and no intersection runs.
-    """
-    minimal: List[Ideal] = []
-    for i in range(P.ctx.nvars):
-        piece = saturate_variable(P, i)
-        if any(piece.contains_ideal(q) for q in minimal):
-            continue
-        minimal = [q for q in minimal if not q.contains_ideal(piece)] + [piece]
-    result = minimal[0]
-    for piece in minimal[1:]:
-        result = intersect(result, piece)
-    return result
+    return saturate(ideal_power(I, n), maximal_ideal(I.ctx) if J is None else J)[0]
 
 
 def _partitions(n: int, max_part: int):

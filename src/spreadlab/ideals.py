@@ -5,12 +5,10 @@ monomial ideals.
 Ideals cache their canonical reduced Groebner basis; equality and
 membership go through that basis.  Intersections use an auxiliary
 variable and a block elimination order; colon ideals come from
-intersections with principal ideals; saturation iterates the colon
-until it stabilizes and reports how many steps that took.  For a
-weighted-homogeneous ideal, the saturation by a single variable x_i is
-one Groebner basis in the ``saturation`` order for x_i, with each basis
-element divided by its largest x_i-power (Bayer-Stillman);
-``filtrations.symbolic_power`` builds I^n : m^infinity from these.
+intersections with principal ideals.  ``saturate`` alone chooses how
+to compute A : B^infinity: by variable saturations (Bayer-Stillman) for
+weighted-homogeneous A and B the ideal of all variables, by iterated
+colon otherwise.  ``saturate_by_elimination`` is the independent check.
 """
 
 from __future__ import annotations
@@ -203,11 +201,18 @@ def _project(f: Polynomial, small: RingContext, offset: int) -> Polynomial:
     return Polynomial(small, tuple(terms))
 
 
+def _aux_free_part(gb: GroebnerBasis, small: RingContext) -> Ideal:
+    """The ideal of the elements of gb free of the auxiliary variable."""
+    kept = [g for g in gb if all(m[0] == 0 for m, _ in g.terms)]
+    return Ideal(small, [_project(g, small, 1) for g in kept])
+
+
 def eliminate(A: Ideal, names: Sequence[str]) -> Ideal:
     """A intersected with the subring in the remaining variables.
 
     The result lives in a context on the remaining variables with the
-    same order kind and the restricted weights.
+    restricted weights.  Its order is the ring's order when that is
+    grevlex or lex, and grevlex for every other kind.
     """
     names = list(names)
     if not names:
@@ -257,20 +262,14 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
     """A cap B via t*A + (1-t)*B in an extended ring, then eliminating t."""
     A._same_ring(B)
     ctx = A.ctx
-    if A.is_zero or B.is_zero:
+    if not A.gens or not B.gens:
         return Ideal(ctx, ())
     big = _extended_context(ctx, (_AUX,))
     t = big.var(_AUX)
     one = big.one()
     gens = [t * _lift(g, big, 1) for g in A.gens]
     gens += [(one - t) * _lift(g, big, 1) for g in B.gens]
-    gb = groebner_basis(gens, big)
-    kept = [
-        _project(g, ctx, 1)
-        for g in gb.basis
-        if all(m[0] == 0 for m, _ in g.terms)
-    ]
-    return Ideal(ctx, kept)
+    return _aux_free_part(groebner_basis(gens, big), ctx)
 
 
 def _divide_exact(f: Polynomial, b: Polynomial) -> Polynomial:
@@ -307,14 +306,19 @@ def quotient(A: Ideal, B: Ideal) -> Ideal:
 
 
 def saturate(A: Ideal, B: Ideal) -> Tuple[Ideal, int]:
-    """A : B^infinity by iterated colon, plus the saturation index.
+    """A : B^infinity, plus the saturation index.
 
-    The index is the least k with A : B^k = A : B^(k+1); it is 0 when A
-    is already saturated with respect to B.
+    The index is the least k with A : B^k = A : B^(k+1), that is with
+    (A : B^infinity) * B^k inside A.  Weighted-homogeneous A and B equal
+    to the ideal of all variables go by ``_saturate_by_variables``; every
+    other input iterates the colon until it stabilizes.
     """
     A._same_ring(B)
     if B.is_zero:
         raise ValueError("saturation by the zero ideal")
+    # B is the ideal of all variables exactly when its reduced basis is
+    if A.is_homogeneous() and set(B.gb.basis) == set(A.ctx.gens()):
+        return _saturate_by_variables(A)
     current = A
     index = 0
     while True:
@@ -325,28 +329,66 @@ def saturate(A: Ideal, B: Ideal) -> Tuple[Ideal, int]:
         index += 1
 
 
-def saturate_variable(A: Ideal, i: int) -> Ideal:
-    """A : x_i^infinity for a weighted-homogeneous A, from one Groebner basis.
+def _saturate_variable(A: Ideal, i: int) -> Tuple[GroebnerBasis, GroebnerBasis]:
+    """Bases of A and of A : x_i^infinity in the ``saturation`` order for x_i.
 
-    In the ``saturation`` order for x_i (weighted degree, then x_i-degree
-    ascending) x_i divides a homogeneous polynomial as often as it divides
-    the leading monomial, so dividing every element of the reduced basis
-    by its largest x_i-power gives a basis of A : x_i^infinity (Bayer and
-    Stillman, Invent. Math. 87, 1987).  The quotients are returned as
-    generators in A's ring; their basis for the ring's order is computed
-    when first needed.
+    In that order x_i divides a weighted-homogeneous polynomial as often
+    as it divides the leading monomial, so dividing every element of A's
+    basis by its largest x_i-power gives a Groebner basis of
+    A : x_i^infinity (Bayer and Stillman, Invent. Math. 87, 1987).  It
+    need not be reduced, so it serves normal forms only and never becomes
+    an ``Ideal``'s cached basis, on which equality relies.
     """
     ctx = A.ctx
     if not A.is_homogeneous():
         raise HomogeneityError("variable saturation needs weighted-homogeneous generators")
     sat = RingContext(ctx.p, ctx.variables, MonomialOrder.saturation(ctx.weights, i), ctx.weights)
-    gens = []
-    for g in groebner_basis([_reorder(f, sat) for f in A.gens], sat):
+    G = groebner_basis([_reorder(f, sat) for f in A.gens], sat)
+    quotients = []
+    for g in G:
         k = g.lm()[i]
         terms = [(m[:i] + (m[i] - k,) + m[i + 1 :], c) for m, c in g.terms]
-        terms.sort(key=lambda t: ctx.key(t[0]), reverse=True)
-        gens.append(Polynomial(ctx, terms))
-    return Ideal(ctx, gens)
+        quotients.append(Polynomial(sat, terms))
+    return G, GroebnerBasis(sat, quotients)
+
+
+def _basis_contains(G: GroebnerBasis, H: GroebnerBasis) -> bool:
+    """Whether the ideal of G contains every element of H."""
+    return all(G.contains(_reorder(f, G.ctx)) for f in H)
+
+
+def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, int]:
+    """A : m^infinity, the intersection of the A : x_i^infinity, and its index.
+
+    A piece containing another does not change the intersection, so only
+    minimal pieces are intersected (none for a prime).  Containment and
+    the index use saturation-order bases only, never the ring's order.
+    The index is the first k with S_k empty, where S_0 holds the nonzero
+    normal forms modulo A of sat's generators g and S_(k+1) those of the
+    x_j * r for r in S_k.  Each r is some u * g modulo A, so S_k is empty
+    exactly when every u * g with deg u = k lies in A, i.e. sat * m^k does.
+    """
+    ctx = A.ctx
+    pieces = [_saturate_variable(A, i) for i in range(ctx.nvars)]
+    minimal: List[GroebnerBasis] = []
+    for _, piece in pieces:
+        if any(_basis_contains(piece, q) for q in minimal):
+            continue
+        minimal = [q for q in minimal if not _basis_contains(q, piece)] + [piece]
+    result = None
+    for q in minimal:
+        piece = Ideal(ctx, [_reorder(f, ctx) for f in q])
+        result = piece if result is None else intersect(result, piece)
+    A_basis = pieces[0][0]
+    level = [_reorder(g, A_basis.ctx) for g in result.gens]
+    index = 0
+    while True:
+        # monic remainders, so that scalar multiples count once
+        level = {r.terms: r for r in (A_basis.normal_form(f).monic() for f in level) if r.terms}
+        if not level:
+            return result, index
+        level = [x * r for r in level.values() for x in A_basis.ctx.gens()]
+        index += 1
 
 
 def saturate_by_elimination(A: Ideal, B: Ideal) -> Ideal:
@@ -369,13 +411,7 @@ def saturate_by_elimination(A: Ideal, B: Ideal) -> Ideal:
             yvar = big.var(_AUX)
             gens = [_lift(g, big, 1) for g in A.gens]
             gens.append(yvar * _lift(b, big, 1) - big.one())
-            gb = groebner_basis(gens, big)
-            kept = [
-                _project(g, ctx, 1)
-                for g in gb.basis
-                if all(m[0] == 0 for m, _ in g.terms)
-            ]
-            piece = Ideal(ctx, kept)
+            piece = _aux_free_part(groebner_basis(gens, big), ctx)
         result = piece if result is None else intersect(result, piece)
     return result
 

@@ -136,8 +136,8 @@ class MonomialOrder:
       variable x_i ascending, grevlex tiebreak.  In a weighted-homogeneous
       polynomial the leading monomial has the least x_i-degree, so x_i
       divides the polynomial whenever it divides its leading monomial
-      (the revlex property of Bayer-Stillman); ``ideals.saturate_variable``
-      reads I : x_i^infinity off one Groebner basis in this order.
+      (the revlex property of Bayer-Stillman); ``ideals.saturate`` reads
+      I : x_i^infinity off one Groebner basis in this order.
     """
 
     kind: str = "grevlex"

@@ -15,7 +15,9 @@ equigenerated monomial ideal.  The text-syntax oracle builds every
 factor, product and sum of a polynomial through Polynomial arithmetic.
 The generator-walk reference keeps, member by member, each reduced
 basis element that the products of lower members and the elements kept
-before it do not generate.
+before it do not generate.  The saturation-index reference is the
+definition of the index: it counts colon steps A : B, (A : B) : B, ...
+until the result repeats.
 """
 
 import itertools
@@ -30,6 +32,7 @@ from spreadlab import (
     ideal_product,
     ideal_sum,
     maximal_ideal,
+    quotient,
     saturate,
 )
 from spreadlab.ring import _tokenize, mono_div, mono_divides, mono_lcm
@@ -219,6 +222,16 @@ def cubic_is_smooth_by_saturation(coeffs, p):
         return False
     J = Ideal(ctx, [g, g.deriv("x1"), g.deriv("x2"), g.deriv("x3")])
     return saturate(J, maximal_ideal(ctx))[0].is_unit
+
+
+def saturation_index_by_colon(A, B):
+    """Least k with A : B^k = A : B^(k+1), by taking colons until one repeats."""
+    current, index = A, 0
+    while True:
+        nxt = quotient(current, B)
+        if nxt == current:
+            return index
+        current, index = nxt, index + 1
 
 
 def reduction_certificate_reference(I, max_subsets=64):

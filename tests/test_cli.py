@@ -174,6 +174,29 @@ def test_saturate_reports_index(curve_file, capsys):
     assert code == 0 and out["saturation_index"] == 0
 
 
+# s = quadric * (x, y, z) and c are homogeneous, so saturating them by m
+# takes the variable route; stdout recorded with the iterated colon
+SATURATION_SESSION = """\
+ring p=32003 vars=x,y,z order=grevlex
+ideal s = x^3 + 3*x*y*z - 2*x*z^2, x^2*y + 3*y^2*z - 2*y*z^2, x^2*z + 3*y*z^2 - 2*z^3
+ideal c = x^3, y^2, z^4
+ideal m = x, y, z
+"""
+
+
+@pytest.mark.parametrize("name, stdout", [
+    ("s", '{"digest":"4e931e592710","gens":["x^2 + 3*y*z - 2*z^2"],"op":"saturate",'
+          '"saturation_index":1,"schema":"1"}\n'),
+    ("c", '{"digest":"2d9e816ee3c8","gens":["1"],"op":"saturate",'
+          '"saturation_index":7,"schema":"1"}\n'),
+])
+def test_saturate_index_pinned(name, stdout, tmp_path, capsys):
+    f = tmp_path / "saturation.ring"
+    f.write_text(SATURATION_SESSION)
+    assert main(["saturate", "-f", str(f), "-i", name, "-j", "m"]) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_symbolic_command(curve_file, capsys):
     code, out = run_cli(["symbolic", "-f", curve_file, "-i", "p", "-n", "2"], capsys)
     assert code == 0 and out["n"] == 2 and len(out["gens"]) >= 4

@@ -1,11 +1,13 @@
-"""Symbolic powers by variable saturation against the independent routes.
+"""Saturation by the ideal of all variables through the variable route.
 
-For weighted-homogeneous I and the ideal of all variables,
-``symbolic_power`` intersects the saturations I^n : x_i^infinity, each
-read off one Groebner basis in the ``saturation`` order.  Every answer
-here is compared with the extra-variable oracle and with the iterated
-colon of ``saturate``; reduced bases are canonical, so equal ideals have
-equal bases.
+For weighted-homogeneous A, ``saturate(A, m)`` intersects the minimal
+saturations A : x_i^infinity, each read off one Groebner basis in the
+``saturation`` order, and finds the index by normal forms; every other
+input keeps the iterated colon.  ``symbolic_power`` is a call to
+``saturate``.  Every answer here is compared with the extra-variable
+oracle, and every index with the colon-step count of
+``oracles.saturation_index_by_colon``; reduced bases are canonical, so
+equal ideals have equal bases.
 """
 
 import itertools
@@ -13,16 +15,19 @@ import random
 
 import pytest
 
-import spreadlab.filtrations as filtrations
+import spreadlab.ideals as ideals
+from oracles import saturation_index_by_colon
 from spreadlab import MonomialOrder, RingContext, ideal
 from spreadlab.filtrations import symbolic_power
 from spreadlab.ideals import (
+    _reorder,
+    _saturate_variable,
     eliminate,
     ideal_power,
+    ideal_product,
     maximal_ideal,
     saturate,
     saturate_by_elimination,
-    saturate_variable,
 )
 from spreadlab.ring import HomogeneityError
 
@@ -37,12 +42,18 @@ def curve_prime(weights, p=32003):
     return eliminate(ideal(ctx, *param), ["t"])
 
 
+def assert_saturation_matches_oracles(A):
+    """saturate(A, m) against the extra-variable oracle and the colon steps."""
+    m = maximal_ideal(A.ctx)
+    sat, index = saturate(A, m)
+    assert sat.gb.basis == saturate_by_elimination(A, m).gb.basis
+    assert index == saturation_index_by_colon(A, m)
+    return sat, index
+
+
 def assert_matches_oracles(I, n):
-    power = ideal_power(I, n)
-    m = maximal_ideal(I.ctx)
     got = symbolic_power(I, n)
-    assert got.gb.basis == saturate_by_elimination(power, m).gb.basis
-    assert got.gb.basis == saturate(power, m)[0].gb.basis
+    assert got.gb.basis == assert_saturation_matches_oracles(ideal_power(I, n))[0].gb.basis
     return got
 
 
@@ -100,37 +111,91 @@ def test_random_homogeneous_ideals_match_oracles(order, p):
     assert checked >= 10
 
 
-def test_lex_instance_of_weighted_degree_five_matches_oracles():
-    # the iterated colon took seconds here while pairs were selected by
-    # lcm in lex order alone
-    ctx = RingContext(101, ("x", "y", "z"), MonomialOrder.lex(), (1, 2, 3))
-    I = ideal(
+def _lex_instance(ctx):
+    return ideal(
         ctx,
         "-38*x^3*y + 38*x^2*z - 48*y*z",
         "-42*x^3 - 28*z",
         "14*x^4 - 23*x^2*y + 46*y^2",
     )
+
+
+def test_lex_instance_of_weighted_degree_five_matches_oracles():
+    # the iterated colon took seconds here while pairs were selected by
+    # lcm in lex order alone
+    ctx = RingContext(101, ("x", "y", "z"), MonomialOrder.lex(), (1, 2, 3))
     # I holds x^3 - 33z, y^3 - 8z^2 and z^3, so it is m-primary and the
     # saturation of its square is the unit ideal
-    assert assert_matches_oracles(I, 2).is_unit
+    assert assert_matches_oracles(_lex_instance(ctx), 2).is_unit
+
+
+def _random_recipe_ideal(rng, ctx):
+    """Two to nvars + 1 sparse forms of weighted degree 2 to 4."""
+    gens = []
+    for _ in range(rng.randrange(2, ctx.nvars + 2)):
+        while True:
+            monos = _weighted_monomials(rng.randrange(2, 5), ctx.weights)
+            if monos:
+                break
+        f = ctx.zero()
+        for m in rng.sample(monos, min(len(monos), rng.randrange(1, 4))):
+            f = f + ctx.monomial(m, rng.randrange(1, ctx.p))
+        gens.append(f)
+    return ideal(ctx, gens)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("p", (32003, 101))
+def test_seeded_saturations_and_indices_match_oracles(order, p):
+    # 2 to 4 variables of weight 1, 2 or 3, first and second powers; the
+    # m-primary draws give saturation indices well above 1
+    rng = random.Random(f"saturation-index/{order}/{p}")
+    indices = []
+    for _ in range(8):
+        n = rng.randrange(2, 5)
+        weights = tuple(rng.choice((1, 2, 3)) for _ in range(n))
+        ctx = RingContext(p, ("x", "y", "z", "w")[:n], ORDERS[order](weights), weights)
+        A = ideal_power(_random_recipe_ideal(rng, ctx), rng.choice((1, 2)))
+        indices.append(assert_saturation_matches_oracles(A)[1])
+    if (order, p) == ("lex", 101):
+        ctx = RingContext(101, ("x", "y", "z"), MonomialOrder.lex(), (1, 2, 3))
+        for k in (1, 2):
+            indices.append(assert_saturation_matches_oracles(ideal_power(_lex_instance(ctx), k))[1])
+    assert max(indices) >= 3 and min(indices) == 0
 
 
 def _count_intersections(monkeypatch):
     calls = []
-    real = filtrations.intersect
+    real = ideals.intersect
 
     def counting(A, B):
         calls.append((A, B))
         return real(A, B)
 
-    monkeypatch.setattr(filtrations, "intersect", counting)
+    monkeypatch.setattr(ideals, "intersect", counting)
     return calls
 
 
+def _refuse(monkeypatch, name, why):
+    def refuse(*args):
+        raise AssertionError(why)
+
+    monkeypatch.setattr(ideals, name, refuse)
+
+
 def test_prime_needs_no_intersection(monkeypatch, curve_prime):
+    power = ideal_power(curve_prime, 2)
     calls = _count_intersections(monkeypatch)
-    assert_matches_oracles(curve_prime, 2)
+    got = saturate(power, maximal_ideal(curve_prime.ctx))[0]
     assert calls == []
+    assert symbolic_power(curve_prime, 2) == got
+    assert calls == []
+    monkeypatch.undo()
+    assert_saturation_matches_oracles(power)
+
+
+def _piece(A, i):
+    return ideal(A.ctx, [_reorder(f, A.ctx) for f in _saturate_variable(A, i)[1]])
 
 
 def test_only_minimal_pieces_are_intersected(monkeypatch):
@@ -138,57 +203,89 @@ def test_only_minimal_pieces_are_intersected(monkeypatch):
     ctx = RingContext(32003, ("x", "y", "z"), weights=(1, 2, 3))
     I = ideal(ctx, "x^6 + 3*x^3*z", "x^4*y + 5*x^2*y^2 - 7*x*y*z")
     power = ideal_power(I, 2)
-    pieces = [saturate_variable(power, i) for i in range(3)]
+    pieces = [_piece(power, i) for i in range(3)]
     assert pieces[0].contains_ideal(pieces[2]) and not pieces[2].contains_ideal(pieces[0])
     calls = _count_intersections(monkeypatch)
-    assert_matches_oracles(I, 2)
+    got = saturate(power, maximal_ideal(ctx))[0]
     assert len(calls) == 1
+    del calls[:]
+    assert symbolic_power(I, 2) == got
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert_saturation_matches_oracles(power)
 
 
 def test_inhomogeneous_input_keeps_iterated_colon(monkeypatch, ctx3):
     I = ideal(ctx3, "x^2 + y", "x*z^2")
-    expected = saturate(ideal_power(I, 2), maximal_ideal(ctx3))[0]
-
-    def refuse(*args):
-        raise AssertionError("variable saturation used on an inhomogeneous ideal")
-
-    monkeypatch.setattr(filtrations, "saturate_variable", refuse)
-    got = symbolic_power(I, 2)
-    assert got == expected
-    assert got == saturate_by_elimination(ideal_power(I, 2), maximal_ideal(ctx3))
+    power, m = ideal_power(I, 2), maximal_ideal(ctx3)
+    _refuse(monkeypatch, "_saturate_variable", "variable route taken for an inhomogeneous ideal")
+    got, index = saturate(power, m)
+    assert symbolic_power(I, 2) == got
+    assert got == saturate_by_elimination(power, m)
+    assert index == saturation_index_by_colon(power, m)
 
 
 def test_other_saturating_ideal_keeps_iterated_colon(monkeypatch, ctx3):
     I = ideal(ctx3, "x*y", "x*z")
     J = ideal(ctx3, "y", "z")
-    expected = saturate(ideal_power(I, 2), J)[0]
-
-    def refuse(*args):
-        raise AssertionError("variable saturation used for a non-maximal J")
-
-    monkeypatch.setattr(filtrations, "saturate_variable", refuse)
-    got = symbolic_power(I, 2, J)
-    assert got == expected == ideal(ctx3, "x^2")
-    assert got == saturate_by_elimination(ideal_power(I, 2), J)
+    power = ideal_power(I, 2)
+    _refuse(monkeypatch, "_saturate_variable", "variable route taken for a non-maximal J")
+    got, index = saturate(power, J)
+    assert symbolic_power(I, 2, J) == got == ideal(ctx3, "x^2")
+    assert got == saturate_by_elimination(power, J)
+    assert index == saturation_index_by_colon(power, J)
 
 
-def test_explicit_maximal_ideal_takes_variable_route(curve_ctx, curve_prime):
+def test_explicit_maximal_ideal_takes_variable_route(monkeypatch, curve_ctx, curve_prime):
     J = ideal(curve_ctx, "z", "y", "x", "x + y")
-    assert symbolic_power(curve_prime, 2, J) == symbolic_power(curve_prime, 2)
+    expected = symbolic_power(curve_prime, 2)
+    _refuse(monkeypatch, "quotient", "iterated colon used for the maximal ideal")
+    assert saturate(ideal_power(curve_prime, 2), J)[0] == expected
+    assert symbolic_power(curve_prime, 2, J) == expected
+
+
+def test_variable_route_needs_no_colon_and_no_ring_order_basis(monkeypatch):
+    # m * I^2 has index 1 and two minimal pieces: the route intersects
+    # them and finds the index without a colon or a basis of A in the
+    # ring's order
+    ctx = RingContext(32003, ("x", "y", "z"), weights=(1, 2, 3))
+    I = ideal(ctx, "x^6 + 3*x^3*z", "x^4*y + 5*x^2*y^2 - 7*x*y*z")
+    m = maximal_ideal(ctx)
+    A = ideal_product(ideal_power(I, 2), m)
+    _refuse(monkeypatch, "quotient", "colon used on the variable route")
+    ring_order_inputs = []
+    real = ideals.groebner_basis
+
+    def recording(gens, c=None):
+        gens = list(gens)
+        if c == ctx:
+            ring_order_inputs.append(gens)
+        return real(gens, c)
+
+    monkeypatch.setattr(ideals, "groebner_basis", recording)
+    sat, index = saturate(A, m)
+    assert A._gb is None
+    # the only ring-order basis is B's, read to recognise the ideal of all variables
+    assert ring_order_inputs and all(
+        sum(e) <= 1 for gens in ring_order_inputs for f in gens for e, _ in f.terms
+    )
+    monkeypatch.undo()
+    assert (sat, index) == assert_saturation_matches_oracles(A)
+    assert index == 1
 
 
 def test_saturate_variable_matches_elimination(ctx3):
+    # the private piece step: A : x_i^infinity against the oracle
     A = ideal(ctx3, "x^2*y", "x*y*z", "y^3")
     for i, name in enumerate(ctx3.variables):
-        got = saturate_variable(A, i)
-        assert got == saturate_by_elimination(A, ideal(ctx3, name))
+        assert _piece(A, i) == saturate_by_elimination(A, ideal(ctx3, name))
 
 
 def test_saturate_variable_rejects_inhomogeneous(ctx3):
     with pytest.raises(HomogeneityError):
-        saturate_variable(ideal(ctx3, "x^2 + y"), 0)
+        _saturate_variable(ideal(ctx3, "x^2 + y"), 0)
     with pytest.raises(ValueError):
-        saturate_variable(ideal(ctx3, "x"), 3)
+        _saturate_variable(ideal(ctx3, "x"), 3)
 
 
 def test_saturation_order_key_is_additive_and_ranks_low_degree_first():
