@@ -384,10 +384,10 @@ def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, int]:
     index = 0
     while True:
         # monic remainders, so that scalar multiples count once
-        level = {r.terms: r for r in (A_basis.normal_form(f).monic() for f in level) if r.terms}
-        if not level:
+        rems = {r.terms: r for r in (A_basis.normal_form(f).monic() for f in level) if r.terms}
+        if not rems:
             return result, index
-        level = [x * r for r in level.values() for x in A_basis.ctx.gens()]
+        level = [x * r for r in rems.values() for x in A_basis.ctx.gens()]
         index += 1
 
 
