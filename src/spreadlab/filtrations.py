@@ -27,9 +27,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .groebner import GroebnerBasis, groebner_basis
 from .ideals import (
     Ideal,
+    _eliminate,
     ideal_power,
     ideal_product,
     height,
@@ -208,16 +208,18 @@ class ReesPresentation:
     def substitution_images(self):
         """Map of presentation variables to their images f * t^n.
 
-        The images live in the base ring extended by a single variable t;
-        substituting them into any element of the Rees kernel must give 0.
+        The images live in the base ring extended by a single variable
+        named ``t@``, as in the ring that eliminates t, so a base variable
+        named t does not clash; substituting them into any element of the
+        Rees kernel must give 0.
         """
         ext = RingContext(
             self.base_ctx.p,
-            self.base_ctx.variables + ("t",),
+            self.base_ctx.variables + (_T_AUX,),
             MonomialOrder.grevlex(),
             self.base_ctx.weights + (1,),
         )
-        tvar = ext.var("t")
+        tvar = ext.var(_T_AUX)
         images = {}
         for name, degree, gen in self.generators:
             lifted = Polynomial(
@@ -309,41 +311,25 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
 
     tweights = tuple(twent(g) for _, _, g in chosen)
 
-    # elimination ring: t@ ranked above base and fiber variables, graded
-    # so that T{n}_j - f t^n is homogeneous
-    elim_ctx = RingContext(
+    # t@ before the base and fiber variables, graded so that
+    # T{n}_j - f t^n is homogeneous; ``_eliminate`` ranks t@ above the rest
+    ring = RingContext(
         ctx.p,
         (_T_AUX,) + ctx.variables + tnames,
-        MonomialOrder.block((0,), MonomialOrder.grevlex()),
-        (1,) + ctx.weights + tuple(wdeg(g) + n for _, n, g in chosen),
+        weights=(1,) + ctx.weights + tuple(wdeg(g) + n for _, n, g in chosen),
     )
-    tvar = elim_ctx.var(_T_AUX)
+    tvar = ring.var(_T_AUX)
     relations = []
     for name, degree, gen in chosen:
         lifted = Polynomial(
-            elim_ctx,
+            ring,
             tuple(((0,) + m + (0,) * len(tnames), c) for m, c in gen.terms),
         )
-        relations.append(elim_ctx.var(name) - lifted * tvar ** degree)
-
-    gb = groebner_basis(relations, elim_ctx)
-
+        relations.append(ring.var(name) - lifted * tvar ** degree)
     combined = RingContext(
         ctx.p, ctx.variables + tnames, MonomialOrder.grevlex(), ctx.weights + tweights
     )
-    # The t-free elements of a reduced basis in an order that eliminates t
-    # are the reduced basis of the kernel for the block's inner order,
-    # which is the grevlex order of `combined`.
-    kernel_gens = []
-    for g in gb.basis:
-        if all(m[0] == 0 for m, _ in g.terms):
-            terms = sorted(
-                ((m[1:], c) for m, c in g.terms),
-                key=lambda t: combined.key(t[0]),
-                reverse=True,
-            )
-            kernel_gens.append(Polynomial(combined, tuple(terms)))
-    rees_kernel = Ideal.from_groebner(GroebnerBasis(combined, kernel_gens))
+    rees_kernel = _eliminate(combined, (_T_AUX,), ring, relations)
 
     fiber_ctx = RingContext(
         ctx.p, tnames, MonomialOrder.grevlex(), tuple(deg for _, deg, _ in chosen)

@@ -3,9 +3,13 @@ saturation, elimination, dimension/height, and integral closure of
 monomial ideals.
 
 Ideals cache their canonical reduced Groebner basis; equality and
-membership go through that basis.  Intersections use an auxiliary
-variable and a block elimination order; colon ideals come from
-intersections with principal ideals.  ``saturate`` alone chooses how
+membership go through that basis.  ``_eliminate`` is the one block-order
+elimination: ``eliminate``, ``intersect`` (through an auxiliary
+variable) and ``saturate_by_elimination`` call it, and so does the Rees
+presentation.  Its block order has the result ring's order inside (a lex
+ring eliminates in block(idx, lex)), so every result carries its reduced
+basis.  The ideal of all variables carries its own.  Colon ideals come
+from intersections with principal ideals.  ``saturate`` alone chooses how
 to compute A : B^infinity: by variable saturations (Bayer-Stillman) for
 weighted-homogeneous A and B the ideal of all variables, by iterated
 colon otherwise.  ``saturate_by_elimination`` is the independent check.
@@ -119,8 +123,10 @@ def ideal(ctx: RingContext, *gens) -> Ideal:
 
 
 def maximal_ideal(ctx: RingContext) -> Ideal:
-    """The ideal generated by all variables."""
-    return Ideal(ctx, ctx.gens())
+    """The ideal generated by all variables, which are its reduced basis."""
+    m = Ideal(ctx, ctx.gens())
+    m._gb = GroebnerBasis(ctx, sorted(m.gens, key=lambda g: ctx.key(g.lm())))
+    return m
 
 
 def unit_ideal(ctx: RingContext) -> Ideal:
@@ -177,34 +183,38 @@ def ideal_combine(A: Ideal, B: Ideal = None, op: str = "sum", k: int = None) -> 
 _AUX = "t@"
 
 
-def _extended_context(ctx: RingContext, extra_names: Sequence[str]) -> RingContext:
-    """Extend ctx by auxiliary variables ranked above everything else."""
-    names = tuple(extra_names) + ctx.variables
-    elim = tuple(range(len(extra_names)))
-    order = MonomialOrder.block(elim, ctx.order)
-    weights = (1,) * len(extra_names) + ctx.weights
-    return RingContext(ctx.p, names, order, weights)
+def _aux_ring(ctx: RingContext) -> RingContext:
+    """ctx's variables after one auxiliary variable of weight 1."""
+    return RingContext(ctx.p, (_AUX,) + ctx.variables, weights=(1,) + ctx.weights)
 
 
-def _lift(f: Polynomial, big: RingContext, offset: int) -> Polynomial:
-    pad = (0,) * offset
-    return Polynomial(big, tuple((pad + m, c) for m, c in f.terms))
+def _lift(f: Polynomial, ring: RingContext) -> Polynomial:
+    """f in ``_aux_ring(f.ctx)``."""
+    return Polynomial._from_dict(ring, {(0,) + m: c for m, c in f.terms})
 
 
-def _project(f: Polynomial, small: RingContext, offset: int) -> Polynomial:
-    terms = []
-    for m, c in f.terms:
-        if any(e for e in m[:offset]):
-            raise ValueError("term still involves an eliminated variable")
-        terms.append((m[offset:], c))
-    terms.sort(key=lambda t: small.key(t[0]), reverse=True)
-    return Polynomial(small, tuple(terms))
+def _eliminate(ctx: RingContext, names: Sequence[str], ring: RingContext, gens) -> Ideal:
+    """The ideal gens generate in ``ring``, intersected with ctx's ring.
 
-
-def _aux_free_part(gb: GroebnerBasis, small: RingContext) -> Ideal:
-    """The ideal of the elements of gb free of the auxiliary variable."""
-    kept = [g for g in gb if all(m[0] == 0 for m, _ in g.terms)]
-    return Ideal(small, [_project(g, small, 1) for g in kept])
+    ``ring`` has the variables ``names``, at any positions, and ctx's, in
+    ctx's sequence; its weights steer the engine's sugar and its order
+    does not matter.  The basis is computed once, in ring's variables and
+    weights under ``MonomialOrder.block(names, ctx.order)``.  That order
+    compares monomials free of ``names`` by ctx's order, so the elements
+    whose leading monomial is free of them (and then every term is), with
+    those exponents dropped, are ctx's reduced basis of the intersection
+    in ``groebner_basis``'s order.  The result carries it.
+    """
+    idx = [ring.var_index(n) for n in names]
+    keep = [i for i in range(ring.nvars) if i not in idx]
+    big = RingContext(ring.p, ring.variables, MonomialOrder.block(idx, ctx.order), ring.weights)
+    gb = groebner_basis([_reorder(g, big) for g in gens], big)
+    kept = [
+        Polynomial(ctx, tuple((tuple(m[i] for i in keep), c) for m, c in g.terms))
+        for g in gb
+        if not any(g.lm()[i] for i in idx)
+    ]
+    return Ideal.from_groebner(GroebnerBasis(ctx, kept))
 
 
 def eliminate(A: Ideal, names: Sequence[str]) -> Ideal:
@@ -212,7 +222,10 @@ def eliminate(A: Ideal, names: Sequence[str]) -> Ideal:
 
     The result lives in a context on the remaining variables with the
     restricted weights.  Its order is the ring's order when that is
-    grevlex or lex, and grevlex for every other kind.
+    grevlex or lex, and grevlex for every other kind.  ``_eliminate``
+    computes it in the block order with that order inside, so a lex ring
+    eliminates in block(idx, lex), and the result carries its reduced
+    basis.
     """
     names = list(names)
     if not names:
@@ -228,24 +241,7 @@ def eliminate(A: Ideal, names: Sequence[str]) -> Ideal:
         ctx.order if ctx.order.kind in ("grevlex", "lex") else MonomialOrder.grevlex(),
         tuple(ctx.weights[i] for i in keep),
     )
-    elim_ctx = RingContext(
-        ctx.p,
-        ctx.variables,
-        MonomialOrder.block(tuple(idx), MonomialOrder.grevlex()),
-        ctx.weights,
-    )
-    lifted = [_reorder(g, elim_ctx) for g in A.gens]
-    gb = groebner_basis(lifted, elim_ctx)
-    kept = []
-    for g in gb.basis:
-        if all(all(m[i] == 0 for i in idx) for m, _ in g.terms):
-            terms = []
-            for m, c in g.terms:
-                mm = tuple(m[i] for i in keep)
-                terms.append((mm, c))
-            terms.sort(key=lambda t: small.key(t[0]), reverse=True)
-            kept.append(Polynomial(small, tuple(terms)))
-    return Ideal(small, kept)
+    return _eliminate(small, [ctx.variables[i] for i in idx], ctx, A.gens)
 
 
 def _reorder(f: Polynomial, target: RingContext) -> Polynomial:
@@ -264,12 +260,11 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
     ctx = A.ctx
     if not A.gens or not B.gens:
         return Ideal(ctx, ())
-    big = _extended_context(ctx, (_AUX,))
-    t = big.var(_AUX)
-    one = big.one()
-    gens = [t * _lift(g, big, 1) for g in A.gens]
-    gens += [(one - t) * _lift(g, big, 1) for g in B.gens]
-    return _aux_free_part(groebner_basis(gens, big), ctx)
+    ring = _aux_ring(ctx)
+    t = ring.var(_AUX)
+    gens = [t * _lift(g, ring) for g in A.gens]
+    gens += [(ring.one() - t) * _lift(g, ring) for g in B.gens]
+    return _eliminate(ctx, (_AUX,), ring, gens)
 
 
 def _divide_exact(f: Polynomial, b: Polynomial) -> Polynomial:
@@ -407,11 +402,10 @@ def saturate_by_elimination(A: Ideal, B: Ideal) -> Ideal:
         if b.constant_value() not in (None, 0):
             piece = Ideal(ctx, A.gens)
         else:
-            big = _extended_context(ctx, (_AUX,))
-            yvar = big.var(_AUX)
-            gens = [_lift(g, big, 1) for g in A.gens]
-            gens.append(yvar * _lift(b, big, 1) - big.one())
-            piece = _aux_free_part(groebner_basis(gens, big), ctx)
+            ring = _aux_ring(ctx)
+            gens = [_lift(g, ring) for g in A.gens]
+            gens.append(ring.var(_AUX) * _lift(b, ring) - ring.one())
+            piece = _eliminate(ctx, (_AUX,), ring, gens)
         result = piece if result is None else intersect(result, piece)
     return result
 

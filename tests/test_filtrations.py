@@ -2,12 +2,13 @@ import dataclasses
 
 import pytest
 
-import spreadlab.filtrations as filtrations
 import spreadlab.ideals as ideals
-from oracles import greedy_generator_walk
+from oracles import greedy_generator_walk, naive_buchberger
 from spreadlab import (
     Filtration,
     HomogeneityError,
+    MonomialOrder,
+    Polynomial,
     RingContext,
     analytic_spread,
     analytic_spread_truncated,
@@ -158,8 +159,9 @@ def _curve_prime(weights):
     return ideals.eliminate(ideal(ctx, *param), ["t"])
 
 
-def test_rees_kernel_keeps_elimination_basis(monkeypatch, curve_symbolic):
-    rings = []                    # rings of the bases Ideal.gb computes
+def _record_basis_rings(monkeypatch):
+    """The rings of the bases ``ideals`` computes from here on."""
+    rings = []
     compute = ideals.groebner_basis
 
     def recording(gens, ctx=None):
@@ -167,6 +169,11 @@ def test_rees_kernel_keeps_elimination_basis(monkeypatch, curve_symbolic):
         return compute(gens, ctx)
 
     monkeypatch.setattr(ideals, "groebner_basis", recording)
+    return rings
+
+
+def test_rees_kernel_keeps_elimination_basis(monkeypatch, curve_symbolic):
+    rings = _record_basis_rings(monkeypatch)
     ctx = RingContext(32003, ("x", "y", "z"))
     mono6 = ideal(ctx, *(ctx.monomial(m) for m in (
         (0, 4, 0), (1, 0, 3), (1, 2, 1), (2, 0, 2), (2, 1, 1), (3, 0, 1))))
@@ -181,6 +188,63 @@ def test_rees_kernel_keeps_elimination_basis(monkeypatch, curve_symbolic):
             pres.rees_kernel.gens, pres.ring_ctx
         ).basis
         assert pres.ring_ctx not in rings
+
+
+ORDERS = {
+    "grevlex": MonomialOrder.grevlex(),
+    "lex": MonomialOrder.lex(),
+    "wgrevlex": MonomialOrder.weighted_grevlex((1, 3, 4, 5)),
+}
+
+
+def _eliminate_t(order):
+    ctx = RingContext(32003, ("t", "x", "y", "z"), order, (1, 3, 4, 5))
+    return ideal(ctx, "x - t^3", "y - t^4", "z - t^5"), ["t"]
+
+
+def _intersect_case(order):
+    ctx = RingContext(32003, ("t", "x", "y", "z"), order, (1, 3, 4, 5))
+    return ideal(ctx, "x*y - t*z^2", "y^2"), ideal(ctx, "x^2 + t^3*y", "z")
+
+
+def _saturate_case(order):
+    ctx = RingContext(32003, ("t", "x", "y", "z"), order, (1, 3, 4, 5))
+    B = ideal(ctx, "x", "t*y")
+    B.gb                          # computed before the saturation, in B's ring
+    return ideal(ctx, "x^2*y", "x*y*z", "y^3 - t*x*z^2"), B
+
+
+ELIMINATIONS = {
+    "eliminate": (ideals.eliminate, _eliminate_t),
+    "intersect": (ideals.intersect, _intersect_case),
+    "saturate_by_elimination": (ideals.saturate_by_elimination, _saturate_case),
+}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("operation", sorted(ELIMINATIONS))
+def test_elimination_results_keep_their_basis(monkeypatch, operation, order):
+    run, inputs = ELIMINATIONS[operation]
+    args = inputs(ORDERS[order])
+    rings = _record_basis_rings(monkeypatch)
+    result = run(*args)
+    basis = result.gb.basis
+    assert result.ctx not in rings
+    monkeypatch.undo()
+    assert result.gens and basis == groebner_basis(result.gens, result.ctx).basis
+
+
+def test_lex_elimination_matches_naive_buchberger():
+    # lex with t first eliminates t as block(t, lex) does, by another order
+    A, names = _eliminate_t(MonomialOrder.lex())
+    result = ideals.eliminate(A, names)
+    assert result.ctx.order == MonomialOrder.lex()
+    expected = tuple(
+        Polynomial(result.ctx, tuple((m[1:], c) for m, c in g.terms))
+        for g in naive_buchberger(A.gens, A.ctx)
+        if not g.lm()[0]
+    )
+    assert result.gb.basis == expected
 
 
 CURVES = ((3, 4, 5), (3, 4, 7), (3, 5, 7), (3, 5, 8), (4, 5, 6), (4, 6, 7), (5, 6, 7))
@@ -235,13 +299,16 @@ def test_rees_relations_homogeneous_for_elimination_weights(monkeypatch):
     # T{n}_j weighs wdeg(f) + n in the ring that eliminates t, so the
     # engine sees homogeneous input and its sugar is the lcm's degree
     handed = []
-    compute = filtrations.groebner_basis
+    compute = ideals.groebner_basis
 
     def recording(gens, ctx=None):
-        handed.append((list(gens), ctx))
+        gens = list(gens)
+        # the Rees eliminations, not those that make the curve primes
+        if ctx.variables[0] == "t@" and "T1_1" in ctx.variables:
+            handed.append((gens, ctx))
         return compute(gens, ctx)
 
-    monkeypatch.setattr(filtrations, "groebner_basis", recording)
+    monkeypatch.setattr(ideals, "groebner_basis", recording)
     _presentations()
     assert len(handed) == len(CURVES) + 4
     *graded, (inhomogeneous, _) = handed
@@ -256,6 +323,16 @@ def test_rees_kernel_vanishes_under_substitution():
         _, images = pres.substitution_images()
         for g in pres.rees_kernel.gb.basis:
             assert g.subs(images).is_zero, (F, a, str(g))
+
+
+def test_substitution_images_beside_a_base_variable_named_t():
+    ctx = RingContext(32003, ("t", "x", "y"))
+    pres = rees_presentation(Filtration.adic(ideal(ctx, "t^2", "x*y", "y^2")), 1)
+    ext, images = pres.substitution_images()
+    assert ext.variables == ("t", "x", "y", "t@")
+    assert not pres.rees_kernel.is_zero
+    for g in pres.rees_kernel.gb.basis:
+        assert g.subs(images).is_zero, str(g)
 
 
 def test_paper_scale_symbolic_cube_and_truncation():

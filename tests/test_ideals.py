@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+import spreadlab.ideals as ideals
 from spreadlab import (
     Ideal,
+    MonomialOrder,
     RingContext,
     eliminate,
+    groebner_basis,
     height,
     ideal,
     ideal_combine,
@@ -123,6 +126,24 @@ def test_curve_square_saturation_strictly_grows(curve_ctx, curve_prime):
     assert sat.contains_ideal(p2)
     # cross-check against the extra-variable method
     assert saturate_by_elimination(p2, maximal_ideal(curve_ctx)) == sat
+
+
+@pytest.mark.parametrize("order", [
+    MonomialOrder.grevlex(),
+    MonomialOrder.lex(),
+    MonomialOrder.weighted_grevlex((2, 1, 3)),
+    MonomialOrder.block((1,), MonomialOrder.lex()),
+    MonomialOrder.saturation((2, 1, 3), 1),
+], ids=lambda order: order.kind)
+def test_maximal_ideal_carries_its_basis(monkeypatch, order):
+    # the variables are the reduced basis of m in every order
+    ctx = RingContext(32003, ("x", "y", "z"), order, (2, 1, 3))
+    monkeypatch.setattr(ideals, "groebner_basis", lambda *args: pytest.fail("basis computed"))
+    m = maximal_ideal(ctx)
+    assert m.gens == tuple(ctx.gens())
+    basis = m.gb.basis
+    monkeypatch.undo()
+    assert basis == groebner_basis(ctx.gens(), ctx).basis
 
 
 # --- elimination -----------------------------------------------------------
