@@ -16,15 +16,26 @@ a point P is two coordinate unit vectors e_a, e_b with P_c nonzero for
 the third index c, so a monomial x^e expands along P + s e_a + t e_b in
 closed form: its coefficient of s^j t^k is
 C(e_a, j) P_a^(e_a - j) * C(e_b, k) P_b^(e_b - k) * P_c^e_c mod p.
+
+Each kernel is computed once per scheme.  A scheme and the schemes
+``with_multiplicities`` derives from it share one table, keyed by
+multiplicities and degree, of the linear-system kernels (basis and
+rank) and of the multiplication-map images (RREF rows and pivots).
+Every array in it is read-only, so one caller cannot change what
+another is handed, and the table holds at most _TABLE_BYTES bytes of
+arrays, least recently used first out; it is freed with the last
+scheme that shares it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from functools import lru_cache
+import threading
+from collections import OrderedDict, namedtuple
+from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,13 +53,83 @@ from .ring import DEFAULT_PRIME, RingContext, is_prime
 # degree-d monomial bookkeeping (exponent triples, fixed canonical order)
 # ---------------------------------------------------------------------------
 
-# Degree-keyed caches hold at most this many degrees or degree pairs; a
-# sweep to high degree then cannot keep every table for the process's life.
+# monomial_basis keeps at most this many degrees; a sweep to high degree
+# then cannot keep every table for the process's life.
 _CACHE_SIZE = 64
+
+# Bytes of arrays kept by the _product_groups cache, and by each scheme's
+# table of kernels and images; an entry larger than the cap is not kept.
+_PRODUCT_GROUPS_BYTES = 2**23
+_TABLE_BYTES = 2**23
 
 # Entries in one outer-product temporary of _all_pair_products (1 MiB of
 # int64), so a product of two large bases never holds them all at once.
 _PRODUCT_BLOCK = 2**17
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _ArrayTable:
+    """Least-recently-used map from keys to tuples of arrays and plain
+    values, holding at most ``maxbytes`` bytes of arrays.  Stored arrays
+    are made read-only, so every caller can be handed the same ones.  A
+    copy or an unpickled table starts empty."""
+
+    def __init__(self, maxbytes: int):
+        self.maxbytes = maxbytes
+        self.nbytes = 0
+        self.hits = self.misses = 0
+        self._entries: "OrderedDict[object, Tuple[tuple, int]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return _ArrayTable, (self.maxbytes,)
+
+    def lookup(self, key, compute: Callable[[], tuple]) -> tuple:
+        """The entry of key, from compute() on a miss; nothing is stored
+        when compute() raises."""
+        with self._lock:
+            found = self._entries.get(key)
+            if found is not None:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return found[0]
+            self.misses += 1
+        entry = compute()
+        size = 0
+        for value in entry:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+                size += value.nbytes
+        with self._lock:
+            if size <= self.maxbytes and key not in self._entries:
+                self._entries[key] = (entry, size)
+                self.nbytes += size
+                while self.nbytes > self.maxbytes:
+                    self.nbytes -= self._entries.popitem(last=False)[1][1]
+        return entry
+
+    def cache_info(self) -> _CacheInfo:
+        """Hits, misses, and the byte cap and bytes held (as maxsize and
+        currsize, in the fields of functools' cache_info)."""
+        return _CacheInfo(self.hits, self.misses, self.maxbytes, self.nbytes)
+
+
+def _array_cache(maxbytes: int):
+    """Decorator: memoize a function of hashable arguments that returns
+    a tuple of arrays, in an _ArrayTable of maxbytes bytes."""
+
+    def decorate(fn):
+        table = _ArrayTable(maxbytes)
+
+        @wraps(fn)
+        def cached(*args):
+            return table.lookup(args, lambda: fn(*args))
+
+        cached.cache_info = table.cache_info
+        return cached
+
+    return decorate
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -69,7 +150,7 @@ def _monomial_position(e: np.ndarray) -> np.ndarray:
     return s * (s + 1) // 2 + e[..., 2]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_array_cache(_PRODUCT_GROUPS_BYTES)
 def _product_groups(d1: int, d2: int):
     """The flattened outer product of a degree-d1 and a degree-d2 vector,
     regrouped by product monomial: a column order that sorts the entries
@@ -81,7 +162,6 @@ def _product_groups(d1: int, d2: int):
     flat = _monomial_position(e1[:, None, :] + e2[None, :, :]).ravel()
     order = np.argsort(flat, kind="stable")
     starts = np.searchsorted(flat[order], np.arange(len(monomial_basis(d1 + d2))))
-    order.flags.writeable = starts.flags.writeable = False    # shared by every caller
     return order, starts
 
 
@@ -137,6 +217,13 @@ class FatPointScheme:
     multiplicities: Tuple[int, ...]
     cubic: Optional[Tuple[int, ...]]          # degree-3 coefficient vector or None
     seed: int
+    # kernels and images by (kind, multiplicities, degree); shared only with
+    # the schemes with_multiplicities derives, so any other construction,
+    # dataclasses.replace, copy and pickle included, starts an empty one
+    _table: _ArrayTable = field(
+        default_factory=lambda: _ArrayTable(_TABLE_BYTES),
+        init=False, repr=False, compare=False,
+    )
 
     def __post_init__(self):
         if len(self.points) != len(self.multiplicities):
@@ -157,7 +244,9 @@ class FatPointScheme:
             mults = (m,) * self.r
         else:
             mults = tuple(int(x) for x in m)
-        return FatPointScheme(self.p, self.points, mults, self.cubic, self.seed)
+        derived = FatPointScheme(self.p, self.points, mults, self.cubic, self.seed)
+        object.__setattr__(derived, "_table", self._table)    # the same points
+        return derived
 
 
 def _cubic_is_smooth(coeffs, p: int) -> bool:
@@ -447,13 +536,16 @@ def interpolation_matrix(scheme: FatPointScheme, d: int) -> np.ndarray:
     return _condition_matrix(scheme.points, scheme.multiplicities, d, scheme.p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSystem:
-    """Kernel of the interpolation conditions in one degree."""
+    """Kernel of the interpolation conditions in one degree.
+
+    The basis is the canonical one of :func:`nullspace_modp`, fixed by
+    the scheme and the degree, so equality does not compare it."""
 
     scheme: FatPointScheme
     degree: int
-    basis: np.ndarray            # rows are coefficient vectors
+    basis: np.ndarray = field(compare=False)    # rows are coefficient vectors; read-only
     rank: int
 
     @property
@@ -469,15 +561,18 @@ class LinearSystem:
 
 
 def linear_system(scheme: FatPointScheme, d: int) -> LinearSystem:
-    """Degree-d forms vanishing to the assigned orders at the points."""
+    """Degree-d forms vanishing to the assigned orders at the points,
+    computed once per scheme (see the module docstring)."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    A = interpolation_matrix(scheme, d)
-    if A.shape[0] == 0:
-        basis = np.eye(len(monomial_basis(d)), dtype=np.int64)
-        return LinearSystem(scheme, d, basis, 0)
-    basis = nullspace_modp(A, scheme.p)
-    return LinearSystem(scheme, d, basis, A.shape[1] - basis.shape[0])
+
+    def kernel():
+        A = interpolation_matrix(scheme, d)
+        basis = nullspace_modp(A, scheme.p)
+        return basis, A.shape[1] - basis.shape[0]
+
+    basis, rank = scheme._table.lookup(("kernel", scheme.multiplicities, d), kernel)
+    return LinearSystem(scheme, d, basis, rank)
 
 
 def h0(scheme: FatPointScheme, d: int, m=None) -> int:
@@ -490,7 +585,7 @@ def h0(scheme: FatPointScheme, d: int, m=None) -> int:
 # multiplication maps and power containments
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MultMapReport:
     surjective: bool
     image_dim: int
@@ -500,42 +595,29 @@ class MultMapReport:
     seed: int
 
 
-def _system_table(scheme: FatPointScheme):
-    """linear_system of scheme by (uniform multiplicity, degree), each
-    computed once; one table serves one call, so nothing outlives it."""
-    table: Dict[Tuple[int, int], LinearSystem] = {}
-
-    def system(m: int, d: int) -> LinearSystem:
-        if (m, d) not in table:
-            table[m, d] = linear_system(scheme.with_multiplicities(m), d)
-        return table[m, d]
-
-    return system
-
-
 def mult_map_surjective(scheme: FatPointScheme, d: int, m: int) -> MultMapReport:
     """Does multiplication by linear forms cover the next degree piece?
 
     Compares the span of x_k * (degree d-1 piece) with the degree-d
     piece, both at uniform multiplicity m.
     """
-    return _mult_map(scheme, d, m, _system_table(scheme))[0]
+    return _mult_map(scheme, d, m)[0]
 
 
-def _mult_map(scheme: FatPointScheme, d: int, m: int, system):
+def _mult_map(scheme: FatPointScheme, d: int, m: int):
     """The report of mult_map_surjective, with the RREF rows and pivots of
     the image x_k * (degree d-1 piece), for callers that reduce against it;
-    ``system`` is the call's :func:`_system_table`."""
+    the image is computed once per scheme."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    lower = system(m, d - 1)
-    target = system(m, d)
-    p = scheme.p
-    image = _variable_multiples(lower.basis, d - 1, p)
-    if image.size:
-        image, pivots = rref_modp(image, p)
-    else:
-        pivots = ()
+    s = scheme.with_multiplicities(m)
+    target = linear_system(s, d)
+
+    def image_rref():
+        image = _variable_multiples(linear_system(s, d - 1).basis, d - 1, s.p)
+        return rref_modp(image, s.p) if image.size else (image, ())
+
+    image, pivots = s._table.lookup(("image", s.multiplicities, d), image_rref)
     report = MultMapReport(
         surjective=(image.shape[0] == target.h0),
         image_dim=image.shape[0],
@@ -608,11 +690,11 @@ def graded_power_containment(
     if n < 1 or s < 1:
         raise ValueError("n and s must be positive")
     p = scheme.p
-    system = _system_table(scheme)
+    sn = scheme.with_multiplicities(n)
 
     pieces: Dict[int, np.ndarray] = {}
     for d in range(0, d_max + 1):
-        ls = system(n, d)
+        ls = linear_system(sn, d)
         if ls.h0:
             pieces[d] = ls.basis
 
@@ -637,7 +719,7 @@ def graded_power_containment(
     for D in sorted(product_degrees):
         # products vanish to order s*n, so surjectivity of multiplication
         # by linear forms onto the (D, s*n) piece certifies containment
-        cert, image, pivots = _mult_map(scheme, D, s * n, system)
+        cert, image, pivots = _mult_map(scheme, D, s * n)
         if cert.surjective:
             degrees[D] = {
                 "contained": True,
@@ -688,14 +770,14 @@ def fiber_generator_census(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     p = scheme.p
-    system = _system_table(scheme)
     rows = []
     for n in range(1, n_max + 1):
+        sn = scheme.with_multiplicities(n)
         for d in range(0, d_max + 1):
-            piece = system(n, d)
+            piece = linear_system(sn, d)
             if piece.h0 == 0:
                 continue
-            cert, image, pivots = _mult_map(scheme, s * d, s * n, system)
+            cert, image, pivots = _mult_map(scheme, s * d, s * n)
             if cert.surjective:
                 survives = False          # s-th powers land in the x_k multiples
             else:

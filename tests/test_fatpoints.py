@@ -1,6 +1,11 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import signal
+import sys
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -16,6 +21,7 @@ from oracles import (
 )
 from spreadlab import RingContext
 from spreadlab.fatpoints import (
+    _PRODUCT_GROUPS_BYTES,
     FatPointScheme,
     _all_pair_products,
     _condition_rows,
@@ -496,24 +502,165 @@ def test_degree_caches_stay_bounded():
     for cache in (monomial_basis, _product_groups):
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+    # _product_groups is bounded in bytes: (60, 60) alone sorts 1891^2 entries
+    order, starts = _product_groups(60, 60)
+    assert order.nbytes > _PRODUCT_GROUPS_BYTES
+    info = _product_groups.cache_info()
+    assert info.maxsize == _PRODUCT_GROUPS_BYTES and info.currsize <= info.maxsize
+    assert not order.flags.writeable and not starts.flags.writeable
 
 
-def test_each_linear_system_computed_once_per_call(elliptic, monkeypatch):
+def test_each_linear_system_computed_once_per_call(monkeypatch):
+    """A containment and then a census on one scheme build each
+    (multiplicities, degree) interpolation matrix, and reduce it to its
+    kernel, at most once."""
     import spreadlab.fatpoints as fatpoints
 
-    computed = []
-    real = fatpoints.linear_system
+    scheme = sample_scheme(12, 1, "elliptic", seed=ELLIPTIC_SEED)    # an empty table
+    matrices, kernels = [], []
+    real_matrix, real_kernel = fatpoints.interpolation_matrix, fatpoints.nullspace_modp
 
-    def counting(scheme, d):
-        computed.append((scheme.multiplicities, d))
-        return real(scheme, d)
+    def counting_matrix(s, d):
+        matrices.append((s.multiplicities, d))
+        return real_matrix(s, d)
 
-    monkeypatch.setattr(fatpoints, "linear_system", counting)
-    for call in (lambda: graded_power_containment(elliptic, 1, 2, 12),
-                 lambda: fiber_generator_census(elliptic, 2, 6, 2)):
-        computed.clear()
-        call()
-        assert computed and len(computed) == len(set(computed))
+    def counting_kernel(A, p):
+        kernels.append(A.shape)
+        return real_kernel(A, p)
+
+    monkeypatch.setattr(fatpoints, "interpolation_matrix", counting_matrix)
+    monkeypatch.setattr(fatpoints, "nullspace_modp", counting_kernel)
+    graded_power_containment(scheme, 1, 2, 12)
+    contained = len(matrices)
+    fiber_generator_census(scheme, 2, 6, 2)
+    assert 0 < contained < len(matrices)
+    assert len(matrices) == len(set(matrices)) == len(kernels)
+    # the census's multiplicity-1 pieces came from the containment's table
+    assert all(m != (1,) * 12 for m, _ in matrices[contained:])
+
+
+def test_linear_system_results_are_read_only(nagata):
+    ls = linear_system(nagata, 6)
+    kernel = ls.basis.copy()
+    with pytest.raises(ValueError):
+        ls.basis[0, 0] += 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ls.basis = np.zeros_like(kernel)
+    again = linear_system(nagata, 6)
+    assert np.array_equal(again.basis, kernel) and again.rank == ls.rank
+    report = mult_map_surjective(nagata, 8, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.surjective = False
+
+
+def _rebuilt(scheme):
+    """The same fields in a new scheme, whose table starts empty."""
+    return FatPointScheme(scheme.p, scheme.points, scheme.multiplicities,
+                          scheme.cubic, scheme.seed)
+
+
+@pytest.mark.parametrize("which", ["nagata", "elliptic", "non-uniform"])
+def test_table_served_results_match_a_fresh_scheme(which, nagata, elliptic):
+    if which == "non-uniform":
+        base = nagata.with_multiplicities([1, 2, 3, 0] * 4)
+    else:
+        base = nagata if which == "nagata" else elliptic
+    for m, d in ((1, 6), (2, 9), (1, 8), (3, 9)):
+        for scheme in (base, base.with_multiplicities(m)):
+            twice = [linear_system(scheme, d), linear_system(scheme, d)]
+            fresh = linear_system(_rebuilt(scheme), d)
+            for ls in twice:
+                assert ls.scheme is scheme and ls.degree == d
+                assert np.array_equal(ls.basis, fresh.basis) and ls.rank == fresh.rank
+                assert ls == fresh and hash(ls) == hash(fresh)
+            assert h0(scheme, d) == fresh.h0
+        assert h0(base, d, m) == h0(_rebuilt(base), d, m)
+        served = [mult_map_surjective(base, d, m) for _ in range(2)]
+        assert served[0] == served[1] == mult_map_surjective(_rebuilt(base), d, m)
+
+
+def test_replaced_points_never_see_the_old_table(nagata):
+    scheme = _rebuilt(nagata)
+    assert h0(scheme, 5) == 5
+    others = sample_scheme(16, 1, "none", seed=NAGATA_SEED + 1).points
+    moved = dataclasses.replace(scheme, points=others)
+    assert moved._table is not scheme._table and moved._table.nbytes == 0
+    # scheme's table holds degree 5 for these multiplicities, so a shared
+    # table would hand moved the old points' kernel
+    fresh = _rebuilt(moved)
+    assert np.array_equal(linear_system(moved, 5).basis, linear_system(fresh, 5).basis)
+    for copied in (pickle.loads(pickle.dumps(scheme)), copy.deepcopy(scheme)):
+        assert copied == scheme and copied._table.nbytes == 0
+        assert h0(copied, 5) == 5
+
+
+def test_table_stays_within_its_byte_cap(monkeypatch):
+    import spreadlab.fatpoints as fatpoints
+
+    expected = {d: linear_system(sample_scheme(16, 1, "none", seed=3), d).basis
+                for d in range(4, 12)}
+    monkeypatch.setattr(fatpoints, "_TABLE_BYTES", expected[10].nbytes + 1)
+    scheme = sample_scheme(16, 1, "none", seed=3)
+    for _ in range(2):
+        for d in range(4, 12):
+            assert np.array_equal(linear_system(scheme, d).basis, expected[d])
+            assert scheme._table.nbytes <= scheme._table.maxbytes
+    # degree 11 is never kept; the first sweep ends holding only degree 10,
+    # which the second sweep's lower degrees evict before it comes round
+    assert expected[11].nbytes > scheme._table.maxbytes
+    assert scheme._table.cache_info().misses == 16
+
+
+def _run_threads(target, count):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=target, args=(k,)) for k in range(count)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+
+
+def test_shared_table_under_threads(monkeypatch):
+    """Threads sharing one scheme's table, under a cap that forces
+    evictions, get the kernels a fresh scheme gives, and the table's byte
+    count stays the sum of its entries, also when two threads miss the
+    same key at once."""
+    import spreadlab.fatpoints as fatpoints
+
+    degrees = range(4, 11)
+    fresh = sample_scheme(16, 1, "none", seed=5)
+    expected = {d: linear_system(fresh, d).basis for d in degrees}
+    monkeypatch.setattr(fatpoints, "_TABLE_BYTES", 3 * expected[10].nbytes)
+    scheme = sample_scheme(16, 1, "none", seed=5)
+    table = scheme._table
+    results = []
+
+    both_missed = threading.Barrier(2, timeout=30)
+    real = fatpoints.interpolation_matrix
+
+    def side_by_side(s, d):
+        both_missed.wait()
+        return real(s, d)
+
+    monkeypatch.setattr(fatpoints, "interpolation_matrix", side_by_side)
+    _run_threads(lambda k: results.append((10, linear_system(scheme, 10).basis)), 2)
+    monkeypatch.setattr(fatpoints, "interpolation_matrix", real)
+    assert table.misses == 2 and table.nbytes == expected[10].nbytes
+
+    def sweep(k):
+        for i in range(40):
+            d = degrees[(i * (k + 1)) % len(degrees)]
+            results.append((d, linear_system(scheme, d).basis))
+
+    _run_threads(sweep, 4)
+    assert len(results) == 2 + 4 * 40
+    assert all(np.array_equal(basis, expected[d]) for d, basis in results)
+    assert table.nbytes == sum(size for _, size in table._entries.values()) <= table.maxbytes
 
 
 # --- int64 range -------------------------------------------------------------
@@ -539,8 +686,15 @@ def test_row_reduction_refuses_prime_beyond_int64_products():
     p = 4294967311                   # the least prime above 2^32
     with pytest.raises(ValueError):
         rref_modp(np.array([[1, 2], [3, 4]]), p)
-    with pytest.raises(ValueError):
-        linear_system(sample_scheme(4, 1, "none", seed=1, p=p), 2)
+    scheme = sample_scheme(4, 1, "none", seed=1, p=p)
+    for _ in range(2):                 # a refusal is not remembered as an answer
+        with pytest.raises(ValueError):
+            linear_system(scheme, 2)
+        with pytest.raises(ValueError):
+            h0(scheme, 2, 0)
+        with pytest.raises(ValueError):
+            mult_map_surjective(scheme, 3, 1)
+    assert scheme._table.nbytes == 0
 
 
 def test_reduce_rows_bound_follows_inner_dimension():
