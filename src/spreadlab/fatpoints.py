@@ -35,7 +35,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -637,18 +637,23 @@ def _variable_multiples(space_rows: np.ndarray, d_minus_1: int, p: int) -> np.nd
     return _all_pair_products(_UNIT_LINEAR_FORMS, 1, space_rows, d_minus_1, p)
 
 
-def _power_spans(pieces: Dict[int, np.ndarray], s: int, d_max: int, p: int):
-    """Spans of s-fold products of piece elements, by total degree.
+def _power_spans(pieces: Dict[int, np.ndarray], s: int, degrees: Set[int], p: int):
+    """Spans of s-fold products of piece elements, in the wanted total
+    degrees.
 
     Computed by repeated pairwise span products, which generate the
     same subspaces as the full s-fold product sets.  Intermediate
     levels are capped at the largest degree that can still contribute
-    to an s-fold product within d_max.
+    to an s-fold product within max(degrees), and the last level
+    combines only the pairs whose total degree is wanted, so no span is
+    built in a degree nobody reads.  A wanted degree that no product
+    reaches has no entry.
     """
     levels = {1: {d: rows for d, rows in pieces.items() if rows.shape[0]}}
-    if not levels[1]:
+    if not levels[1] or not degrees:
         return {}
     d_min = min(levels[1])
+    d_max = max(degrees)
 
     def combine(ka: int, kb: int, k_total: int):
         bound = d_max - (s - k_total) * d_min
@@ -656,7 +661,7 @@ def _power_spans(pieces: Dict[int, np.ndarray], s: int, d_max: int, p: int):
         for da, rowsa in levels[ka].items():
             for db, rowsb in levels[kb].items():
                 D = da + db
-                if D > bound:
+                if D > bound or (k_total == s and D not in degrees):
                     continue
                 raw.setdefault(D, []).append(
                     _all_pair_products(rowsa, da, rowsb, db, p)
@@ -670,7 +675,7 @@ def _power_spans(pieces: Dict[int, np.ndarray], s: int, d_max: int, p: int):
         step = min(k, s - k)
         levels[k + step] = combine(k, step, k + step)
         k += step
-    return levels[s]
+    return {D: rows for D, rows in levels[s].items() if D in degrees}
 
 
 def graded_power_containment(
@@ -682,10 +687,13 @@ def graded_power_containment(
 
     For each total degree D at most d_max, the span of s-fold products
     of basis elements of the n-system pieces is compared with the span
-    of x_k * (degree D-1 piece of the sn-system).  On a cubic
-    configuration the bottom degree 3*s*n is the designed exception:
-    the comparison space is zero there while the cubic's power
-    survives.
+    of x_k * (degree D-1 piece of the sn-system).  Every degree's
+    multiplication map is decided first: where it is surjective it
+    certifies containment, and product spans are built, in one
+    :func:`_power_spans` call, only in the degrees it leaves open.  On a
+    cubic configuration the bottom degree 3*s*n is the designed
+    exception: the comparison space is zero there while the cubic's
+    power survives.
     """
     if n < 1 or s < 1:
         raise ValueError("n and s must be positive")
@@ -707,19 +715,14 @@ def graded_power_containment(
             }
         product_degrees = sums
 
-    lazy_spans: Dict[int, np.ndarray] = {}
-
-    def exact_products(D):
-        nonlocal lazy_spans
-        if not lazy_spans:
-            lazy_spans = _power_spans(pieces, s, d_max, p)
-        return lazy_spans.get(D)
-
+    maps = {D: _mult_map(scheme, D, s * n) for D in sorted(product_degrees)}
+    spans = _power_spans(
+        pieces, s, {D for D, (cert, _, _) in maps.items() if not cert.surjective}, p
+    )
     degrees = {}
-    for D in sorted(product_degrees):
+    for D, (cert, image, pivots) in maps.items():
         # products vanish to order s*n, so surjectivity of multiplication
         # by linear forms onto the (D, s*n) piece certifies containment
-        cert, image, pivots = _mult_map(scheme, D, s * n)
         if cert.surjective:
             degrees[D] = {
                 "contained": True,
@@ -727,7 +730,7 @@ def graded_power_containment(
                 "comparison_dim": cert.image_dim,
             }
             continue
-        products = exact_products(D)
+        products = spans.get(D)
         if products is None or products.size == 0:
             degrees[D] = {
                 "contained": True,
@@ -781,7 +784,7 @@ def fiber_generator_census(
             if cert.surjective:
                 survives = False          # s-th powers land in the x_k multiples
             else:
-                products = _power_spans({d: piece.basis}, s, s * d, p).get(s * d)
+                products = _power_spans({d: piece.basis}, s, {s * d}, p).get(s * d)
                 survives = products is not None and bool(
                     reduce_rows(products, image, pivots, p).any()
                 )

@@ -13,10 +13,13 @@ I_i * I_j <= I_{i+j}.  Four kinds are built in:
 
 The Rees algebra of a truncation is presented by adjoining one variable
 T{n}_{j} of degree n per chosen generator of I_n and eliminating the
-auxiliary variable t from the relations T{n}_{j} - f*t^n.  The analytic
-spread is the Krull dimension of the special fiber, i.e. of k[T] modulo
-the image of the Rees kernel under x -> 0 (that image generates exactly
-(Q + (x)) restricted to k[T], so no second elimination is needed).
+auxiliary variable t from the relations T{n}_{j} - f*t^n.  The new
+variables are named ``T{n}_{j}@`` and ``t@``, names the polynomial
+parser cannot produce, so they never clash with a base variable.  The
+analytic spread is the Krull dimension of the special fiber, i.e. of
+k[T] modulo the image of the Rees kernel under x -> 0 (that image
+generates exactly (Q + (x)) restricted to k[T], so no second
+elimination is needed).
 """
 
 from __future__ import annotations
@@ -264,7 +267,7 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
     """Present the Rees algebra of the truncation of F at a.
 
     The generators are those ``_chosen_generators`` keeps, numbered
-    T{n}_1, T{n}_2, ... by ascending (n, weighted degree, ring order of
+    T{n}_1@, T{n}_2@, ... by ascending (n, weighted degree, ring order of
     the leading monomial).  The kernel is computed by block-order
     elimination of t from the relations T{n}_{j} - f_{n,j} t^n, where
     T{n}_{j} weighs wdeg(f_{n,j}) + n and t weighs 1 so that every
@@ -289,7 +292,7 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
     counters = {n: 0 for n in range(1, a + 1)}
     for n, g in kept:
         counters[n] += 1
-        chosen.append((f"T{n}_{counters[n]}", n, g))
+        chosen.append((f"T{n}_{counters[n]}@", n, g))
 
     base_n = ctx.nvars
     tnames = tuple(name for name, _, _ in chosen)

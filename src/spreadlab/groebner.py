@@ -297,40 +297,24 @@ def _buchberger(inputs, ctx: RingContext):
 
 def _reduce_basis(G, p, guard):
     """Minimalize and tail-reduce to the canonical reduced basis; also
-    return the number of reduction steps the tail reduction took."""
+    return the number of reduction steps the tail reduction took.
 
-    def divides(a, b):
-        return ((b | guard) - a) & guard == guard
-
-    order = sorted(range(len(G)), key=lambda i: G[i][0][0])
-    keep = []
-    for i in order:
-        lm = G[i][0][1]
-        if any(divides(G[j][0][1], lm) for j in keep):
-            continue
-        keep = [j for j in keep if not divides(lm, G[j][0][1])]
-        keep.append(i)
-    basis = [G[i] for i in sorted(keep, key=lambda i: G[i][0][0])]
+    In ascending order a monomial can only be divisible by leading
+    monomials that come before it.  So one pass keeps each element whose
+    leading monomial no kept one divides, and reduces its tail by the
+    kept elements, which are already reduced.
+    """
+    entries = []    # (lm_key, lm, terms) of the kept, reduced elements
     steps = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = [
-                (g[0][0], g[0][1], g) for j, g in enumerate(basis) if j != i
-            ]
-            h, n = _normal_form_terms(basis[i], others, p, guard)
-            steps += n
-            if not h:
-                basis.pop(i)
-                changed = True
-                break
-            h = _monic(h, p)
-            if h != basis[i]:
-                basis[i] = h
-                changed = True
-    basis.sort(key=lambda g: g[0][0])
-    return basis, steps
+    for g in sorted(G, key=lambda g: g[0][0]):
+        lead = g[0]
+        lmg = lead[1] | guard
+        if any((lmg - e[1]) & guard == guard for e in entries):
+            continue
+        tail, n = _normal_form_terms(g[1:], entries, p, guard)
+        steps += n
+        entries.append((lead[0], lead[1], [lead] + tail))
+    return [terms for _, _, terms in entries], steps
 
 
 class GroebnerBasis:

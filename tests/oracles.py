@@ -17,12 +17,16 @@ The generator-walk reference keeps, member by member, each reduced
 basis element that the products of lower members and the elements kept
 before it do not generate.  The saturation-index reference is the
 definition of the index: it counts colon steps A : B, (A : B) : B, ...
-until the result repeats.
+until the result repeats.  The containment reference builds every
+product span up to the top degree, one factor at a time, before it
+looks at any multiplication map.
 """
 
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from spreadlab import (
     Ideal,
@@ -35,6 +39,8 @@ from spreadlab import (
     quotient,
     saturate,
 )
+from spreadlab.fatpoints import _all_pair_products, _variable_multiples, linear_system
+from spreadlab.linalg import reduce_rows, rref_modp, span_rows
 from spreadlab.ring import _tokenize, mono_div, mono_divides, mono_lcm
 
 
@@ -192,6 +198,64 @@ def gauss_jordan(rows, p):
         pivots.append(c)
         r += 1
     return R[:r], pivots
+
+
+def containment_reference(scheme, n, s, d_max):
+    """graded_power_containment's report with every product span built
+    first, in every degree up to d_max, whatever the multiplication maps
+    later decide.
+
+    Level k holds the spans of k-fold products by degree, each level
+    one factor more than the last (level k times the pieces), capped at
+    the degrees that can still reach d_max; each degree's comparison
+    space is then built and reduced against on its own.
+    """
+    p = scheme.p
+    system = scheme.with_multiplicities(n)
+    target = scheme.with_multiplicities(s * n)
+    pieces = {}
+    for d in range(d_max + 1):
+        basis = linear_system(system, d).basis
+        if basis.shape[0]:
+            pieces[d] = basis
+    level = dict(pieces)
+    for k in range(2, s + 1):
+        bound = d_max - (s - k) * min(pieces)
+        chunks = {}
+        for da, rowsa in level.items():
+            for db, rowsb in pieces.items():
+                if da + db <= bound:
+                    chunks.setdefault(da + db, []).append(
+                        _all_pair_products(rowsa, da, rowsb, db, p))
+        level = {D: span_rows(np.vstack(rows), p) for D, rows in chunks.items()}
+    degrees = {}
+    for D in sorted(level):
+        target_dim = linear_system(target, D).h0
+        multiples = _variable_multiples(linear_system(target, D - 1).basis, D - 1, p)
+        image, pivots = rref_modp(multiples, p) if multiples.size else (multiples, ())
+        if image.shape[0] == target_dim:
+            degrees[D] = {"contained": True, "via": "multiplication-map surjectivity",
+                          "comparison_dim": image.shape[0]}
+            continue
+        products = level[D]
+        degrees[D] = {
+            "contained": not reduce_rows(products, image, pivots, p).any(),
+            "via": "product-span reduction",
+            "products_dim": products.shape[0],
+            "comparison_dim": image.shape[0],
+        }
+    report = {
+        "n": n,
+        "s": s,
+        "d_max": d_max,
+        "seed": scheme.seed,
+        "constraint": "elliptic" if scheme.cubic is not None else "none",
+        "degrees": degrees,
+        "empty": not degrees,
+    }
+    if scheme.cubic is not None:
+        report["expected_exception_degree"] = 3 * s * n
+    return report
 
 
 def poly_roots_brute_force(f, p):

@@ -154,6 +154,15 @@ def test_ell_regular_prime(flat_file, capsys):
     assert out["schema"] == "1" and out["op"] == "ell" and "digest" in out
 
 
+def test_ell_beside_a_variable_named_like_a_fiber_variable(tmp_path, capsys):
+    # the Rees ring adjoins one fiber variable per generator, and a base
+    # variable must not share its name
+    f = tmp_path / "clash.ring"
+    f.write_text("ring p=32003 vars=T1_1,x,y\nideal I = T1_1^2, x*y, y^2\n")
+    code, out = run_cli(["ell", "-f", str(f), "-i", "I"], capsys)
+    assert code == 0 and out["ell"] == 3 and out["ht"] == 2
+
+
 def test_dim_zero_ideal(curve_file, capsys):
     code, out = run_cli(["dim", "-f", curve_file, "-i", "zero"], capsys)
     assert code == 0 and out["dim"] == 3

@@ -13,6 +13,7 @@ import pytest
 
 from oracles import (
     condition_rows_reference,
+    containment_reference,
     cubic_is_smooth_by_saturation,
     first_root_scan,
     gauss_jordan,
@@ -401,6 +402,45 @@ def test_elliptic_exception_degree(elliptic):
     assert rep["expected_exception_degree"] == 12
     assert rep["degrees"][12]["contained"] is False
     assert rep["degrees"][13]["contained"] is True
+
+
+def test_containment_builds_spans_only_where_the_map_leaves_it_open(
+    monkeypatch, nagata, elliptic
+):
+    import spreadlab.fatpoints as fatpoints
+
+    # a degree-D span has (D + 1)(D + 2) / 2 columns
+    degree_of = {(D + 1) * (D + 2) // 2: D for D in range(64)}
+    built = []
+    real = fatpoints.span_rows
+
+    def recording(P, p):
+        built.append(degree_of[P.shape[1]])
+        return real(P, p)
+
+    monkeypatch.setattr(fatpoints, "span_rows", recording)
+    rep = graded_power_containment(elliptic, 1, 2, 12)
+    certified = {D for D, row in rep["degrees"].items()
+                 if row["via"] == "multiplication-map surjectivity"}
+    reduced = {D for D, row in rep["degrees"].items()
+               if row["via"] == "product-span reduction"}
+    assert certified and reduced
+    assert set(built) == reduced
+    built.clear()
+    rep = graded_power_containment(nagata, 1, 4, 21)
+    assert not rep["empty"] and built == []
+
+
+@pytest.mark.parametrize("which, n, s, d_max", [
+    ("nagata", 1, 4, 21), ("nagata", 1, 4, 19),
+    ("elliptic", 1, 2, 12), ("elliptic", 1, 3, 12), ("elliptic", 1, 4, 13),
+])
+def test_containment_matches_eager_reference(which, n, s, d_max, nagata, elliptic):
+    scheme = nagata if which == "nagata" else elliptic
+    rep = graded_power_containment(_rebuilt(scheme), n, s, d_max)
+    reference = containment_reference(_rebuilt(scheme), n, s, d_max)
+    assert rep == reference
+    assert repr(rep) == repr(reference)           # key order and value types too
 
 
 # --- census --------------------------------------------------------------------------

@@ -273,11 +273,11 @@ def test_fiber_variables_in_degree_order():
             for _, n, g in pres.generators
         ]
         assert seen == sorted(seen) and len(set(seen)) == len(seen)
-        # numbered T{n}_1, T{n}_2, ... within each n
+        # numbered T{n}_1@, T{n}_2@, ... within each n
         count = dict.fromkeys(range(1, a + 1), 0)
         for name, n, _ in pres.generators:
             count[n] += 1
-            assert name == f"T{n}_{count[n]}"
+            assert name == f"T{n}_{count[n]}@"
         assert pres.fiber_ctx.variables == pres.tvar_names
         assert pres.ring_ctx.variables == ctx.variables + pres.tvar_names
 
@@ -304,7 +304,7 @@ def test_rees_relations_homogeneous_for_elimination_weights(monkeypatch):
     def recording(gens, ctx=None):
         gens = list(gens)
         # the Rees eliminations, not those that make the curve primes
-        if ctx.variables[0] == "t@" and "T1_1" in ctx.variables:
+        if ctx.variables[0] == "t@" and "T1_1@" in ctx.variables:
             handed.append((gens, ctx))
         return compute(gens, ctx)
 
