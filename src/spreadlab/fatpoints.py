@@ -33,7 +33,7 @@ import random
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import comb
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -57,7 +57,7 @@ from .ring import DEFAULT_PRIME, RingContext, is_prime
 # then cannot keep every table for the process's life.
 _CACHE_SIZE = 64
 
-# Bytes of arrays kept by the _product_groups cache, and by each scheme's
+# Bytes of arrays kept by the _product_groups table, and by each scheme's
 # table of kernels and images; an entry larger than the cap is not kept.
 _PRODUCT_GROUPS_BYTES = 2**23
 _TABLE_BYTES = 2**23
@@ -115,21 +115,8 @@ class _ArrayTable:
         return _CacheInfo(self.hits, self.misses, self.maxbytes, self.nbytes)
 
 
-def _array_cache(maxbytes: int):
-    """Decorator: memoize a function of hashable arguments that returns
-    a tuple of arrays, in an _ArrayTable of maxbytes bytes."""
-
-    def decorate(fn):
-        table = _ArrayTable(maxbytes)
-
-        @wraps(fn)
-        def cached(*args):
-            return table.lookup(args, lambda: fn(*args))
-
-        cached.cache_info = table.cache_info
-        return cached
-
-    return decorate
+# _product_groups results by (d1, d2)
+_PRODUCT_GROUPS = _ArrayTable(_PRODUCT_GROUPS_BYTES)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -150,19 +137,23 @@ def _monomial_position(e: np.ndarray) -> np.ndarray:
     return s * (s + 1) // 2 + e[..., 2]
 
 
-@_array_cache(_PRODUCT_GROUPS_BYTES)
 def _product_groups(d1: int, d2: int):
     """The flattened outer product of a degree-d1 and a degree-d2 vector,
     regrouped by product monomial: a column order that sorts the entries
     by the position of monomial_i(d1) * monomial_j(d2) in degree d1 + d2,
     and where each position's group starts in that order.  Every
-    monomial of degree d1 + d2 is such a product, so no group is empty."""
-    e1 = np.array(monomial_basis(d1), dtype=np.int64)
-    e2 = np.array(monomial_basis(d2), dtype=np.int64)
-    flat = _monomial_position(e1[:, None, :] + e2[None, :, :]).ravel()
-    order = np.argsort(flat, kind="stable")
-    starts = np.searchsorted(flat[order], np.arange(len(monomial_basis(d1 + d2))))
-    return order, starts
+    monomial of degree d1 + d2 is such a product, so no group is empty.
+    Kept in the _PRODUCT_GROUPS table."""
+
+    def groups():
+        e1 = np.array(monomial_basis(d1), dtype=np.int64)
+        e2 = np.array(monomial_basis(d2), dtype=np.int64)
+        flat = _monomial_position(e1[:, None, :] + e2[None, :, :]).ravel()
+        order = np.argsort(flat, kind="stable")
+        starts = np.searchsorted(flat[order], np.arange(len(monomial_basis(d1 + d2))))
+        return order, starts
+
+    return _PRODUCT_GROUPS.lookup((d1, d2), groups)
 
 
 def _all_pair_products(rowsa, da: int, rowsb, db: int, p: int) -> np.ndarray:
@@ -188,11 +179,6 @@ def _all_pair_products(rowsa, da: int, rowsb, db: int, p: int) -> np.ndarray:
             first = i * nb + j
             out[first:first + len(block)] = np.add.reduceat(outer[:, order], starts, axis=1) % p
     return out
-
-
-def multiply_forms(u: np.ndarray, d1: int, v: np.ndarray, d2: int, p: int) -> np.ndarray:
-    """Coefficient vector of the product of two forms."""
-    return _all_pair_products(u, d1, v, d2, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +505,6 @@ def _condition_matrix(points, mults, d: int, p: int) -> np.ndarray:
     # rows are ordered by local degree, so multiplicity m_i keeps a prefix
     count = np.array([mult * (mult + 1) // 2 for _, mult in kept])
     return rows[np.arange(j.size)[None, :] < count[:, None]]
-
-
-def _condition_rows(pt, mult: int, d: int, p: int) -> np.ndarray:
-    """Rows imposing vanishing to order mult at pt on degree-d forms.
-
-    Row (j, k), j + k < mult, holds each monomial's coefficient of s^j t^k
-    along pt + s e_a + t e_b, for the unit-vector frame e_a, e_b of
-    :func:`_local_frame`: C(e_a, j) pt_a^(e_a - j) * C(e_b, k) pt_b^(e_b - k)
-    * pt_c^e_c mod p (see :func:`_condition_matrix`).
-    """
-    return _condition_matrix([pt], [mult], d, p)
 
 
 def interpolation_matrix(scheme: FatPointScheme, d: int) -> np.ndarray:

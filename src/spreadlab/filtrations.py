@@ -7,8 +7,12 @@ I_i * I_j <= I_{i+j}.  Four kinds are built in:
 * ``symbolic`` -- I_n = I^n : J^infinity (J defaults to the ideal of
   all variables, the right notion for space-curve primes);
 * ``truncated`` -- the Noetherian approximation generated by the first
-  a members: I_{a,n} = I_n for n <= a and the sum of products of lower
-  pieces beyond that;
+  a members, built only by ``Filtration.truncate``: I_{a,n} = I_n for
+  n <= a and, beyond a, the sum over 0 < i <= n/2 of I_{a,i} I_{a,n-i}
+  (``_lower_products``).  That two-factor sum is the sum of the products
+  over every partition of n into parts <= a only because the members
+  form a filtration: the smallest part i of such a partition is at most
+  n/2, and the product of the other parts lies in I_{a,n-i};
 * ``trivial_max`` -- I_n equal to the maximal ideal for every n >= 1.
 
 The Rees algebra of a truncation is presented by adjoining one variable
@@ -31,8 +35,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ideals import (
+    _AUX,
     Ideal,
+    _aux_ring,
     _eliminate,
+    _lift,
     ideal_power,
     ideal_product,
     height,
@@ -67,16 +74,6 @@ def symbolic_power(I: Ideal, n: int, J: Optional[Ideal] = None) -> Ideal:
     return saturate(ideal_power(I, n), maximal_ideal(I.ctx) if J is None else J)[0]
 
 
-def _partitions(n: int, max_part: int):
-    """Partitions of n into parts <= max_part, parts descending."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
 class Filtration:
     """A filtration with memoized members, materialized on demand."""
 
@@ -98,14 +95,6 @@ class Filtration:
         if J is not None and (J.is_zero or not J.is_proper):
             raise ValueError("saturating ideal must be proper and nonzero")
         return cls(I.ctx, "symbolic", {"ideal": I, "colon": J})
-
-    @classmethod
-    def truncated(cls, members: Sequence[Ideal]) -> "Filtration":
-        members = tuple(members)
-        if not members:
-            raise ValueError("a truncated filtration needs at least one member")
-        ctx = members[0].ctx
-        return cls(ctx, "truncated", {"members": members})
 
     @classmethod
     def trivial_max(cls, ctx: RingContext) -> "Filtration":
@@ -141,46 +130,36 @@ class Filtration:
             return maximal_ideal(self.ctx)
         if kind == "truncated":
             members = self._data["members"]
-            a = len(members)
-            if n <= a:
+            if n <= len(members):
                 return members[n - 1]
-            # canonical generator lists keep the partition products small
-            canon = [Ideal.from_groebner(m.gb) for m in members]
-            cache: Dict[tuple, Ideal] = {}
-
-            def prefix_product(part: tuple) -> Ideal:
-                if part not in cache:
-                    if len(part) == 1:
-                        cache[part] = canon[part[0] - 1]
-                    else:
-                        cache[part] = ideal_product(
-                            prefix_product(part[:-1]), canon[part[-1] - 1]
-                        )
-                return cache[part]
-
-            gens: List[Polynomial] = []
-            for part in _partitions(n, a):
-                gens.extend(prefix_product(part).gens)
-            return Ideal(self.ctx, gens)
+            return _lower_products(self, n)
         raise ValueError(f"unknown filtration kind {kind!r}")
 
     def truncate(self, a: int) -> "Filtration":
         """The a-th truncated filtration generated by the first a members."""
         if a < 1:
             raise ValueError("truncation bound must be at least 1")
-        members = [self.materialize(n) for n in range(1, a + 1)]
-        return Filtration.truncated(members)
+        members = tuple(self.materialize(n) for n in range(1, a + 1))
+        return Filtration(self.ctx, "truncated", {"members": members})
 
     def __repr__(self):
         return f"Filtration(kind={self.kind!r})"
 
 
+def _lower_products(F: Filtration, n: int) -> Ideal:
+    """The sum over 0 < i <= n/2 of F_i * F_{n-i}, multiplied from the
+    members' reduced bases: what the members below n generate in
+    degree n when F is a filtration (see the module docstring)."""
+    gens: List[Polynomial] = []
+    for i in range(1, n // 2 + 1):
+        low, high = F.materialize(i).gb.basis, F.materialize(n - i).gb.basis
+        gens.extend(f * g for f in low for g in high)
+    return Ideal(F.ctx, gens)
+
+
 # ---------------------------------------------------------------------------
 # Rees presentation and fiber cone
 # ---------------------------------------------------------------------------
-
-_T_AUX = "t@"
-
 
 @dataclass(frozen=True)
 class ReesPresentation:
@@ -216,19 +195,11 @@ class ReesPresentation:
         named t does not clash; substituting them into any element of the
         Rees kernel must give 0.
         """
-        ext = RingContext(
-            self.base_ctx.p,
-            self.base_ctx.variables + (_T_AUX,),
-            MonomialOrder.grevlex(),
-            self.base_ctx.weights + (1,),
-        )
-        tvar = ext.var(_T_AUX)
-        images = {}
-        for name, degree, gen in self.generators:
-            lifted = Polynomial(
-                ext, tuple((m + (0,), c) for m, c in gen.terms)
-            )
-            images[name] = lifted * tvar ** degree
+        ext = _aux_ring(self.base_ctx)
+        tvar = ext.var(_AUX)
+        images = {
+            name: _lift(gen, ext) * tvar ** degree for name, degree, gen in self.generators
+        }
         for v in self.base_ctx.variables:
             images[v] = ext.var(v)
         return ext, images
@@ -247,15 +218,11 @@ def _chosen_generators(F: Filtration, a: int) -> List[Tuple[int, Polynomial]]:
     numbers the kept elements by degree.
     """
     chosen: List[Tuple[int, Polynomial]] = []
-    members = {n: F.materialize(n) for n in range(1, a + 1)}
     for n in range(1, a + 1):
-        member = members[n]
+        member = F.materialize(n)
         if member.is_unit:
             raise ValueError("filtration member is the unit ideal")
-        product_gens: List[Polynomial] = []
-        for i in range(1, n // 2 + 1):
-            product_gens.extend(ideal_product(members[i], members[n - i]).gens)
-        absorbed = Ideal(F.ctx, product_gens)
+        absorbed = _lower_products(F, n)
         for g in member.gb.basis:
             if not absorbed.contains(g):
                 chosen.append((n, g))
@@ -318,10 +285,10 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
     # T{n}_j - f t^n is homogeneous; ``_eliminate`` ranks t@ above the rest
     ring = RingContext(
         ctx.p,
-        (_T_AUX,) + ctx.variables + tnames,
+        (_AUX,) + ctx.variables + tnames,
         weights=(1,) + ctx.weights + tuple(wdeg(g) + n for _, n, g in chosen),
     )
-    tvar = ring.var(_T_AUX)
+    tvar = ring.var(_AUX)
     relations = []
     for name, degree, gen in chosen:
         lifted = Polynomial(
@@ -332,7 +299,7 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
     combined = RingContext(
         ctx.p, ctx.variables + tnames, MonomialOrder.grevlex(), ctx.weights + tweights
     )
-    rees_kernel = _eliminate(combined, (_T_AUX,), ring, relations)
+    rees_kernel = _eliminate(combined, (_AUX,), ring, relations)
 
     fiber_ctx = RingContext(
         ctx.p, tnames, MonomialOrder.grevlex(), tuple(deg for _, deg, _ in chosen)
@@ -389,17 +356,6 @@ def _validate_spread_input(I: Ideal):
             "analytic spread needs weighted-homogeneous generators; "
             "inhomogeneous input would break the graded-local dictionary"
         )
-
-
-def _fiber_dimension(I: Ideal) -> Tuple[int, ReesPresentation]:
-    """Dimension of the special fiber of a single ideal inside (x...).
-
-    The fiber cone R[It]/(x)R[It] is a quotient of k[T] by the t-graded
-    kernel, so its dimension agrees with the local analytic spread for
-    any ideal contained in the variable ideal, homogeneous or not.
-    """
-    pres = rees_presentation(Filtration.adic(I), 1)
-    return krull_dim(pres.fiber_kernel), pres
 
 
 def _residues_modulo_m_square(gens: Sequence[Polynomial]) -> Dict[Tuple[int, int], dict]:
@@ -475,11 +431,15 @@ def _rank(rows, p: int) -> int:
     return sum(_insert_row(dict(row), echelon, p) for row in rows)
 
 
-def _reduction_shortcut(I: Ideal, max_subsets: int = 64):
+# Subsets of generators _reduction_shortcut tries before it gives up.
+_MAX_SUBSETS = 64
+
+
+def _reduction_shortcut(I: Ideal):
     """Certified small reduction of I drawn from its own generators.
 
     Scans subsets J of 2 to nvars canonical generators in canonical
-    order, at most ``max_subsets`` of them, for the Nakayama-form
+    order, at most ``_MAX_SUBSETS`` of them, for the Nakayama-form
     certificate I^2 = J*I + m*I^2; graded Nakayama then makes J a
     genuine reduction of I, so the two share the analytic spread while
     J has a much smaller presentation.  Since R = k + m, both sides are
@@ -503,7 +463,7 @@ def _reduction_shortcut(I: Ideal, max_subsets: int = 64):
     for d in range(2, n + 1):
         for combo in itertools.combinations(range(len(gens)), d):
             tried += 1
-            if tried > max_subsets:
+            if tried > _MAX_SUBSETS:
                 return None
             rows = [vec for (i, k), vec in residues.items() if i in combo or k in combo]
             if len(rows) >= full and _rank(rows, p) == full:
@@ -526,7 +486,9 @@ def analytic_spread(I: Ideal) -> SpreadReport:
     """Analytic spread of an ideal: dimension of its special fiber.
 
     Requires a proper, weighted-homogeneous ideal (hence contained in
-    the ideal of variables).  The report records the classical bounds
+    the ideal of variables).  The fiber cone R[It]/(x)R[It] is k[T] modulo
+    the fiber kernel of the Rees presentation of I, so its dimension is
+    the local analytic spread.  The report records the classical bounds
     ht(I) <= ell <= dim R.  For an ideal with more generators than
     variables, a few small subsets of its generators are scanned for a
     certified reduction (``_reduction_shortcut``); when one is found,
@@ -548,17 +510,13 @@ def analytic_spread(I: Ideal) -> SpreadReport:
         if report is not None:
             _SPREAD_MEMO.move_to_end(I)
             return report
-    notes = ()
-    if len(I.gb.basis) > n:
-        found = _reduction_shortcut(I)
-        if found is not None:
-            J, note = found
-            ell, pres = _fiber_dimension(J)
-            notes = (note,)
-        else:
-            ell, pres = _fiber_dimension(I)
-    else:
-        ell, pres = _fiber_dimension(I)
+    J, notes = I, ()
+    found = _reduction_shortcut(I)
+    if found is not None:
+        J, note = found
+        notes = (note,)
+    pres = rees_presentation(Filtration.adic(J), 1)
+    ell = krull_dim(pres.fiber_kernel)
     ht = height(I)
     report = SpreadReport(
         ell=ell,
@@ -582,10 +540,12 @@ def analytic_spread_truncated(
 ) -> SpreadReport:
     """Analytic spread of the a-th truncation of F.
 
-    Besides the fiber dimension, searches e <= witness_bound (default
-    3a) for a single ideal I_{a,e} whose own analytic spread equals the
-    truncation's; the found exponent (or its absence up to the bound)
-    is recorded in the report.  Pass ``witness_bound=0`` to skip.
+    F may itself be a truncation with bound a, which is then used as
+    it is, members and bases included.  Besides the fiber dimension,
+    searches e <= witness_bound (default 3a) for a single ideal I_{a,e}
+    whose own analytic spread equals the truncation's; the found
+    exponent (or its absence up to the bound) is recorded in the
+    report.  Pass ``witness_bound=0`` to skip.
     """
     if a < 1:
         raise ValueError("truncation bound must be at least 1")
@@ -697,7 +657,10 @@ def finite_generation_probe(
 
     matches = {}
     generated_at = None
+    truncation_spreads = {}
+    truncation_witness = {}
     for a in range(1, a_max + 1):
+        # the match check and the spread's witness search share members
         trunc = F.truncate(a)
         ok = all(
             trunc.materialize(k) == symbolic_members[k]
@@ -706,11 +669,7 @@ def finite_generation_probe(
         matches[a] = ok
         if ok and generated_at is None:
             generated_at = a
-
-    truncation_spreads = {}
-    truncation_witness = {}
-    for a in range(1, a_max + 1):
-        rep = analytic_spread_truncated(F, a)
+        rep = analytic_spread_truncated(trunc, a)
         truncation_spreads[a] = rep.ell
         truncation_witness[a] = rep.witness_exponent
 

@@ -372,9 +372,6 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].constant_value() == 1
 
-    def leading_monomials(self):
-        return [g.lm() for g in self.basis]
-
     def __eq__(self, other):
         return (
             isinstance(other, GroebnerBasis)

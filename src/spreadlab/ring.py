@@ -86,8 +86,6 @@ def is_prime(n: int) -> bool:
 # monomials: exponent tuples
 # ---------------------------------------------------------------------------
 
-Monomial = tuple
-
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -100,9 +98,6 @@ def mono_divides(a, b):
 
 def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-def mono_deg(a):
-    return sum(a)
 
 def mono_wdeg(a, w):
     return sum(x * y for x, y in zip(a, w))
@@ -217,9 +212,6 @@ class MonomialOrder:
 
     def key(self, exps):
         return self.key_function(len(exps))(exps)
-
-    def name(self) -> str:
-        return self.kind
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +351,6 @@ class Polynomial:
             return self
         p = self.ctx.p
         return Polynomial(self.ctx, tuple((m, (c * inv) % p) for m, c in self.terms))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("degree of zero polynomial is undefined")
-        return max(mono_deg(m) for m, _ in self.terms)
 
     def constant_value(self):
         """Coefficient view of a constant polynomial, else None."""

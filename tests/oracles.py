@@ -15,7 +15,9 @@ equigenerated monomial ideal.  The text-syntax oracle builds every
 factor, product and sum of a polynomial through Polynomial arithmetic.
 The generator-walk reference keeps, member by member, each reduced
 basis element that the products of lower members and the elements kept
-before it do not generate.  The saturation-index reference is the
+before it do not generate.  The partition reference builds a truncation
+member as the sum of the products over every partition of its degree,
+the definition, which needs no filtration property.  The saturation-index reference is the
 definition of the index: it counts colon steps A : B, (A : B) : B, ...
 until the result repeats.  The containment reference builds every
 product span up to the top degree, one factor at a time, before it
@@ -347,6 +349,32 @@ def greedy_generator_walk(F, a):
                 kept.append((n, g))
                 absorbed.append(g)
     return kept
+
+
+def _partitions(n, max_part):
+    """Partitions of n into parts <= max_part, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def truncation_by_partitions(F, a, n):
+    """Member n of the a-th truncation of F: F_n for n <= a, and beyond
+    a the sum over every partition of n into parts <= a of the product
+    of the members F_part, multiplied from their reduced bases."""
+    if n <= a:
+        return F.materialize(n)
+    members = [Ideal.from_groebner(F.materialize(k).gb) for k in range(1, a + 1)]
+    gens = []
+    for part in _partitions(n, a):
+        product = members[part[0] - 1]
+        for k in part[1:]:
+            product = ideal_product(product, members[k - 1])
+        gens.extend(product.gens)
+    return Ideal(F.ctx, gens)
 
 
 def exponent_rank(exponents):

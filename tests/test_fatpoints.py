@@ -22,10 +22,11 @@ from oracles import (
 )
 from spreadlab import RingContext
 from spreadlab.fatpoints import (
+    _PRODUCT_GROUPS,
     _PRODUCT_GROUPS_BYTES,
     FatPointScheme,
     _all_pair_products,
-    _condition_rows,
+    _condition_matrix,
     _cubic_is_smooth,
     _first_root,
     _local_frame,
@@ -39,7 +40,6 @@ from spreadlab.fatpoints import (
     linear_system,
     monomial_basis,
     mult_map_surjective,
-    multiply_forms,
     sample_scheme,
 )
 from spreadlab.linalg import (
@@ -280,7 +280,7 @@ def test_condition_rows_against_dict_expansion(p):
                        + pt[2] * (U[0] * V[1] - U[1] * V[0]))
                 assert det % p != 0                 # (pt, U, V) is a basis
                 expected = condition_rows_reference(pt, U, V, mult, d, p)
-                rows = _condition_rows(pt, mult, d, p)
+                rows = _condition_matrix([pt], [mult], d, p)
                 assert rows.shape == (mult * (mult + 1) // 2, len(monomials_of_degree(d)))
                 assert rows.tolist() == expected, (pt, mult, d)
 
@@ -469,7 +469,7 @@ def test_multiply_forms_agrees_with_ring():
     ctx = RingContext(32003, ("x1", "x2", "x3"))
     rng_vec = np.array([3, 1, 0, 2, 0, 5], dtype=np.int64)       # degree 2
     other = np.array([1, 0, 4], dtype=np.int64)                  # degree 1
-    prod = multiply_forms(rng_vec, 2, other, 1, 32003)
+    prod = _all_pair_products(rng_vec, 2, other, 1, 32003)[0]
     f = ctx.zero()
     for c, m in zip(rng_vec.tolist(), monomial_basis(2)):
         f = f + ctx.monomial(m, int(c))
@@ -539,13 +539,12 @@ def test_degree_caches_stay_bounded():
     for d in range(80):
         monomial_basis(d)
         _product_groups(d, 1)
-    for cache in (monomial_basis, _product_groups):
-        info = cache.cache_info()
+    for info in (monomial_basis.cache_info(), _PRODUCT_GROUPS.cache_info()):
         assert info.maxsize is not None and info.currsize <= info.maxsize
     # _product_groups is bounded in bytes: (60, 60) alone sorts 1891^2 entries
     order, starts = _product_groups(60, 60)
     assert order.nbytes > _PRODUCT_GROUPS_BYTES
-    info = _product_groups.cache_info()
+    info = _PRODUCT_GROUPS.cache_info()
     assert info.maxsize == _PRODUCT_GROUPS_BYTES and info.currsize <= info.maxsize
     assert not order.flags.writeable and not starts.flags.writeable
 
@@ -716,7 +715,7 @@ def test_vanishing_recheck_refuses_overflowing_prime():
         assert ls.h0 > 0
         # the kernel itself is exact: checked with Python integers
         for pt in scheme.points:
-            rows = _condition_rows(pt, 1, d, scheme.p).astype(object)
+            rows = _condition_matrix([pt], [1], d, scheme.p).astype(object)
             assert not ((rows @ ls.basis.T.astype(object)) % scheme.p).any()
         with pytest.raises(ValueError):
             ls.verify_vanishing()

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import spreadlab.ideals as ideals
-from oracles import greedy_generator_walk, naive_buchberger
+from oracles import greedy_generator_walk, naive_buchberger, truncation_by_partitions
 from spreadlab import (
     Filtration,
     HomogeneityError,
@@ -50,6 +50,26 @@ def test_truncation_partition_sum(curve_symbolic):
         curve_symbolic.materialize(1), curve_symbolic.materialize(2)
     )
     assert trunc.materialize(3) == expected
+
+
+def _filtration(name):
+    ctx = RingContext(32003, ("x", "y", "z"))
+    if name == "adic":
+        return Filtration.adic(ideal(ctx, "x^2", "x*y", "y^3 - z^3"))
+    if name == "trivial_max":
+        return Filtration.trivial_max(ctx)
+    return Filtration.symbolic(_curve_prime(name))
+
+
+@pytest.mark.parametrize("name", [(3, 4, 5), (3, 4, 7), "adic", "trivial_max"])
+def test_truncation_matches_partition_sum(name):
+    # beyond a, the two-factor sum of lower members is the sum over
+    # every partition, because the members form a filtration
+    F = _filtration(name)
+    for a in (1, 2):
+        trunc = F.truncate(a)
+        for n in range(1, 3 * a + 1):
+            assert trunc.materialize(n) == truncation_by_partitions(F, a, n), (a, n)
 
 
 def test_truncation_bound_validated(curve_symbolic):
@@ -329,7 +349,7 @@ def test_substitution_images_beside_a_base_variable_named_t():
     ctx = RingContext(32003, ("t", "x", "y"))
     pres = rees_presentation(Filtration.adic(ideal(ctx, "t^2", "x*y", "y^2")), 1)
     ext, images = pres.substitution_images()
-    assert ext.variables == ("t", "x", "y", "t@")
+    assert ext.variables == ("t@", "t", "x", "y")
     assert not pres.rees_kernel.is_zero
     for g in pres.rees_kernel.gb.basis:
         assert g.subs(images).is_zero, str(g)
