@@ -18,7 +18,6 @@ from .ideals import (
     eliminate,
     height,
     ideal,
-    ideal_combine,
     ideal_equal,
     ideal_power,
     ideal_product,

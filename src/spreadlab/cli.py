@@ -95,11 +95,10 @@ _FILTRATION_FORMS = {
 class SessionFile:
     """Parsed ring declaration plus named ideals and filtrations."""
 
-    def __init__(self, ctx: RingContext, order_name: str):
+    def __init__(self, ctx: RingContext):
         self.ctx = ctx
-        self.order_name = order_name
         self.ideals = {}          # name -> Ideal
-        self.filtrations = {}     # name -> (kind string, Filtration)
+        self.filtrations = {}     # name -> Filtration
 
     @classmethod
     def parse(cls, text: str) -> "SessionFile":
@@ -166,7 +165,7 @@ class SessionFile:
             ctx = RingContext(p, variables, order, weights)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        return cls(ctx, order_name)
+        return cls(ctx)
 
     def _parse_ideal(self, rest: str, lineno: int):
         if "=" not in rest:
@@ -198,7 +197,7 @@ class SessionFile:
             raise ValueError(f"line {lineno}: expected {_FILTRATION_FORMS[kind]}, got {spec!r}")
         else:
             raise ValueError(f"line {lineno}: unknown filtration kind {kind!r}")
-        self.filtrations[name] = (spec, F)
+        self.filtrations[name] = F
 
     def _ideal(self, name: str, lineno=None) -> Ideal:
         if name not in self.ideals:
@@ -209,24 +208,7 @@ class SessionFile:
     def filtration(self, name: str) -> Filtration:
         if name not in self.filtrations:
             raise ValueError(f"unknown filtration {name!r}")
-        return self.filtrations[name][1]
-
-    def canonical_text(self) -> str:
-        ctx = self.ctx
-        lines = [
-            "ring p={} vars={} order={} weights={}".format(
-                ctx.p,
-                ",".join(ctx.variables),
-                self.order_name,
-                ",".join(str(w) for w in ctx.weights),
-            )
-        ]
-        for name, ideal_obj in self.ideals.items():
-            gens = ", ".join(str(g) for g in ideal_obj.gens) or "0"
-            lines.append(f"ideal {name} = {gens}")
-        for name, (spec, _) in self.filtrations.items():
-            lines.append(f"filtration {name} = {spec}")
-        return "\n".join(lines) + "\n"
+        return self.filtrations[name]
 
 
 def _arg(*flags, **keywords):

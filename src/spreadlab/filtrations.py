@@ -1,19 +1,21 @@
 """Filtrations of ideals, their Rees presentations, and analytic spread.
 
 A filtration is a descending chain I_1 >= I_2 >= ... with
-I_i * I_j <= I_{i+j}.  Four kinds are built in:
+I_i * I_j <= I_{i+j}, given by its member rule n -> I_n.  Four named
+constructors each pass one rule:
 
-* ``adic`` -- I_n = I^n;
-* ``symbolic`` -- I_n = I^n : J^infinity (J defaults to the ideal of
-  all variables, the right notion for space-curve primes);
-* ``truncated`` -- the Noetherian approximation generated by the first
-  a members, built only by ``Filtration.truncate``: I_{a,n} = I_n for
-  n <= a and, beyond a, the sum over 0 < i <= n/2 of I_{a,i} I_{a,n-i}
-  (``_lower_products``).  That two-factor sum is the sum of the products
-  over every partition of n into parts <= a only because the members
-  form a filtration: the smallest part i of such a partition is at most
-  n/2, and the product of the other parts lies in I_{a,n-i};
-* ``trivial_max`` -- I_n equal to the maximal ideal for every n >= 1.
+* ``Filtration.adic(I)`` -- I_n = I^n;
+* ``Filtration.symbolic(I, J)`` -- I_n = I^n : J^infinity (J defaults to
+  the ideal of all variables, the right notion for space-curve primes);
+* ``F.truncate(a)`` -- the Noetherian approximation generated by the
+  first a members of F: I_{a,n} = I_n for n <= a and, beyond a, the sum
+  over 0 < i <= n/2 of I_{a,i} I_{a,n-i} (``_lower_products``).  That
+  two-factor sum is the sum of the products over every partition of n
+  into parts <= a only because the members form a filtration: the
+  smallest part i of such a partition is at most n/2, and the product
+  of the other parts lies in I_{a,n-i};
+* ``Filtration.trivial_max(ctx)`` -- I_n equal to the maximal ideal for
+  every n >= 1.
 
 The Rees algebra of a truncation is presented by adjoining one variable
 T{n}_{j} of degree n per chosen generator of I_n and eliminating the
@@ -31,8 +33,8 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ideals import (
     _AUX,
@@ -75,12 +77,23 @@ def symbolic_power(I: Ideal, n: int, J: Optional[Ideal] = None) -> Ideal:
 
 
 class Filtration:
-    """A filtration with memoized members, materialized on demand."""
+    """A filtration given by its member rule, members memoized on demand.
 
-    def __init__(self, ctx: RingContext, kind: str, data: dict):
+    ``member(F, n)`` returns I_n for n >= 1, with F the filtration
+    itself, so a rule can ask F for lower members without holding a
+    reference to F.  ``adic``, ``symbolic``, ``trivial_max`` and
+    ``truncate`` build the filtrations of the module docstring; a rule
+    handed in directly is trusted to give a filtration.
+    ``truncation_bound`` is a for the a-th truncation and None otherwise.
+    """
+
+    truncation_bound: Optional[int] = None
+
+    def __init__(self, ctx: RingContext, member: Callable[["Filtration", int], Ideal]):
+        if not callable(member):
+            raise TypeError("a filtration takes its member rule member(F, n)")
         self.ctx = ctx
-        self.kind = kind
-        self._data = data
+        self._member = member
         self._cache: Dict[int, Ideal] = {}
         self._lock = threading.Lock()
 
@@ -88,25 +101,30 @@ class Filtration:
 
     @classmethod
     def adic(cls, I: Ideal) -> "Filtration":
-        return cls(I.ctx, "adic", {"ideal": I})
+        return cls(I.ctx, lambda F, n: ideal_power(I, n))
 
     @classmethod
     def symbolic(cls, I: Ideal, J: Optional[Ideal] = None) -> "Filtration":
         if J is not None and (J.is_zero or not J.is_proper):
             raise ValueError("saturating ideal must be proper and nonzero")
-        return cls(I.ctx, "symbolic", {"ideal": I, "colon": J})
+        return cls(I.ctx, lambda F, n: symbolic_power(I, n, J))
 
     @classmethod
     def trivial_max(cls, ctx: RingContext) -> "Filtration":
-        return cls(ctx, "trivial_max", {})
+        return cls(ctx, lambda F, n: maximal_ideal(F.ctx))
+
+    def truncate(self, a: int) -> "Filtration":
+        """The a-th truncated filtration generated by the first a members."""
+        if a < 1:
+            raise ValueError("truncation bound must be at least 1")
+        members = tuple(self.materialize(n) for n in range(1, a + 1))
+        trunc = Filtration(
+            self.ctx, lambda F, n: members[n - 1] if n <= a else _lower_products(F, n)
+        )
+        trunc.truncation_bound = a
+        return trunc
 
     # ------------------------------------------------------------------------
-
-    @property
-    def truncation_bound(self) -> Optional[int]:
-        if self.kind == "truncated":
-            return len(self._data["members"])
-        return None
 
     def materialize(self, n: int) -> Ideal:
         if n < 0:
@@ -115,35 +133,10 @@ class Filtration:
             return unit_ideal(self.ctx)
         if n in self._cache:
             return self._cache[n]
-        value = self._compute(n)
+        value = self._member(self, n)
         with self._lock:
             self._cache.setdefault(n, value)
         return self._cache[n]
-
-    def _compute(self, n: int) -> Ideal:
-        kind = self.kind
-        if kind == "adic":
-            return ideal_power(self._data["ideal"], n)
-        if kind == "symbolic":
-            return symbolic_power(self._data["ideal"], n, self._data["colon"])
-        if kind == "trivial_max":
-            return maximal_ideal(self.ctx)
-        if kind == "truncated":
-            members = self._data["members"]
-            if n <= len(members):
-                return members[n - 1]
-            return _lower_products(self, n)
-        raise ValueError(f"unknown filtration kind {kind!r}")
-
-    def truncate(self, a: int) -> "Filtration":
-        """The a-th truncated filtration generated by the first a members."""
-        if a < 1:
-            raise ValueError("truncation bound must be at least 1")
-        members = tuple(self.materialize(n) for n in range(1, a + 1))
-        return Filtration(self.ctx, "truncated", {"members": members})
-
-    def __repr__(self):
-        return f"Filtration(kind={self.kind!r})"
 
 
 def _lower_products(F: Filtration, n: int) -> Ideal:
@@ -166,9 +159,10 @@ class ReesPresentation:
     """Presentation of the Rees algebra of a truncation.
 
     ``ring_ctx`` is the combined polynomial ring in the base variables
-    and the fiber variables; ``rees_kernel`` is the kernel of
-    T{n}_{j} -> f_{n,j} * t^n there; ``fiber_kernel`` lives in the
-    T-variables alone and cuts out the special fiber.
+    and the fiber variables, T{n}_{j} weighing wdeg(f_{n,j}) (the weight
+    of its image f_{n,j} t^n when t weighs 0); ``rees_kernel`` is the
+    kernel of T{n}_{j} -> f_{n,j} * t^n there; ``fiber_kernel`` lives in
+    the T-variables alone and cuts out the special fiber.
     """
 
     base_ctx: RingContext
@@ -275,12 +269,6 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
             fiber_kernel=None,
         )
 
-    def twent(g):
-        w = weighted_degree(g)
-        return w if w is not None and w > 0 else 1
-
-    tweights = tuple(twent(g) for _, _, g in chosen)
-
     # t@ before the base and fiber variables, graded so that
     # T{n}_j - f t^n is homogeneous; ``_eliminate`` ranks t@ above the rest
     ring = RingContext(
@@ -297,7 +285,8 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
         )
         relations.append(ring.var(name) - lifted * tvar ** degree)
     combined = RingContext(
-        ctx.p, ctx.variables + tnames, MonomialOrder.grevlex(), ctx.weights + tweights
+        ctx.p, ctx.variables + tnames, MonomialOrder.grevlex(),
+        ctx.weights + tuple(wdeg(g) for _, _, g in chosen),
     )
     rees_kernel = _eliminate(combined, (_AUX,), ring, relations)
 
@@ -482,6 +471,16 @@ _SPREAD_MEMO_SIZE = 1024
 _SPREAD_MEMO_LOCK = threading.Lock()
 
 
+def _fiber_report(pres: ReesPresentation, I: Ideal, notes: Tuple[str, ...] = ()) -> SpreadReport:
+    """The spread report of pres's fiber, with the bounds ht(I) <= ell <= dim R."""
+    n = I.ctx.nvars
+    ell = krull_dim(pres.fiber_kernel)
+    ht = height(I)
+    return SpreadReport(
+        ell=ell, ring_dim=n, ht=ht, bounds_ok=(ht <= ell <= n), presentation=pres, notes=notes,
+    )
+
+
 def analytic_spread(I: Ideal) -> SpreadReport:
     """Analytic spread of an ideal: dimension of its special fiber.
 
@@ -499,10 +498,9 @@ def analytic_spread(I: Ideal) -> SpreadReport:
     and a repeated question returns the same report object.
     """
     _validate_spread_input(I)
-    n = I.ctx.nvars
     if I.is_zero:
         return SpreadReport(
-            ell=0, ring_dim=n, ht=None, bounds_ok=True, presentation=None,
+            ell=0, ring_dim=I.ctx.nvars, ht=None, bounds_ok=True, presentation=None,
             notes=("zero ideal: fiber is the residue field",),
         )
     with _SPREAD_MEMO_LOCK:
@@ -515,17 +513,7 @@ def analytic_spread(I: Ideal) -> SpreadReport:
     if found is not None:
         J, note = found
         notes = (note,)
-    pres = rees_presentation(Filtration.adic(J), 1)
-    ell = krull_dim(pres.fiber_kernel)
-    ht = height(I)
-    report = SpreadReport(
-        ell=ell,
-        ring_dim=n,
-        ht=ht,
-        bounds_ok=(ht <= ell <= n),
-        presentation=pres,
-        notes=notes,
-    )
+    report = _fiber_report(rees_presentation(Filtration.adic(J), 1), I, notes)
     with _SPREAD_MEMO_LOCK:
         _SPREAD_MEMO[I] = report
         if len(_SPREAD_MEMO) > _SPREAD_MEMO_SIZE:
@@ -540,28 +528,27 @@ def analytic_spread_truncated(
 ) -> SpreadReport:
     """Analytic spread of the a-th truncation of F.
 
-    F may itself be a truncation with bound a, which is then used as
-    it is, members and bases included.  Besides the fiber dimension,
-    searches e <= witness_bound (default 3a) for a single ideal I_{a,e}
-    whose own analytic spread equals the truncation's; the found
-    exponent (or its absence up to the bound) is recorded in the
-    report.  Pass ``witness_bound=0`` to skip.
+    When ``F.truncation_bound == a``, F is that truncation already and is
+    used as it is, members and bases included.  The height in the
+    report is that of I_1.  Besides the fiber dimension, searches
+    e <= witness_bound (default 3a) for a single ideal I_{a,e} whose own
+    analytic spread equals the truncation's; the found exponent (or its
+    absence up to the bound) is recorded in the report.  Pass
+    ``witness_bound=0`` to skip.
     """
     if a < 1:
         raise ValueError("truncation bound must be at least 1")
-    trunc = F if F.kind == "truncated" and F.truncation_bound == a else F.truncate(a)
+    trunc = F if F.truncation_bound == a else F.truncate(a)
     I1 = trunc.materialize(1)
     _validate_spread_input(I1)
-    n = F.ctx.nvars
     pres = rees_presentation(trunc, a)
     if pres.fiber_ctx is None:
         return SpreadReport(
-            ell=0, ring_dim=n, ht=None, bounds_ok=True, presentation=pres,
+            ell=0, ring_dim=F.ctx.nvars, ht=None, bounds_ok=True, presentation=pres,
             notes=("zero filtration",),
         )
-    ell = krull_dim(pres.fiber_kernel)
-    ht = height(I1) if not I1.is_zero else None
-    bounds_ok = (ell <= n) and (ht is None or ht <= ell)
+    # I_1 is nonzero here: its first basis element is always kept
+    report = _fiber_report(pres, I1)
 
     bound = 3 * a if witness_bound is None else witness_bound
     witness = None
@@ -569,22 +556,13 @@ def analytic_spread_truncated(
         member = trunc.materialize(e)
         if member.is_zero or not member.is_proper:
             continue
-        if analytic_spread(member).ell == ell:
+        if analytic_spread(member).ell == report.ell:
             witness = e
             break
     notes = ()
     if witness is None and bound > 0:
         notes = (f"no single-ideal spread witness found up to e = {bound}",)
-    return SpreadReport(
-        ell=ell,
-        ring_dim=n,
-        ht=ht,
-        bounds_ok=bounds_ok,
-        presentation=pres,
-        witness_exponent=witness,
-        witness_bound=bound,
-        notes=notes,
-    )
+    return replace(report, witness_exponent=witness, witness_bound=bound, notes=notes)
 
 
 @dataclass

@@ -166,16 +166,6 @@ def ideal_power(A: Ideal, k: int) -> Ideal:
     return Ideal(A.ctx, gens)
 
 
-def ideal_combine(A: Ideal, B: Ideal = None, op: str = "sum", k: int = None) -> Ideal:
-    if op == "sum":
-        return ideal_sum(A, B)
-    if op == "product":
-        return ideal_product(A, B)
-    if op == "power":
-        return ideal_power(A, k)
-    raise ValueError(f"unknown ideal operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------

@@ -210,9 +210,6 @@ class MonomialOrder:
             return key
         raise ValueError(f"unknown order kind {k!r}")
 
-    def key(self, exps):
-        return self.key_function(len(exps))(exps)
-
 
 # ---------------------------------------------------------------------------
 # ring context

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -75,6 +77,40 @@ def test_truncation_matches_partition_sum(name):
 def test_truncation_bound_validated(curve_symbolic):
     with pytest.raises(ValueError):
         curve_symbolic.truncate(0)
+
+
+def test_filtration_refuses_kind_and_data(ctx3):
+    # members handed in as data need not form a filtration: (x), (y)
+    # would give member 3 as (x*y), where the partition sum has x^3 too
+    with pytest.raises(TypeError):
+        Filtration(ctx3, "truncated", {"members": (ideal(ctx3, "x"), ideal(ctx3, "y"))})
+    with pytest.raises(TypeError):
+        Filtration(ctx3, "bogus", {})
+    with pytest.raises(TypeError):
+        Filtration(ctx3, "adic")
+
+
+def test_truncation_bound_only_on_truncations(ctx3, curve_symbolic):
+    I = ideal(ctx3, "x", "y")
+    for F in (Filtration.adic(I), curve_symbolic, Filtration.trivial_max(ctx3)):
+        assert F.truncation_bound is None
+        for a in (1, 3):
+            assert F.truncate(a).truncation_bound == a
+    assert Filtration.adic(I).truncate(2).truncate(3).truncation_bound == 3
+
+
+def test_truncation_is_freed_without_the_cycle_collector(ctx3):
+    # the member rule gets the filtration as an argument, so a truncation
+    # whose members are cached holds no reference cycle through itself
+    trunc = Filtration.adic(ideal(ctx3, "x", "y")).truncate(1)
+    trunc.materialize(3)
+    ref = weakref.ref(trunc)
+    gc.disable()
+    try:
+        del trunc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_filtration_axioms_on_truncation(curve_symbolic):

@@ -11,9 +11,9 @@ from spreadlab import (
     groebner_basis,
     height,
     ideal,
-    ideal_combine,
     ideal_power,
     ideal_product,
+    ideal_sum,
     intersect,
     is_max_ideal_associated,
     krull_dim,
@@ -31,12 +31,15 @@ from oracles import brute_force_dim
 # --- sum / product / power -------------------------------------------------
 
 def test_product_of_principals(ctx3):
-    assert ideal_product(ideal(ctx3, "x"), ideal(ctx3, "y")) == ideal(ctx3, "x*y")
+    A, B = ideal(ctx3, "x"), ideal(ctx3, "y")
+    assert ideal_product(A, B) == ideal(ctx3, "x*y")
+    assert ideal_sum(A, B) == ideal(ctx3, "x", "y")
 
 
 def test_square_of_two_generated(ctx3):
     sq = ideal_power(ideal(ctx3, "x", "y"), 2)
     assert sq == ideal(ctx3, "x^2", "x*y", "y^2")
+    assert ideal_power(ideal(ctx3, "x"), 3) == ideal(ctx3, "x^3")
 
 
 def test_power_zero_is_unit(ctx3):
@@ -46,15 +49,6 @@ def test_power_zero_is_unit(ctx3):
 def test_negative_power_rejected(ctx3):
     with pytest.raises(ValueError):
         ideal_power(ideal(ctx3, "x"), -1)
-
-
-def test_combine_dispatch(ctx3):
-    A, B = ideal(ctx3, "x"), ideal(ctx3, "y")
-    assert ideal_combine(A, B, "sum") == ideal(ctx3, "x", "y")
-    assert ideal_combine(A, B, "product") == ideal(ctx3, "x*y")
-    assert ideal_combine(A, op="power", k=3) == ideal(ctx3, "x^3")
-    with pytest.raises(ValueError):
-        ideal_combine(A, B, "frobnicate")
 
 
 # --- intersection ----------------------------------------------------------
