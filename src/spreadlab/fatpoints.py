@@ -358,13 +358,17 @@ def _first_root(f: List[int], start: int, p: int) -> Optional[int]:
     return min(_roots_modp(f, p), key=lambda b: (b - start) % p, default=None)
 
 
+# Draws sample_scheme makes before it gives up on a seed, as it must
+# when the field has too few points for r of them.
+_MAX_TRIES = 2000
+
+
 def sample_scheme(
     r: int,
     multiplicities=1,
     constraint: str = "none",
     seed: int = 0,
     p: int = DEFAULT_PRIME,
-    max_tries: int = 2000,
 ) -> FatPointScheme:
     """Deterministic pseudo-generic configuration of r points from a seed.
 
@@ -372,8 +376,8 @@ def sample_scheme(
     lines x1 = a, x3 = 1 and takes on each the first point of the cubic
     met going x2 = start, start + 1, ... (mod p), until it has r
     distinct points; the roots on a line come from gcd(f, x2^p - x2), at
-    a cost polynomial in log p.  Exhausting the retry budget (e.g. a tiny
-    field) raises a seed error.
+    a cost polynomial in log p.  Exhausting the budget of 2000 draws
+    (e.g. a tiny field) raises a seed error.
     """
     if r < 1:
         raise ValueError("need at least one point")
@@ -391,7 +395,7 @@ def sample_scheme(
         tries = 0
         while len(points) < r:
             tries += 1
-            if tries > max_tries:
+            if tries > _MAX_TRIES:
                 raise ValueError(f"could not sample {r} distinct points (seed {seed})")
             pt = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
             if not any(pt):
@@ -417,7 +421,7 @@ def sample_scheme(
     tries = 0
     while len(points) < r:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise ValueError(f"could not sample {r} points on the cubic (seed {seed})")
         a = rng.randrange(p)
         start = rng.randrange(p)

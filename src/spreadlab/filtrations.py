@@ -521,20 +521,15 @@ def analytic_spread(I: Ideal) -> SpreadReport:
     return report
 
 
-def analytic_spread_truncated(
-    F: Filtration,
-    a: int,
-    witness_bound: Optional[int] = None,
-) -> SpreadReport:
+def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
     """Analytic spread of the a-th truncation of F.
 
     When ``F.truncation_bound == a``, F is that truncation already and is
     used as it is, members and bases included.  The height in the
     report is that of I_1.  Besides the fiber dimension, searches
-    e <= witness_bound (default 3a) for a single ideal I_{a,e} whose own
-    analytic spread equals the truncation's; the found exponent (or its
-    absence up to the bound) is recorded in the report.  Pass
-    ``witness_bound=0`` to skip.
+    e <= 3a for a single ideal I_{a,e} whose own analytic spread equals
+    the truncation's; the found exponent (or its absence up to the
+    bound, the report's ``witness_bound``) is recorded in the report.
     """
     if a < 1:
         raise ValueError("truncation bound must be at least 1")
@@ -550,7 +545,7 @@ def analytic_spread_truncated(
     # I_1 is nonzero here: its first basis element is always kept
     report = _fiber_report(pres, I1)
 
-    bound = 3 * a if witness_bound is None else witness_bound
+    bound = 3 * a
     witness = None
     for e in range(1, bound + 1):
         member = trunc.materialize(e)
@@ -560,7 +555,7 @@ def analytic_spread_truncated(
             witness = e
             break
     notes = ()
-    if witness is None and bound > 0:
+    if witness is None:
         notes = (f"no single-ideal spread witness found up to e = {bound}",)
     return replace(report, witness_exponent=witness, witness_bound=bound, notes=notes)
 

@@ -33,15 +33,20 @@ triples sorted strictly descending by key.  Both are packed integers
   order field, so it never decides a comparison.
 
 Every exponent therefore stays below 2^31: inputs beyond that, and any
-product that reaches it during a computation, raise ValueError rather
-than return a basis computed from wrapped keys.
+exponent that reaches it in an S-polynomial or in a reduction step,
+raise ValueError rather than return a basis computed from wrapped keys.
+
+Every reduction -- of an input, an S-polynomial, a tail in the final
+interreduction, or a normal form asked of a finished basis -- runs in
+``_normal_form_terms`` over one table of pending terms and a heap of
+their packed keys (Monagan and Pearce's heap division), so each term is
+merged once; an S-polynomial enters the table as its two shifted tails.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import reduce
-from operator import lshift, mul, or_
+from operator import lshift, mul
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
@@ -113,69 +118,59 @@ def _codec(ctx: RingContext) -> _Codec:
         return codec
 
 
-def _shift(terms, qkey, qexp, scale, p, guard):
-    exps = [e + qexp for _, e, _ in terms]
-    if reduce(or_, exps, 0) & guard:
-        raise ValueError(_RANGE_ERROR)
-    return [(k + qkey, e, (c * scale) % p) for (k, _, c), e in zip(terms, exps)]
-
-
-def _merge_sub(a, b, p):
-    """a - b for descending term lists (b already carries its scale)."""
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        ka, kb = a[i][0], b[j][0]
-        if ka > kb:
-            out.append(a[i])
-            i += 1
-        elif kb > ka:
-            kj, mj, cj = b[j]
-            out.append((kj, mj, p - cj))
-            j += 1
-        else:
-            c = (a[i][2] - b[j][2]) % p
-            if c:
-                out.append((ka, a[i][1], c))
-            i += 1
-            j += 1
-    if i < na:
-        out.extend(a[i:])
-    else:
-        for kj, mj, cj in b[j:]:
-            out.append((kj, mj, p - cj))
-    return out
-
-
-def _normal_form_terms(f, basis, p, guard):
-    """Remainder of f modulo the monic term-lists in basis, and the
+def _normal_form_terms(pieces, basis, p, guard):
+    """Remainder of a sum of pieces modulo the monic basis, and the
     number of reduction steps taken.
 
-    No remainder term is divisible by any basis leading monomial; the
-    divisor for each reduction step is the first match in basis order.
+    A piece (terms, key shift, exponent shift, scale) stands for its
+    terms times that monomial and scalar.  ``basis`` holds (lm key, lm,
+    tail) entries.  Pending terms live in one table from packed key to
+    [coefficient, packed exponents], with coefficients reduced mod p
+    only when popped, and a heap of negated keys.  The largest pending
+    term is popped and, if some leading monomial divides it, reduced by
+    the first such entry in basis order, whose tail joins as one more
+    piece.  A packed key determines its monomial, and every added term
+    lies below the popped key, so a key enters the heap once and no
+    remainder term is divisible by any leading monomial.  Every added
+    exponent is checked against the guard bit, so one that reaches 2^31
+    raises ValueError.
     """
-    work = f
-    pos = 0
+    pending = {}
+    heap = []
+    push = heapq.heappush
+
+    def add(terms, qkey, qexp, scale):
+        for k, e, c in terms:
+            e += qexp
+            if e & guard:
+                raise ValueError(_RANGE_ERROR)
+            k += qkey
+            entry = pending.get(k)
+            if entry is None:
+                pending[k] = [c * scale, e]
+                push(heap, -k)
+            else:
+                entry[0] += c * scale
+
+    for piece in pieces:
+        add(*piece)
     rem = []
     steps = 0
-    while pos < len(work):
-        key0, m0, c0 = work[pos]
-        m0g = m0 | guard
-        hit = None
-        for entry in basis:
-            if (m0g - entry[1]) & guard == guard:
-                hit = entry
-                break
-        if hit is None:
-            rem.append(work[pos])
-            pos += 1
+    pop = heapq.heappop
+    while heap:
+        k = -pop(heap)
+        c, e = pending.pop(k)
+        c %= p
+        if not c:
             continue
-        hkey, hm, hterms = hit
-        scaled_tail = _shift(hterms[1:], key0 - hkey, m0 - hm, c0, p, guard)
-        work = _merge_sub(work[pos + 1 :], scaled_tail, p)
-        pos = 0
-        steps += 1
+        eg = e | guard
+        for hkey, hm, tail in basis:
+            if (eg - hm) & guard == guard:
+                add(tail, k - hkey, e - hm, p - c)
+                steps += 1
+                break
+        else:
+            rem.append((k, e, c))
     return rem, steps
 
 
@@ -202,10 +197,9 @@ def _buchberger(inputs, ctx: RingContext):
     G = []          # monic descending term lists
     lms = []        # packed leading exponents of G
     excess = []     # sugar minus the weighted degree of the lm, per element
-    entries = []    # (lm_key, lm, terms) view used by the reducer
+    entries = []    # (lm_key, lm, tail) view used by the reducer
     heap = []       # (sugar, lcm key, i, j)
-    pairs = set()   # live (i, j) pairs, i < j
-    lcms = {}       # (i, j) -> packed lcm
+    lcms = {}       # live (i, j) pairs, i < j -> packed lcm
     created = pruned_m = pruned_f = pruned_b = spolys = zeros = steps = 0
 
     def install(h, sugar):
@@ -237,43 +231,39 @@ def _buchberger(inputs, ctx: RingContext):
             fresh.append((min(idxs), l))
         pruned_f += len(keep) - len(fresh)
         # B: retire old pairs strictly refined by the new leading monomial
-        for (i, j) in list(pairs):
+        for (i, j) in list(lcms):
             l = lcms[(i, j)]
             if (
                 ((l | guard) - lm_h) & guard == guard
                 and with_h[i] != l
                 and with_h[j] != l
             ):
-                pairs.discard((i, j))
                 del lcms[(i, j)]
                 pruned_b += 1
         G.append(h)
         lms.append(lm_h)
         excess.append(sugar - (h[0][0] & wmask))
-        entries.append((h[0][0], lm_h, h))
+        entries.append((h[0][0], lm_h, h[1:]))
         for i, l in sorted(fresh):
-            pairs.add((i, t))
             lcms[(i, t)] = l
             lk = codec.key(l)
             heapq.heappush(heap, ((lk & wmask) + max(excess[i], excess[t]), lk, i, t))
 
     for f in inputs:
-        h, n = _normal_form_terms(f, entries, p, guard)
+        h, n = _normal_form_terms([(f, 0, 0, 1)], entries, p, guard)
         steps += n
         if h:
             install(_monic(h, p), max(k & wmask for k, _, _ in f))
 
     while heap:
         sugar, lk, i, j = heapq.heappop(heap)
-        if (i, j) not in pairs:
+        l = lcms.pop((i, j), None)
+        if l is None:
             continue
-        pairs.discard((i, j))
-        l = lcms.pop((i, j))
-        s = _merge_sub(
-            _shift(G[i][1:], lk - G[i][0][0], l - lms[i], 1, p, guard),
-            _shift(G[j][1:], lk - G[j][0][0], l - lms[j], 1, p, guard),
-            p,
-        )
+        s = [
+            (entries[i][2], lk - entries[i][0], l - lms[i], 1),
+            (entries[j][2], lk - entries[j][0], l - lms[j], p - 1),
+        ]
         h, n = _normal_form_terms(s, entries, p, guard)
         steps += n
         spolys += 1
@@ -304,17 +294,17 @@ def _reduce_basis(G, p, guard):
     leading monomial no kept one divides, and reduces its tail by the
     kept elements, which are already reduced.
     """
-    entries = []    # (lm_key, lm, terms) of the kept, reduced elements
+    entries = []    # (lm_key, lm, tail) of the kept, reduced elements
     steps = 0
     for g in sorted(G, key=lambda g: g[0][0]):
-        lead = g[0]
-        lmg = lead[1] | guard
+        lkey, lm, _ = g[0]
+        lmg = lm | guard
         if any((lmg - e[1]) & guard == guard for e in entries):
             continue
-        tail, n = _normal_form_terms(g[1:], entries, p, guard)
+        tail, n = _normal_form_terms([(g[1:], 0, 0, 1)], entries, p, guard)
         steps += n
-        entries.append((lead[0], lead[1], [lead] + tail))
-    return [terms for _, _, terms in entries], steps
+        entries.append((lkey, lm, tail))
+    return [[(k, m, 1)] + tail for k, m, tail in entries], steps
 
 
 class GroebnerBasis:
@@ -347,7 +337,7 @@ class GroebnerBasis:
             self._entries = []
             for g in self.basis:
                 t = codec.terms(g)
-                self._entries.append((t[0][0], t[0][1], t))
+                self._entries.append((t[0][0], t[0][1], t[1:]))
         return self._entries
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -357,7 +347,7 @@ class GroebnerBasis:
             return f
         codec = _codec(self.ctx)
         rem, _ = _normal_form_terms(
-            codec.terms(f), self._divisors(), self.ctx.p, codec.guard
+            [(codec.terms(f), 0, 0, 1)], self._divisors(), self.ctx.p, codec.guard
         )
         return codec.poly(self.ctx, rem)
 

@@ -162,7 +162,7 @@ def test_cubic_roots_against_brute_force(p):
 def test_tiny_field_capacity_error():
     # the projective plane over F_7 has only 57 points
     with pytest.raises(ValueError):
-        sample_scheme(60, 1, "none", seed=1, p=7, max_tries=400)
+        sample_scheme(60, 1, "none", seed=1, p=7)
 
 
 def test_duplicate_detection():

@@ -266,6 +266,14 @@ def test_exponent_beyond_guard_is_refused():
     g = lex.poly("x*y^1073741829 + 1")
     with pytest.raises(ValueError):
         groebner_basis([f, g])
+    # neither input reduces the other, so the first exponent to reach
+    # 2^31 is in their S-polynomial: y^(2^30 + 1) f - x g holds
+    # y^(2^31 + 1)
+    f = lex.poly("x^2 + y^1073741824")
+    g = lex.poly("x*y^1073741825 + 1")
+    assert len(groebner_basis([f]).basis) == len(groebner_basis([g]).basis) == 1
+    with pytest.raises(ValueError):
+        groebner_basis([f, g])
     G = groebner_basis([lex.poly("x*y")])
     with pytest.raises(ValueError):
         G.normal_form(lex.poly("y^2147483648"))
