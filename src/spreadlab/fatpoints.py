@@ -372,12 +372,14 @@ def sample_scheme(
 ) -> FatPointScheme:
     """Deterministic pseudo-generic configuration of r points from a seed.
 
-    ``constraint="elliptic"`` first draws a smooth cubic, then draws
-    lines x1 = a, x3 = 1 and takes on each the first point of the cubic
-    met going x2 = start, start + 1, ... (mod p), until it has r
-    distinct points; the roots on a line come from gcd(f, x2^p - x2), at
-    a cost polynomial in log p.  Exhausting the budget of 2000 draws
-    (e.g. a tiny field) raises a seed error.
+    With ``constraint="none"`` a draw is a random projective point.
+    ``constraint="elliptic"`` first draws a smooth cubic; a draw is then
+    a line x1 = a, x3 = 1 and the first point of the cubic on it met
+    going x2 = start, start + 1, ... (mod p), if there is one; the roots
+    on a line come from gcd(f, x2^p - x2), at a cost polynomial in log p.
+    One loop keeps the first occurrence of each point drawn, in order,
+    until it has r.  Exhausting the budget of _MAX_TRIES draws (e.g. a
+    tiny field) raises a seed error.
     """
     if r < 1:
         raise ValueError("need at least one point")
@@ -390,54 +392,44 @@ def sample_scheme(
     rng = random.Random(seed)
 
     if constraint == "none":
-        points = []
-        seen = set()
-        tries = 0
-        while len(points) < r:
-            tries += 1
-            if tries > _MAX_TRIES:
-                raise ValueError(f"could not sample {r} distinct points (seed {seed})")
-            pt = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
-            if not any(pt):
-                continue
-            pt = _normalize_point(pt, p)
-            if pt not in seen:
-                seen.add(pt)
-                points.append(pt)
-        return FatPointScheme(p, tuple(points), mults, None, seed)
+        coeffs = None
+        error = f"could not sample {r} distinct points (seed {seed})"
 
-    if constraint != "elliptic":
+        def draw():
+            pt = (rng.randrange(p), rng.randrange(p), rng.randrange(p))
+            return pt if any(pt) else None
+
+    elif constraint == "elliptic":
+        for _ in range(40):
+            coeffs = tuple(rng.randrange(p) for _ in monomial_basis(3))
+            if _cubic_is_smooth(coeffs, p):
+                break
+        else:
+            raise ValueError(f"no smooth cubic found (seed {seed})")
+        error = f"could not sample {r} points on the cubic (seed {seed})"
+
+        def draw():
+            a = rng.randrange(p)
+            start = rng.randrange(p)
+            # on the affine line x1 = a, x3 = 1 the cubic is univariate in x2
+            uni = [0, 0, 0, 0]
+            for c, (e1, e2, e3) in zip(coeffs, monomial_basis(3)):
+                if c:
+                    uni[e2] = (uni[e2] + c * pow(a, e1, p)) % p
+            b = _first_root(uni, start, p)
+            return None if b is None else (a, b, 1)
+
+    else:
         raise ValueError(f"unknown constraint {constraint!r}")
 
-    for _ in range(40):
-        coeffs = tuple(rng.randrange(p) for _ in monomial_basis(3))
-        if _cubic_is_smooth(coeffs, p):
-            break
-    else:
-        raise ValueError(f"no smooth cubic found (seed {seed})")
-
-    points = []
-    seen = set()
-    tries = 0
-    while len(points) < r:
-        tries += 1
-        if tries > _MAX_TRIES:
-            raise ValueError(f"could not sample {r} points on the cubic (seed {seed})")
-        a = rng.randrange(p)
-        start = rng.randrange(p)
-        # on the affine line x1 = a, x3 = 1 the cubic is univariate in x2
-        uni = [0, 0, 0, 0]
-        for c, (e1, e2, e3) in zip(coeffs, monomial_basis(3)):
-            if c:
-                uni[e2] = (uni[e2] + c * pow(a, e1, p)) % p
-        b = _first_root(uni, start, p)
-        if b is None:
-            continue
-        pt = _normalize_point((a, b, 1), p)
-        if pt not in seen:
-            seen.add(pt)
-            points.append(pt)
-    return FatPointScheme(p, tuple(points), mults, coeffs, seed)
+    points = {}     # first occurrences, in draw order
+    for _ in range(_MAX_TRIES):
+        pt = draw()
+        if pt is not None:
+            points.setdefault(_normalize_point(pt, p))
+            if len(points) == r:
+                return FatPointScheme(p, tuple(points), mults, coeffs, seed)
+    raise ValueError(error)
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +561,6 @@ class MultMapReport:
     surjective: bool
     image_dim: int
     target_dim: int
-    degree: int
-    multiplicity: int
-    seed: int
 
 
 def mult_map_surjective(scheme: FatPointScheme, d: int, m: int) -> MultMapReport:
@@ -601,9 +590,6 @@ def _mult_map(scheme: FatPointScheme, d: int, m: int):
         surjective=(image.shape[0] == target.h0),
         image_dim=image.shape[0],
         target_dim=target.h0,
-        degree=d,
-        multiplicity=m,
-        seed=scheme.seed,
     )
     return report, image, pivots
 
@@ -657,6 +643,31 @@ def _power_spans(pieces: Dict[int, np.ndarray], s: int, degrees: Set[int], p: in
     return {D: rows for D, rows in levels[s].items() if D in degrees}
 
 
+def _power_containment(scheme: FatPointScheme, pieces, s: int, m: int, degrees):
+    """For each wanted degree D, ascending: the report of the
+    multiplication map onto the (D, m) piece, the span of s-fold
+    products of piece elements in degree D (None where none was built),
+    and whether those products lie in x_k * (degree D-1 piece), all at
+    multiplicity m.
+
+    Every degree's map is decided first.  The products vanish to order
+    m, so where the map is surjective it certifies containment; product
+    spans are built, in one :func:`_power_spans` call, only in the
+    degrees it leaves open, and reduced against its image.  A degree no
+    product reaches is contained.
+    """
+    maps = {D: _mult_map(scheme, D, m) for D in sorted(degrees)}
+    spans = _power_spans(
+        pieces, s, {D for D, (cert, _, _) in maps.items() if not cert.surjective}, scheme.p
+    )
+    decided = {}
+    for D, (cert, image, pivots) in maps.items():
+        products = spans.get(D)
+        contained = products is None or not reduce_rows(products, image, pivots, scheme.p).any()
+        decided[D] = (cert, products, contained)
+    return decided
+
+
 def graded_power_containment(
     scheme: FatPointScheme, n: int, s: int, d_max: int
 ) -> dict:
@@ -664,19 +675,15 @@ def graded_power_containment(
     system land inside the variable multiples of the multiplicity-s*n
     system.
 
-    For each total degree D at most d_max, the span of s-fold products
-    of basis elements of the n-system pieces is compared with the span
-    of x_k * (degree D-1 piece of the sn-system).  Every degree's
-    multiplication map is decided first: where it is surjective it
-    certifies containment, and product spans are built, in one
-    :func:`_power_spans` call, only in the degrees it leaves open.  On a
-    cubic configuration the bottom degree 3*s*n is the designed
-    exception: the comparison space is zero there while the cubic's
-    power survives.
+    For each total degree D at most d_max that products reach, the span
+    of s-fold products of basis elements of the n-system pieces is
+    compared with the span of x_k * (degree D-1 piece of the sn-system),
+    by :func:`_power_containment`.  On a cubic configuration the bottom
+    degree 3*s*n is the designed exception: the comparison space is zero
+    there while the cubic's power survives.
     """
     if n < 1 or s < 1:
         raise ValueError("n and s must be positive")
-    p = scheme.p
     sn = scheme.with_multiplicities(n)
 
     pieces: Dict[int, np.ndarray] = {}
@@ -685,45 +692,28 @@ def graded_power_containment(
         if ls.h0:
             pieces[d] = ls.basis
 
-    product_degrees = set()
-    if pieces:
-        sums = {0}
-        for _ in range(s):
-            sums = {
-                t + d for t in sums for d in pieces if t + d <= d_max
-            }
-        product_degrees = sums
-
-    maps = {D: _mult_map(scheme, D, s * n) for D in sorted(product_degrees)}
-    spans = _power_spans(
-        pieces, s, {D for D, (cert, _, _) in maps.items() if not cert.surjective}, p
-    )
-    degrees = {}
-    for D, (cert, image, pivots) in maps.items():
-        # products vanish to order s*n, so surjectivity of multiplication
-        # by linear forms onto the (D, s*n) piece certifies containment
-        if cert.surjective:
-            degrees[D] = {
-                "contained": True,
-                "via": "multiplication-map surjectivity",
-                "comparison_dim": cert.image_dim,
-            }
-            continue
-        products = spans.get(D)
-        if products is None or products.size == 0:
-            degrees[D] = {
-                "contained": True,
-                "via": "empty product span",
-                "comparison_dim": cert.image_dim,
-            }
-            continue
-        residues = reduce_rows(products, image, pivots, p)
-        degrees[D] = {
-            "contained": bool(not residues.any()),
-            "via": "product-span reduction",
-            "products_dim": int(products.shape[0]),
-            "comparison_dim": cert.image_dim,
+    product_degrees = {0}
+    for _ in range(s):
+        product_degrees = {
+            t + d for t in product_degrees for d in pieces if t + d <= d_max
         }
+
+    degrees = {}
+    for D, (cert, products, contained) in _power_containment(
+        scheme, pieces, s, s * n, product_degrees
+    ).items():
+        if cert.surjective:
+            row = {"contained": True, "via": "multiplication-map surjectivity"}
+        elif products is None:
+            row = {"contained": True, "via": "empty product span"}
+        else:
+            row = {
+                "contained": contained,
+                "via": "product-span reduction",
+                "products_dim": int(products.shape[0]),
+            }
+        row["comparison_dim"] = cert.image_dim
+        degrees[D] = row
     report = {
         "n": n,
         "s": s,
@@ -745,13 +735,13 @@ def fiber_generator_census(
     powers modulo variable multiples of the multiplicity-s*n system.
 
     A piece "dies" when the span of its s-fold self-products lies in
-    x_k * (s*n-system); by polarization over a large field this covers
-    every element of the piece.  Pieces with survivors are the
-    candidate generators of the special fiber beyond the base field.
+    x_k * (s*n-system), as :func:`_power_containment` decides; by
+    polarization over a large field this covers every element of the
+    piece.  Pieces with survivors are the candidate generators of the
+    special fiber beyond the base field.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    p = scheme.p
     rows = []
     for n in range(1, n_max + 1):
         sn = scheme.with_multiplicities(n)
@@ -759,20 +749,15 @@ def fiber_generator_census(
             piece = linear_system(sn, d)
             if piece.h0 == 0:
                 continue
-            cert, image, pivots = _mult_map(scheme, s * d, s * n)
-            if cert.surjective:
-                survives = False          # s-th powers land in the x_k multiples
-            else:
-                products = _power_spans({d: piece.basis}, s, {s * d}, p).get(s * d)
-                survives = products is not None and bool(
-                    reduce_rows(products, image, pivots, p).any()
-                )
+            _, _, contained = _power_containment(
+                scheme, {d: piece.basis}, s, s * n, {s * d}
+            )[s * d]
             rows.append(
                 {
                     "n": n,
                     "degree": d,
                     "piece_dim": piece.h0,
-                    "survives": bool(survives),
+                    "survives": not contained,
                 }
             )
     return {

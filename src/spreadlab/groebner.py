@@ -194,10 +194,8 @@ def _buchberger(inputs, ctx: RingContext):
 
     wmask = codec.wdeg_mask
 
-    G = []          # monic descending term lists
-    lms = []        # packed leading exponents of G
+    entries = []    # (lm key, lm, tail) of each monic element
     excess = []     # sugar minus the weighted degree of the lm, per element
-    entries = []    # (lm_key, lm, tail) view used by the reducer
     heap = []       # (sugar, lcm key, i, j)
     lcms = {}       # live (i, j) pairs, i < j -> packed lcm
     created = pruned_m = pruned_f = pruned_b = spolys = zeros = steps = 0
@@ -205,9 +203,9 @@ def _buchberger(inputs, ctx: RingContext):
     def install(h, sugar):
         """Gebauer-Moeller update of the pair set for a new element h."""
         nonlocal created, pruned_m, pruned_f, pruned_b
-        t = len(G)
+        t = len(entries)
         lm_h = h[0][1]
-        with_h = [lcm(lms[i], lm_h) for i in range(t)]
+        with_h = [lcm(e[1], lm_h) for e in entries]
         created += t
         # M: keep only divisibility-minimal lcms.  A divisor is never a
         # larger integer, so one ascending pass against the minimal lcms
@@ -226,7 +224,7 @@ def _buchberger(inputs, ctx: RingContext):
             classes.setdefault(l, []).append(i)
         fresh = []
         for l, idxs in classes.items():
-            if any(lms[i] + lm_h == l for i in idxs):
+            if any(entries[i][1] + lm_h == l for i in idxs):
                 continue
             fresh.append((min(idxs), l))
         pruned_f += len(keep) - len(fresh)
@@ -240,8 +238,6 @@ def _buchberger(inputs, ctx: RingContext):
             ):
                 del lcms[(i, j)]
                 pruned_b += 1
-        G.append(h)
-        lms.append(lm_h)
         excess.append(sugar - (h[0][0] & wmask))
         entries.append((h[0][0], lm_h, h[1:]))
         for i, l in sorted(fresh):
@@ -261,8 +257,8 @@ def _buchberger(inputs, ctx: RingContext):
         if l is None:
             continue
         s = [
-            (entries[i][2], lk - entries[i][0], l - lms[i], 1),
-            (entries[j][2], lk - entries[j][0], l - lms[j], p - 1),
+            (entries[i][2], lk - entries[i][0], l - entries[i][1], 1),
+            (entries[j][2], lk - entries[j][0], l - entries[j][1], p - 1),
         ]
         h, n = _normal_form_terms(s, entries, p, guard)
         steps += n
@@ -272,7 +268,7 @@ def _buchberger(inputs, ctx: RingContext):
         else:
             zeros += 1
 
-    basis, n = _reduce_basis(G, p, guard)
+    basis, n = _reduce_basis(entries, p, guard)
     stats = {
         "pairs_created": created,
         "pruned_m": pruned_m,
@@ -285,23 +281,23 @@ def _buchberger(inputs, ctx: RingContext):
     return basis, stats
 
 
-def _reduce_basis(G, p, guard):
-    """Minimalize and tail-reduce to the canonical reduced basis; also
-    return the number of reduction steps the tail reduction took.
+def _reduce_basis(elements, p, guard):
+    """Minimalize and tail-reduce the (lm key, lm, tail) entries of monic
+    elements to the canonical reduced basis; also return the number of
+    reduction steps the tail reduction took.
 
     In ascending order a monomial can only be divisible by leading
     monomials that come before it.  So one pass keeps each element whose
     leading monomial no kept one divides, and reduces its tail by the
     kept elements, which are already reduced.
     """
-    entries = []    # (lm_key, lm, tail) of the kept, reduced elements
+    entries = []    # (lm key, lm, tail) of the kept, reduced elements
     steps = 0
-    for g in sorted(G, key=lambda g: g[0][0]):
-        lkey, lm, _ = g[0]
+    for lkey, lm, tail in sorted(elements):
         lmg = lm | guard
         if any((lmg - e[1]) & guard == guard for e in entries):
             continue
-        tail, n = _normal_form_terms([(g[1:], 0, 0, 1)], entries, p, guard)
+        tail, n = _normal_form_terms([(tail, 0, 0, 1)], entries, p, guard)
         steps += n
         entries.append((lkey, lm, tail))
     return [[(k, m, 1)] + tail for k, m, tail in entries], steps

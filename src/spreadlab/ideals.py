@@ -153,10 +153,13 @@ def ideal_product(A: Ideal, B: Ideal) -> Ideal:
 
 
 def ideal_power(A: Ideal, k: int) -> Ideal:
+    """A^k; the first power is A itself, with its cached basis."""
     if k < 0:
         raise ValueError("ideal power wants a nonnegative exponent")
     if k == 0:
         return unit_ideal(A.ctx)
+    if k == 1:
+        return A
     gens = []
     for combo in itertools.combinations_with_replacement(A.gens, k):
         f = combo[0]

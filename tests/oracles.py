@@ -21,7 +21,10 @@ the definition, which needs no filtration property.  The saturation-index refere
 definition of the index: it counts colon steps A : B, (A : B) : B, ...
 until the result repeats.  The containment reference builds every
 product span up to the top degree, one factor at a time, before it
-looks at any multiplication map.
+looks at any multiplication map.  The Huneke search looks for the
+length condition of Huneke's criterion (Michigan Math. J. 34, 1987)
+among pairs of reduced-basis elements of symbolic powers, each length
+counted as the standard monomials of one Groebner basis.
 """
 
 import itertools
@@ -40,6 +43,7 @@ from spreadlab import (
     maximal_ideal,
     quotient,
     saturate,
+    symbolic_power,
 )
 from spreadlab.fatpoints import _all_pair_products, _variable_multiples, linear_system
 from spreadlab.linalg import reduce_rows, rref_modp, span_rows
@@ -392,6 +396,43 @@ def exponent_rank(exponents):
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def colength(I):
+    """Length of R/I, the number of monomials outside the leading ideal
+    of I's reduced basis, or None when that number is infinite."""
+    lms = [g.lm() for g in I.gb.basis]
+    bounds = []
+    for i in range(I.ctx.nvars):
+        pure = [m[i] for m in lms if sum(m) == m[i]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return sum(
+        1
+        for e in itertools.product(*(range(b) for b in bounds))
+        if not any(mono_divides(m, e) for m in lms)
+    )
+
+
+def huneke_pair(P, var, top=3):
+    """The first (k, l, f, g) with k <= l <= top, f in the reduced basis
+    of P^(k) and g in that of P^(l), such that the length of
+    R/(f, g, x) is k * l times that of R/(P, x), for x the variable
+    named var; None if there is none.  By Huneke's criterion such a pair
+    makes the symbolic algebra of a height-2 prime of a 3-dimensional
+    ring Noetherian."""
+    ctx = P.ctx
+    x = ctx.poly(var)
+    base = colength(Ideal(ctx, P.gens + (x,)))
+    bases = {k: symbolic_power(P, k).gb.basis for k in range(1, top + 1)}
+    for k in range(1, top + 1):
+        for l in range(k, top + 1):
+            for f in bases[k]:
+                for g in bases[l]:
+                    if colength(Ideal(ctx, (f, g, x))) == k * l * base:
+                        return k, l, f, g
+    return None
 
 
 def parse_polynomial_by_arithmetic(ctx: RingContext, text: str) -> Polynomial:

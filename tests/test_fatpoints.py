@@ -160,9 +160,29 @@ def test_cubic_roots_against_brute_force(p):
 
 
 def test_tiny_field_capacity_error():
-    # the projective plane over F_7 has only 57 points
-    with pytest.raises(ValueError):
+    # the projective plane over F_7 has only 57 points, and a smooth
+    # cubic over F_7 at most 7 + 1 + 2 * sqrt(7) < 14
+    with pytest.raises(ValueError, match=r"^could not sample 60 distinct points \(seed 1\)$"):
         sample_scheme(60, 1, "none", seed=1, p=7)
+    with pytest.raises(ValueError, match=r"^could not sample 40 points on the cubic \(seed 1\)$"):
+        sample_scheme(40, 1, "elliptic", seed=1, p=7)
+
+
+def test_sampled_points_pinned():
+    """Exact samples over F_7, where draws repeat points (and, on the
+    cubic, find lines without one): first occurrences, in draw order."""
+    scheme = sample_scheme(20, 1, "none", seed=1, p=7)
+    assert scheme.points == (
+        (1, 4, 6), (1, 1, 0), (1, 0, 5), (1, 4, 4), (1, 2, 4), (1, 0, 3), (0, 1, 4),
+        (1, 6, 2), (1, 0, 2), (1, 3, 4), (1, 6, 3), (0, 1, 0), (0, 0, 1), (1, 0, 6),
+        (1, 3, 2), (1, 6, 5), (0, 1, 5), (0, 1, 6), (1, 1, 5), (1, 3, 6),
+    )
+    assert scheme.cubic is None
+    scheme = sample_scheme(8, 1, "elliptic", seed=4, p=7)
+    assert scheme.cubic == (1, 2, 0, 5, 3, 3, 1, 0, 0, 0)
+    assert scheme.points == (
+        (1, 6, 5), (1, 0, 4), (1, 4, 1), (1, 4, 2), (1, 2, 1), (0, 0, 1), (1, 2, 4), (1, 0, 3),
+    )
 
 
 def test_duplicate_detection():

@@ -5,7 +5,13 @@ import weakref
 import pytest
 
 import spreadlab.ideals as ideals
-from oracles import greedy_generator_walk, naive_buchberger, truncation_by_partitions
+from oracles import (
+    colength,
+    greedy_generator_walk,
+    huneke_pair,
+    naive_buchberger,
+    truncation_by_partitions,
+)
 from spreadlab import (
     Filtration,
     HomogeneityError,
@@ -400,6 +406,28 @@ def test_paper_scale_symbolic_cube_and_truncation():
     report = analytic_spread_truncated(Filtration.symbolic(_curve_prime((4, 5, 7))), 3)
     assert report.ell == 2 and report.witness_exponent == 3
     assert len(report.presentation.generators) == 5
+
+
+# (k, l) of the first pair the Huneke search finds, per curve
+HUNEKE_PAIRS = {
+    (3, 4, 7): (1, 1), (3, 5, 8): (1, 1), (4, 5, 6): (1, 1), (4, 6, 7): (1, 1),
+    (3, 4, 5): (1, 2), (3, 5, 7): (1, 2), (5, 6, 7): (1, 2), (4, 5, 7): (1, 3),
+}
+
+
+@pytest.mark.parametrize("weights", list(HUNEKE_PAIRS))
+def test_huneke_pair_bounds_the_spreads(weights):
+    """The Noetherian side of the dichotomy: f in p^(k) and g in p^(l)
+    with length(R/(f, g, x)) = k * l * length(R/(p, x)) make the
+    symbolic algebra Noetherian (Huneke, Michigan Math. J. 34, 1987),
+    and then p^(kl) and the truncation of the symbolic filtration at
+    kl have analytic spread at most 2."""
+    P = _curve_prime(weights)
+    assert colength(ideal(P.ctx, *P.gens, "x")) == weights[0]
+    k, l, _, _ = huneke_pair(P, "x")
+    assert (k, l) == HUNEKE_PAIRS[weights]
+    assert analytic_spread(symbolic_power(P, k * l)).ell <= 2
+    assert analytic_spread_truncated(Filtration.symbolic(P), k * l).ell <= 2
 
 
 # --- analytic spread -------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 import spreadlab.ideals as ideals
 from spreadlab import (
+    Filtration,
     Ideal,
     MonomialOrder,
     RingContext,
@@ -40,6 +41,14 @@ def test_square_of_two_generated(ctx3):
     sq = ideal_power(ideal(ctx3, "x", "y"), 2)
     assert sq == ideal(ctx3, "x^2", "x*y", "y^2")
     assert ideal_power(ideal(ctx3, "x"), 3) == ideal(ctx3, "x^3")
+
+
+def test_first_power_keeps_the_cached_basis(ctx3):
+    # the adic filtration's first member is the member every spread
+    # presents, so its basis is not computed a second time
+    I = ideal(ctx3, "x^2 + y*z", "y^3 - x*z^2")
+    assert ideal_power(I, 1) is I
+    assert Filtration.adic(I).materialize(1).gb is I.gb
 
 
 def test_power_zero_is_unit(ctx3):
