@@ -678,7 +678,10 @@ def graded_power_containment(
     For each total degree D at most d_max that products reach, the span
     of s-fold products of basis elements of the n-system pieces is
     compared with the span of x_k * (degree D-1 piece of the sn-system),
-    by :func:`_power_containment`.  On a cubic configuration the bottom
+    by :func:`_power_containment`.  Every such D is a sum of s degrees
+    of nonzero pieces, and products of nonzero forms are nonzero, so a
+    degree whose map is not surjective always has a nonzero product
+    span to reduce.  On a cubic configuration the bottom
     degree 3*s*n is the designed exception: the comparison space is zero
     there while the cubic's power survives.
     """
@@ -704,8 +707,6 @@ def graded_power_containment(
     ).items():
         if cert.surjective:
             row = {"contained": True, "via": "multiplication-map surjectivity"}
-        elif products is None:
-            row = {"contained": True, "via": "empty product span"}
         else:
             row = {
                 "contained": contained,

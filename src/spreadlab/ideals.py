@@ -12,7 +12,12 @@ basis.  The ideal of all variables carries its own.  Colon ideals come
 from intersections with principal ideals.  ``saturate`` alone chooses how
 to compute A : B^infinity: by variable saturations (Bayer-Stillman) for
 weighted-homogeneous A and B the ideal of all variables, by iterated
-colon otherwise.  ``saturate_by_elimination`` is the independent check.
+colon otherwise.  The variable saturations A : x_i^infinity are built in
+variable order, and the first whose quotient by A has finite length,
+which the leading monomials of A's basis decide exactly, is the
+saturation, since a power of m carries it into A; only when no piece is
+certified are the minimal pieces intersected.
+``saturate_by_elimination`` is the independent check.
 """
 
 from __future__ import annotations
@@ -298,8 +303,12 @@ def saturate(A: Ideal, B: Ideal) -> Tuple[Ideal, int]:
 
     The index is the least k with A : B^k = A : B^(k+1), that is with
     (A : B^infinity) * B^k inside A.  Weighted-homogeneous A and B equal
-    to the ideal of all variables go by ``_saturate_by_variables``; every
-    other input iterates the colon until it stabilizes.
+    to the ideal of all variables go by ``_saturate_by_variables``: the
+    pieces A : x_i^infinity are built in variable order, and the first
+    one whose leading monomials certify that it is A up to finite length
+    is the saturation, since a power of m then carries it into A; the
+    minimal pieces are intersected only when no piece is certified.
+    Every other input iterates the colon until it stabilizes.
     """
     A._same_ring(B)
     if B.is_zero:
@@ -345,21 +354,59 @@ def _basis_contains(G: GroebnerBasis, H: GroebnerBasis) -> bool:
     return all(G.contains(_reorder(f, G.ctx)) for f in H)
 
 
+def _certifies_saturation(G: GroebnerBasis, i: int) -> bool:
+    """Whether (A : x_i^infinity) / A has finite length, from the leading
+    monomials of G, A's basis in the saturation order for x_i.
+
+    LT(A) is generated by the lm(g), and LT(Q) for Q = A : x_i^infinity
+    by the lm(g) / x_i^e with e = deg_i(lm(g)).  A is
+    weighted-homogeneous, so in each degree the standard monomials are
+    a basis, and Q / A has the monomials of LT(Q) outside LT(A) as one.
+    That set is finite exactly when, for each u = lm(g) / x_i^e with
+    e > 0 and each variable x_j (j != i; x_i^e * u is lm(g)), some
+    x_j^N * u lies in LT(A), that is some leading monomial v has
+    v_l <= u_l for every l != j.
+    """
+    lms = [g.lm() for g in G]
+    n = G.ctx.nvars
+    for w in lms:
+        if not w[i]:
+            continue
+        u = w[:i] + (0,) + w[i + 1 :]
+        for j in range(n):
+            if j != i and not any(
+                all(v[l] <= u[l] for l in range(n) if l != j) for v in lms
+            ):
+                return False
+    return True
+
+
 def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, int]:
     """A : m^infinity, the intersection of the A : x_i^infinity, and its index.
 
-    A piece containing another does not change the intersection, so only
-    minimal pieces are intersected (none for a prime).  Containment and
-    the index use saturation-order bases only, never the ring's order.
-    The index is the first k with S_k empty, where S_0 holds the nonzero
-    normal forms modulo A of sat's generators g and S_(k+1) those of the
-    x_j * r for r in S_k.  Each r is some u * g modulo A, so S_k is empty
-    exactly when every u * g with deg u = k lies in A, i.e. sat * m^k does.
+    The pieces Q_i = A : x_i^infinity are built in variable order, and the
+    first whose quotient Q_i / A has finite length, which the leading
+    monomials of A's basis certify (``_certifies_saturation``), is the
+    saturation: m^N * Q_i lies in A, so Q_i lies in A : m^infinity, which
+    lies in every piece.  The certificate is exact, so when no piece
+    passes it, no piece is the saturation and the minimal pieces are
+    intersected: a piece containing another does not change the
+    intersection.  Containment and the index use saturation-order bases
+    only, never the ring's order.  The index is the first k with S_k
+    empty, where S_0 holds the nonzero normal forms modulo A (x_0's
+    basis) of sat's generators g and S_(k+1) those of the x_j * r for r
+    in S_k.  Each r is some u * g modulo A, so S_k is empty exactly when
+    every u * g with deg u = k lies in A, i.e. sat * m^k does.
     """
     ctx = A.ctx
-    pieces = [_saturate_variable(A, i) for i in range(ctx.nvars)]
     minimal: List[GroebnerBasis] = []
-    for _, piece in pieces:
+    for i in range(ctx.nvars):
+        G, piece = _saturate_variable(A, i)
+        if i == 0:
+            A_basis = G
+        if _certifies_saturation(G, i):
+            minimal = [piece]
+            break
         if any(_basis_contains(piece, q) for q in minimal):
             continue
         minimal = [q for q in minimal if not _basis_contains(q, piece)] + [piece]
@@ -367,7 +414,6 @@ def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, int]:
     for q in minimal:
         piece = Ideal(ctx, [_reorder(f, ctx) for f in q])
         result = piece if result is None else intersect(result, piece)
-    A_basis = pieces[0][0]
     level = [_reorder(g, A_basis.ctx) for g in result.gens]
     index = 0
     while True:

@@ -451,6 +451,40 @@ def test_containment_builds_spans_only_where_the_map_leaves_it_open(
     assert not rep["empty"] and built == []
 
 
+# the "contain" jobs of the fatpoints benchmark: (n, s, d_max) per scheme
+BENCH_CONTAIN = {"none": ((1, 2, 12), (1, 3, 15)), "elliptic": ((1, 2, 12), (1, 3, 12))}
+
+
+@pytest.mark.parametrize("constraint, r", [("none", 16), ("elliptic", 12)])
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_open_degrees_always_have_a_nonzero_product_span(monkeypatch, constraint, r, seed):
+    # every reported degree is a sum of s degrees of nonzero pieces, and
+    # products of nonzero forms are nonzero, so no open degree is left
+    # without products to reduce
+    import spreadlab.fatpoints as fatpoints
+
+    decided = []
+    real = fatpoints._power_containment
+
+    def recording(*args):
+        out = real(*args)
+        decided.append(out)
+        return out
+
+    monkeypatch.setattr(fatpoints, "_power_containment", recording)
+    scheme = sample_scheme(r, 1, constraint, seed=seed)
+    open_degrees = 0
+    for n, s, d_max in BENCH_CONTAIN[constraint]:
+        rep = graded_power_containment(scheme, n, s, d_max)
+        for D, (cert, products, _) in decided.pop().items():
+            if not cert.surjective:
+                assert products is not None and products.any()
+                assert rep["degrees"][D]["via"] == "product-span reduction"
+                open_degrees += 1
+    # on general points the maps decide every degree of these jobs
+    assert (open_degrees > 0) == (constraint == "elliptic")
+
+
 @pytest.mark.parametrize("which, n, s, d_max", [
     ("nagata", 1, 4, 21), ("nagata", 1, 4, 19),
     ("elliptic", 1, 2, 12), ("elliptic", 1, 3, 12), ("elliptic", 1, 4, 13),

@@ -1,9 +1,11 @@
 """Saturation by the ideal of all variables through the variable route.
 
-For weighted-homogeneous A, ``saturate(A, m)`` intersects the minimal
-saturations A : x_i^infinity, each read off one Groebner basis in the
-``saturation`` order, and finds the index by normal forms; every other
-input keeps the iterated colon.  ``symbolic_power`` is a call to
+For weighted-homogeneous A, ``saturate(A, m)`` builds the saturations
+A : x_i^infinity in variable order, each read off one Groebner basis in
+the ``saturation`` order, returns the first one that the leading
+monomials certify, intersects the minimal ones when none is certified,
+and finds the index by normal forms; every other input keeps the
+iterated colon.  ``symbolic_power`` is a call to
 ``saturate``.  Every answer here is compared with the extra-variable
 oracle, and every index with the colon-step count of
 ``oracles.saturation_index_by_colon``; reduced bases are canonical, so
@@ -20,6 +22,7 @@ from oracles import saturation_index_by_colon
 from spreadlab import MonomialOrder, RingContext, ideal
 from spreadlab.filtrations import symbolic_power
 from spreadlab.ideals import (
+    _certifies_saturation,
     _reorder,
     _saturate_variable,
     eliminate,
@@ -51,6 +54,19 @@ def assert_saturation_matches_oracles(A):
     return sat, index
 
 
+def certified_pieces(A, sat):
+    """The i whose piece A : x_i^infinity the certificate accepts, after
+    checking that it accepts exactly the pieces equal to the saturation."""
+    accepted = []
+    for i in range(A.ctx.nvars):
+        G, Q = _saturate_variable(A, i)
+        equal = ideal(A.ctx, [_reorder(f, A.ctx) for f in Q]) == sat
+        assert _certifies_saturation(G, i) == equal
+        if equal:
+            accepted.append(i)
+    return accepted
+
+
 def assert_matches_oracles(I, n):
     got = symbolic_power(I, n)
     assert got.gb.basis == assert_saturation_matches_oracles(ideal_power(I, n))[0].gb.basis
@@ -63,6 +79,9 @@ def test_curve_symbolic_powers_match_oracles(weights, n):
     P = curve_prime(weights)
     S = assert_matches_oracles(P, n)
     assert S.contains_ideal(ideal_power(P, n))
+    # no variable lies in the prime and m is the only other possible
+    # associated prime of its powers, so every piece is the symbolic power
+    assert certified_pieces(ideal_power(P, n), S) == [0, 1, 2]
 
 
 def _weighted_monomials(d, weights):
@@ -151,12 +170,17 @@ def test_seeded_saturations_and_indices_match_oracles(order, p):
     # m-primary draws give saturation indices well above 1
     rng = random.Random(f"saturation-index/{order}/{p}")
     indices = []
+    first_certified = []
     for _ in range(8):
         n = rng.randrange(2, 5)
         weights = tuple(rng.choice((1, 2, 3)) for _ in range(n))
         ctx = RingContext(p, ("x", "y", "z", "w")[:n], ORDERS[order](weights), weights)
         A = ideal_power(_random_recipe_ideal(rng, ctx), rng.choice((1, 2)))
-        indices.append(assert_saturation_matches_oracles(A)[1])
+        sat, index = assert_saturation_matches_oracles(A)
+        indices.append(index)
+        first_certified.append(min(certified_pieces(A, sat), default=None))
+    # each draw certifies some ideal at x_0 and some only at a later piece
+    assert 0 in first_certified and any(i for i in first_certified)
     if (order, p) == ("lex", 101):
         ctx = RingContext(101, ("x", "y", "z"), MonomialOrder.lex(), (1, 2, 3))
         for k in (1, 2):
@@ -164,15 +188,15 @@ def test_seeded_saturations_and_indices_match_oracles(order, p):
     assert max(indices) >= 3 and min(indices) == 0
 
 
-def _count_intersections(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = []
-    real = ideals.intersect
+    real = getattr(ideals, name)
 
-    def counting(A, B):
-        calls.append((A, B))
-        return real(A, B)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(ideals, "intersect", counting)
+    monkeypatch.setattr(ideals, name, counting)
     return calls
 
 
@@ -184,14 +208,37 @@ def _refuse(monkeypatch, name, why):
 
 
 def test_prime_needs_no_intersection(monkeypatch, curve_prime):
+    # p^2 has no associated prime but p and m, and x is not in p, so the
+    # first piece p^2 : x^inf is the saturation and is certified: one
+    # saturation-order basis, no containment check, no intersection
     power = ideal_power(curve_prime, 2)
-    calls = _count_intersections(monkeypatch)
+    calls = _count_calls(monkeypatch, "intersect")
+    bases = _count_calls(monkeypatch, "_saturate_variable")
+    containments = _count_calls(monkeypatch, "_basis_contains")
     got = saturate(power, maximal_ideal(curve_prime.ctx))[0]
-    assert calls == []
+    assert calls == [] and len(bases) == 1 and containments == []
     assert symbolic_power(curve_prime, 2) == got
     assert calls == []
     monkeypatch.undo()
     assert_saturation_matches_oracles(power)
+
+
+def test_piece_certified_only_at_the_last_variable(monkeypatch):
+    # the pieces for x, y and z strictly contain the saturation, which is
+    # the piece for w; generators and index as the intersection of
+    # minimal pieces gave them
+    weights = (1, 1, 1, 3)
+    ctx = RingContext(101, ("x", "y", "z", "w"), MonomialOrder.weighted_grevlex(weights), weights)
+    A = ideal(ctx, "14*z^2", "-8*x^3 + 14*x*z^2 + 45*z^3", "-28*x^2 + 4*x*z + 39*z^2",
+              "-8*x^2*z^2 - 34*z*w", "-22*y^4")
+    bases = _count_calls(monkeypatch, "_saturate_variable")
+    sat, index = saturate(A, maximal_ideal(ctx))
+    assert len(bases) == 4
+    assert [str(g) for g in sat.gens] == ["z^2", "x^2 - 29*x*z", "z", "y^4"]
+    assert index == 5
+    monkeypatch.undo()
+    assert certified_pieces(A, sat) == [3]
+    assert (sat, index) == assert_saturation_matches_oracles(A)
 
 
 def _piece(A, i):
@@ -205,7 +252,7 @@ def test_only_minimal_pieces_are_intersected(monkeypatch):
     power = ideal_power(I, 2)
     pieces = [_piece(power, i) for i in range(3)]
     assert pieces[0].contains_ideal(pieces[2]) and not pieces[2].contains_ideal(pieces[0])
-    calls = _count_intersections(monkeypatch)
+    calls = _count_calls(monkeypatch, "intersect")
     got = saturate(power, maximal_ideal(ctx))[0]
     assert len(calls) == 1
     del calls[:]
