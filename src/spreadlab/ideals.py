@@ -391,15 +391,16 @@ def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, int]:
     lies in every piece.  The certificate is exact, so when no piece
     passes it, no piece is the saturation and the minimal pieces are
     intersected: a piece containing another does not change the
-    intersection.  Containment and the index use saturation-order bases
-    only, never the ring's order.  The index is the first k with S_k
-    empty, where S_0 holds the nonzero normal forms modulo A (x_0's
-    basis) of sat's generators g and S_(k+1) those of the x_j * r for r
-    in S_k.  Each r is some u * g modulo A, so S_k is empty exactly when
-    every u * g with deg u = k lies in A, i.e. sat * m^k does.
+    intersection.  Containment, decided only then, and the index use
+    saturation-order bases only, never the ring's order.  The index is
+    the first k with S_k empty, where S_0 holds the nonzero normal forms
+    modulo A (x_0's basis) of sat's generators g and S_(k+1) those of
+    the x_j * r for r in S_k.  Each r is some u * g modulo A, so S_k is
+    empty exactly when every u * g with deg u = k lies in A, i.e.
+    sat * m^k does.
     """
     ctx = A.ctx
-    minimal: List[GroebnerBasis] = []
+    pieces: List[GroebnerBasis] = []
     for i in range(ctx.nvars):
         G, piece = _saturate_variable(A, i)
         if i == 0:
@@ -407,9 +408,13 @@ def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, int]:
         if _certifies_saturation(G, i):
             minimal = [piece]
             break
-        if any(_basis_contains(piece, q) for q in minimal):
-            continue
-        minimal = [q for q in minimal if not _basis_contains(q, piece)] + [piece]
+        pieces.append(piece)
+    else:
+        minimal = []
+        for piece in pieces:
+            if any(_basis_contains(piece, q) for q in minimal):
+                continue
+            minimal = [q for q in minimal if not _basis_contains(q, piece)] + [piece]
     result = None
     for q in minimal:
         piece = Ideal(ctx, [_reorder(f, ctx) for f in q])

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import spreadlab
-from spreadlab.cli import SessionFile, main
+from spreadlab.cli import COMMANDS, SESSION_CACHE_SIZE, SessionFile, _session, main
 
 # a child interpreter imports spreadlab from the same source tree as the tests
 CHILD_ENV = {
@@ -120,9 +120,10 @@ def test_ring_accepts_every_key_once():
     assert parsed.ctx.order.kind == "lex" and parsed.ctx.p == 101
 
 
-def test_session_parse_calls_parser_once_per_generator(monkeypatch):
+def test_session_parse_calls_parser_once_per_generator(monkeypatch, curve_file, capsys):
     """Generators reach the parser through the ``ring`` module global, which
-    the benchmark tracer rebinds to count ``ring.parse_calls``."""
+    the benchmark tracer rebinds to count ``ring.parse_calls``; a second
+    ``main`` on the same text reuses the parsed session."""
     import spreadlab.ring as ring
 
     seen = []
@@ -140,6 +141,12 @@ def test_session_parse_calls_parser_once_per_generator(monkeypatch):
         for g in line.split("=", 1)[1].split(",")
     ]
     assert seen == generators and len(seen) == 7
+    _session.cache_clear()
+    for parsed in (7, 0):
+        del seen[:]
+        assert main(["gb", "-f", curve_file, "-i", "p"]) == 0
+        assert len(seen) == parsed
+    capsys.readouterr()
 
 
 # --- commands --------------------------------------------------------------------
@@ -302,12 +309,14 @@ def test_uncertified_prime_session_exit_2(tmp_path, capsys):
 
 
 def test_exponent_beyond_engine_range_exit_2(tmp_path, capsys):
+    # the session parses and is kept; its basis fails on every call
     f = tmp_path / "wide.ring"
     f.write_text("ring p=32003 vars=w,x,y,z\nideal h = w^2147483648 + x, y\n")
-    code = main(["gb", "-f", str(f), "-i", "h"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error:")
+    for _ in range(2):
+        code = main(["gb", "-f", str(f), "-i", "h"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_fatpoints_prime_beyond_int64_exit_2(capsys):
@@ -351,6 +360,84 @@ def test_missing_seed_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["fatpoints", "h0", "--m", "1", "--d", "4"])
     assert err.value.code == 2
+
+
+# --- session reuse within one process ------------------------------------------------
+
+# every session subcommand, on one session file each
+SESSION_COMMANDS = {
+    "curve": [
+        ("gb", "-i", "p"), ("nf", "-i", "p", "-e", "x^4 + y*z"), ("dim", "-i", "p"),
+        ("ht", "-i", "p"), ("intersect", "-i", "p", "-j", "m"),
+        ("quotient", "-i", "p", "-j", "m"), ("saturate", "-i", "p", "-j", "m"),
+        ("closure-monomial", "-i", "m"), ("symbolic", "-i", "p", "-n", "2"),
+        ("ell", "-i", "p"), ("ell-trunc", "-F", "S", "-a", "2"), ("equimult", "-i", "p"),
+        ("sp0", "-F", "S", "-n", "1", "-e", "y^2 - x*z", "-M", "2"),
+        ("fingen-probe", "-i", "p", "-A", "1", "-N", "2"),
+    ],
+    "flat": [
+        ("gb", "-i", "mixed"), ("nf", "-i", "mixed", "-e", "x^3 + y*z^6"), ("dim", "-i", "p"),
+        ("ht", "-i", "mixed"), ("intersect", "-i", "p", "-j", "mixed"),
+        ("quotient", "-i", "mixed", "-j", "p"), ("saturate", "-i", "mixed", "-j", "p"),
+        ("closure-monomial", "-i", "mixed"), ("symbolic", "-i", "p", "-n", "2"),
+        ("ell", "-i", "mixed"), ("ell-trunc", "-F", "A", "-a", "2"),
+        ("equimult", "-i", "mixed"), ("sp0", "-F", "T", "-n", "1", "-e", "x", "-M", "4"),
+        ("fingen-probe", "-i", "p", "-A", "2", "-N", "3"),
+    ],
+}
+
+
+def _call(argv, capsys):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("session", sorted(SESSION_COMMANDS))
+def test_kept_session_prints_what_a_fresh_one_prints(session, curve_file, flat_file, capsys):
+    path = {"curve": curve_file, "flat": flat_file}[session]
+    argvs = [(c[0], "-f", path) + c[1:] for c in SESSION_COMMANDS[session]]
+    assert sorted(a[0] for a in argvs) == sorted(c.name for c in COMMANDS if not c.fat)
+    fresh = {}
+    for argv in argvs:
+        _session.cache_clear()
+        fresh[argv] = _call(argv, capsys)
+        assert fresh[argv][0] == 0 and fresh[argv][1]
+    for order in (argvs, argvs[::-1]):
+        _session.cache_clear()
+        # the second pass runs each command after all the others
+        for argv in order + order:
+            assert _call(argv, capsys) == fresh[argv], argv
+        assert _session.cache_info().currsize == 1
+
+
+def test_rewritten_session_file_is_parsed_again(tmp_path, capsys):
+    f = tmp_path / "edited.ring"
+    f.write_text("ring p=32003 vars=x,y,z\nideal a = x, y\n")
+    assert run_cli(["gb", "-f", str(f), "-i", "a"], capsys)[1]["gb"] == ["y", "x"]
+    f.write_text("ring p=32003 vars=x,y,z\nideal a = x, z\n")
+    assert run_cli(["gb", "-f", str(f), "-i", "a"], capsys)[1]["gb"] == ["z", "x"]
+
+
+def test_session_parse_error_is_not_kept(tmp_path, capsys):
+    f = tmp_path / "broken.ring"
+    f.write_text("ring p=32003 vars=x,y\nideal a = x +\n")
+    _session.cache_clear()
+    for _ in range(2):
+        code = main(["gb", "-f", str(f), "-i", "a"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+    info = _session.cache_info()
+    assert info.currsize == 0 and info.misses == 2
+
+
+def test_kept_sessions_stay_within_the_bound(tmp_path, capsys):
+    _session.cache_clear()
+    for k in range(SESSION_CACHE_SIZE + 3):
+        f = tmp_path / f"s{k}.ring"
+        f.write_text(f"ring p=32003 vars=x,y\nideal a = x^{k + 2}, y\n")
+        code, out = run_cli(["gb", "-f", str(f), "-i", "a"], capsys)
+        assert code == 0 and out["gb"] == ["y", f"x^{k + 2}"]
+        assert _session.cache_info().currsize == min(k + 1, SESSION_CACHE_SIZE)
 
 
 # --- golden output --------------------------------------------------------------------

@@ -241,6 +241,25 @@ def test_piece_certified_only_at_the_last_variable(monkeypatch):
     assert (sat, index) == assert_saturation_matches_oracles(A)
 
 
+def test_no_containment_check_before_a_certified_piece(monkeypatch):
+    # a draw of test_seeded_saturations_and_indices_match_oracles (grevlex,
+    # p = 32003) whose pieces for x and y are not certified: their
+    # containment check is moot once a later piece is
+    weights = (3, 1, 1, 1)
+    ctx = RingContext(32003, ("x", "y", "z", "w"), MonomialOrder.grevlex(), weights)
+    A = ideal(ctx, "9560*y^3 - 5321*y*z^2 + 15712*x", "6929*y^3 + 4454*y*z^2",
+              "-310*y^2*w + 9485*z^2*w + 2040*z*w^2", "6931*y*z - 4979*z*w + 1897*w^2",
+              "-2381*y^2 + 13879*y*w - 5276*z*w")
+    containments = _count_calls(monkeypatch, "_basis_contains")
+    intersections = _count_calls(monkeypatch, "intersect")
+    sat, index = saturate(A, maximal_ideal(ctx))
+    assert containments == [] and intersections == []
+    monkeypatch.undo()
+    assert certified_pieces(A, sat) == [2]
+    assert (sat, index) == assert_saturation_matches_oracles(A)
+    assert index == 3
+
+
 def _piece(A, i):
     return ideal(A.ctx, [_reorder(f, A.ctx) for f in _saturate_variable(A, i)[1]])
 
