@@ -42,12 +42,12 @@ from .ideals import (
     _aux_ring,
     _eliminate,
     _lift,
+    _saturation,
     ideal_power,
     ideal_product,
     height,
     krull_dim,
     maximal_ideal,
-    saturate,
     unit_ideal,
 )
 from .ring import (
@@ -64,8 +64,10 @@ def symbolic_power(I: Ideal, n: int, J: Optional[Ideal] = None) -> Ideal:
     """n-th symbolic power as the saturation I^n : J^infinity.
 
     J defaults to the ideal of all variables; arbitrary proper nonzero
-    J are accepted for the general colon-algebra setting.  ``saturate``
-    chooses the algorithm from I^n and J.
+    J are accepted for the general colon-algebra setting.
+    ``ideals._saturation`` chooses the route from I^n and J, as it does
+    for ``saturate``, but no saturation index is computed: a member of
+    the filtration has no use for it.
     """
     if n < 1:
         raise ValueError("symbolic power wants n >= 1")
@@ -73,7 +75,7 @@ def symbolic_power(I: Ideal, n: int, J: Optional[Ideal] = None) -> Ideal:
         raise ValueError("symbolic power of the unit ideal")
     if J is not None and (J.is_zero or not J.is_proper):
         raise ValueError("saturating ideal must be proper and nonzero")
-    return saturate(ideal_power(I, n), maximal_ideal(I.ctx) if J is None else J)[0]
+    return _saturation(ideal_power(I, n), maximal_ideal(I.ctx) if J is None else J)[0]
 
 
 class Filtration:

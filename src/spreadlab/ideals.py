@@ -9,15 +9,17 @@ variable) and ``saturate_by_elimination`` call it, and so does the Rees
 presentation.  Its block order has the result ring's order inside (a lex
 ring eliminates in block(idx, lex)), so every result carries its reduced
 basis.  The ideal of all variables carries its own.  Colon ideals come
-from intersections with principal ideals.  ``saturate`` alone chooses how
-to compute A : B^infinity: by variable saturations (Bayer-Stillman) for
-weighted-homogeneous A and B the ideal of all variables, by iterated
+from intersections with principal ideals.  ``_saturation`` alone chooses
+how to compute A : B^infinity: by variable saturations (Bayer-Stillman)
+for weighted-homogeneous A and B the ideal of all variables, by iterated
 colon otherwise.  The variable saturations A : x_i^infinity are built in
 variable order, and the first whose quotient by A has finite length,
 which the leading monomials of A's basis decide exactly, is the
 saturation, since a power of m carries it into A; only when no piece is
-certified are the minimal pieces intersected.
-``saturate_by_elimination`` is the independent check.
+certified are the minimal pieces intersected.  ``saturate`` is the one
+place that computes a saturation index, by one normal-form rule on
+either route; ``filtrations.symbolic_power`` asks ``_saturation`` for
+the ideal alone.  ``saturate_by_elimination`` is the independent check.
 """
 
 from __future__ import annotations
@@ -95,10 +97,10 @@ class Ideal:
         self._same_ring(other)
         return all(self.gb.contains(g) for g in other.gens)
 
-    def is_homogeneous(self, weights=None) -> bool:
+    def is_homogeneous(self) -> bool:
         from .ring import is_weighted_homogeneous
 
-        return all(is_weighted_homogeneous(g, weights) for g in self.gens)
+        return all(is_weighted_homogeneous(g) for g in self.gens)
 
     def is_monomial(self) -> bool:
         return all(len(g.terms) == 1 for g in self.gens)
@@ -302,13 +304,33 @@ def saturate(A: Ideal, B: Ideal) -> Tuple[Ideal, int]:
     """A : B^infinity, plus the saturation index.
 
     The index is the least k with A : B^k = A : B^(k+1), that is with
-    (A : B^infinity) * B^k inside A.  Weighted-homogeneous A and B equal
-    to the ideal of all variables go by ``_saturate_by_variables``: the
-    pieces A : x_i^infinity are built in variable order, and the first
-    one whose leading monomials certify that it is A up to finite length
-    is the saturation, since a power of m then carries it into A; the
-    minimal pieces are intersected only when no piece is certified.
-    Every other input iterates the colon until it stabilizes.
+    sat * B^k inside A for sat = A : B^infinity.  ``_saturation`` chooses
+    the route and hands back the basis of A it computed, and one rule
+    gives the index on either route: it is the first k with S_k empty,
+    where S_0 holds the nonzero normal forms modulo A of sat's
+    generators g and S_(k+1) those of the b * r for r in S_k and b in
+    B's reduced basis.  Each r is some u * g modulo A with u a product
+    of k elements of that basis, so S_k is empty exactly when sat * B^k
+    lies in A.
+    """
+    sat, A_basis = _saturation(A, B)
+    factors = [_reorder(b, A_basis.ctx) for b in B.gb.basis]
+    level = [_reorder(g, A_basis.ctx) for g in sat.gens]
+    for index in itertools.count():
+        # monic remainders, so that scalar multiples count once
+        rems = {r.terms: r for r in (A_basis.normal_form(f).monic() for f in level) if r.terms}
+        if not rems:
+            return sat, index
+        level = [b * r for r in rems.values() for b in factors]
+
+
+def _saturation(A: Ideal, B: Ideal) -> Tuple[Ideal, GroebnerBasis]:
+    """A : B^infinity and the basis of A its route computed.
+
+    Weighted-homogeneous A and B equal to the ideal of all variables go
+    by ``_saturate_by_variables``, which hands back A's basis in x_0's
+    saturation order.  Every other input iterates the colon until it
+    stabilizes; its first equality test builds A's reduced basis.
     """
     A._same_ring(B)
     if B.is_zero:
@@ -316,14 +338,10 @@ def saturate(A: Ideal, B: Ideal) -> Tuple[Ideal, int]:
     # B is the ideal of all variables exactly when its reduced basis is
     if A.is_homogeneous() and set(B.gb.basis) == set(A.ctx.gens()):
         return _saturate_by_variables(A)
-    current = A
-    index = 0
-    while True:
-        nxt = quotient(current, B)
-        if nxt == current:
-            return current, index
-        current = nxt
-        index += 1
+    current, nxt = A, quotient(A, B)
+    while nxt != current:
+        current, nxt = nxt, quotient(nxt, B)
+    return current, A.gb
 
 
 def _saturate_variable(A: Ideal, i: int) -> Tuple[GroebnerBasis, GroebnerBasis]:
@@ -381,8 +399,9 @@ def _certifies_saturation(G: GroebnerBasis, i: int) -> bool:
     return True
 
 
-def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, int]:
-    """A : m^infinity, the intersection of the A : x_i^infinity, and its index.
+def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, GroebnerBasis]:
+    """A : m^infinity, the intersection of the A : x_i^infinity, and A's
+    basis in x_0's saturation order.
 
     The pieces Q_i = A : x_i^infinity are built in variable order, and the
     first whose quotient Q_i / A has finite length, which the leading
@@ -391,13 +410,8 @@ def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, int]:
     lies in every piece.  The certificate is exact, so when no piece
     passes it, no piece is the saturation and the minimal pieces are
     intersected: a piece containing another does not change the
-    intersection.  Containment, decided only then, and the index use
-    saturation-order bases only, never the ring's order.  The index is
-    the first k with S_k empty, where S_0 holds the nonzero normal forms
-    modulo A (x_0's basis) of sat's generators g and S_(k+1) those of
-    the x_j * r for r in S_k.  Each r is some u * g modulo A, so S_k is
-    empty exactly when every u * g with deg u = k lies in A, i.e.
-    sat * m^k does.
+    intersection.  Containment, decided only then, uses saturation-order
+    bases only, never the ring's order.
     """
     ctx = A.ctx
     pieces: List[GroebnerBasis] = []
@@ -419,15 +433,7 @@ def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, int]:
     for q in minimal:
         piece = Ideal(ctx, [_reorder(f, ctx) for f in q])
         result = piece if result is None else intersect(result, piece)
-    level = [_reorder(g, A_basis.ctx) for g in result.gens]
-    index = 0
-    while True:
-        # monic remainders, so that scalar multiples count once
-        rems = {r.terms: r for r in (A_basis.normal_form(f).monic() for f in level) if r.terms}
-        if not rems:
-            return result, index
-        level = [x * r for r in rems.values() for x in A_basis.ctx.gens()]
-        index += 1
+    return result, A_basis
 
 
 def saturate_by_elimination(A: Ideal, B: Ideal) -> Ideal:

@@ -131,7 +131,7 @@ class MonomialOrder:
       variable x_i ascending, grevlex tiebreak.  In a weighted-homogeneous
       polynomial the leading monomial has the least x_i-degree, so x_i
       divides the polynomial whenever it divides its leading monomial
-      (the revlex property of Bayer-Stillman); ``ideals.saturate`` reads
+      (the revlex property of Bayer-Stillman); ``ideals._saturation`` reads
       I : x_i^infinity off one Groebner basis in this order.
     """
 

@@ -33,7 +33,7 @@ from spreadlab import (
     saturate_by_elimination,
 )
 
-from oracles import brute_force_dim, naive_buchberger
+from oracles import brute_force_dim, naive_buchberger, saturation_index_by_colon
 
 NAGATA_SEEDS = (42, 43, 44)
 ELLIPTIC_SEEDS = (7, 8, 9)
@@ -292,9 +292,9 @@ def test_criterion_9_oracle_equivalences(ctx2, ctx3):
             continue
         A = Ideal(ctx2, gens)
         B = maximal_ideal(ctx2)
-        via_colon, _ = saturate(A, B)
+        via_colon, index = saturate(A, B)
         via_elim = saturate_by_elimination(A, B)
-        if via_colon != via_elim:
+        if via_colon != via_elim or index != saturation_index_by_colon(A, B):
             sat_ok = False
 
     ok = gb_ok and dim_ok and sat_ok

@@ -3,11 +3,11 @@
 For weighted-homogeneous A, ``saturate(A, m)`` builds the saturations
 A : x_i^infinity in variable order, each read off one Groebner basis in
 the ``saturation`` order, returns the first one that the leading
-monomials certify, intersects the minimal ones when none is certified,
-and finds the index by normal forms; every other input keeps the
-iterated colon.  ``symbolic_power`` is a call to
-``saturate``.  Every answer here is compared with the extra-variable
-oracle, and every index with the colon-step count of
+monomials certify, and intersects the minimal ones when none is
+certified; every other input keeps the iterated colon.  On either route
+``saturate`` finds the index by normal forms, and ``symbolic_power``
+takes the route without the index.  Every answer here is compared with
+the extra-variable oracle, and every index with the colon-step count of
 ``oracles.saturation_index_by_colon``; reduced bases are canonical, so
 equal ideals have equal bases.
 """
@@ -19,7 +19,7 @@ import pytest
 
 import spreadlab.ideals as ideals
 from oracles import saturation_index_by_colon
-from spreadlab import MonomialOrder, RingContext, ideal
+from spreadlab import GroebnerBasis, MonomialOrder, RingContext, ideal
 from spreadlab.filtrations import symbolic_power
 from spreadlab.ideals import (
     _certifies_saturation,
@@ -223,6 +223,26 @@ def test_prime_needs_no_intersection(monkeypatch, curve_prime):
     assert_saturation_matches_oracles(power)
 
 
+def test_symbolic_power_computes_no_index(monkeypatch):
+    # both powers are certified at x_0, so no normal form is read: the
+    # index rule of saturate is the only reader on this route
+    cases = [(curve_prime((4, 5, 7)), 2), (curve_prime((3, 4, 5)), 3)]
+    calls = []
+    real = GroebnerBasis.normal_form
+
+    def counting(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
+    got = [symbolic_power(P, n) for P, n in cases]
+    assert calls == []
+    monkeypatch.undo()
+    for (P, n), S in zip(cases, got):
+        power, m = ideal_power(P, n), maximal_ideal(P.ctx)
+        assert S == saturate(power, m)[0] == saturate_by_elimination(power, m)
+
+
 def test_piece_certified_only_at_the_last_variable(monkeypatch):
     # the pieces for x, y and z strictly contain the saturation, which is
     # the piece for w; generators and index as the intersection of
@@ -289,6 +309,9 @@ def test_inhomogeneous_input_keeps_iterated_colon(monkeypatch, ctx3):
     assert symbolic_power(I, 2) == got
     assert got == saturate_by_elimination(power, m)
     assert index == saturation_index_by_colon(power, m)
+    # m given by redundant generators multiplies by the same reduced basis
+    A, M = ideal_product(power, m), ideal(ctx3, "z", "y", "x", "x + y")
+    assert saturate(A, M) == (got, 1) == (got, saturation_index_by_colon(A, M))
 
 
 def test_other_saturating_ideal_keeps_iterated_colon(monkeypatch, ctx3):
@@ -300,14 +323,24 @@ def test_other_saturating_ideal_keeps_iterated_colon(monkeypatch, ctx3):
     assert symbolic_power(I, 2, J) == got == ideal(ctx3, "x^2")
     assert got == saturate_by_elimination(power, J)
     assert index == saturation_index_by_colon(power, J)
+    # edge inputs: the zero ideal, and a saturating ideal with a constant
+    # generator, which leaves A as it is
+    zero, one = ideal(ctx3), ideal(ctx3, "1", "y")
+    for A, B in ((zero, J), (zero, one), (power, one)):
+        assert saturate(A, B) == (A, 0)
+        assert saturation_index_by_colon(A, B) == 0 and saturate_by_elimination(A, B) == A
 
 
 def test_explicit_maximal_ideal_takes_variable_route(monkeypatch, curve_ctx, curve_prime):
     J = ideal(curve_ctx, "z", "y", "x", "x + y")
     expected = symbolic_power(curve_prime, 2)
     _refuse(monkeypatch, "quotient", "iterated colon used for the maximal ideal")
-    assert saturate(ideal_power(curve_prime, 2), J)[0] == expected
+    power = ideal_power(curve_prime, 2)
+    got, index = saturate(power, J)
+    assert got == expected
     assert symbolic_power(curve_prime, 2, J) == expected
+    monkeypatch.undo()
+    assert index == saturation_index_by_colon(power, J)
 
 
 def test_variable_route_needs_no_colon_and_no_ring_order_basis(monkeypatch):
