@@ -45,15 +45,39 @@ from .filtrations import (
     rees_presentation,
     symbolic_power,
 )
-from .fatpoints import (
-    FatPointScheme,
-    LinearSystem,
-    fiber_generator_census,
-    graded_power_containment,
-    h0,
-    linear_system,
-    mult_map_surjective,
-    sample_scheme,
-)
 
 __version__ = "0.1.0"
+
+# The fat-point side needs numpy.  Its names, and the ``fatpoints`` and
+# ``linalg`` modules, load on first access, so the rest of the package
+# (and the command line's session commands) starts without numpy.
+_FATPOINT_NAMES = (
+    "FatPointScheme",
+    "LinearSystem",
+    "fiber_generator_census",
+    "graded_power_containment",
+    "h0",
+    "linear_system",
+    "mult_map_surjective",
+    "sample_scheme",
+)
+_LAZY_NAMES = _FATPOINT_NAMES + ("fatpoints", "linalg")
+
+
+def __getattr__(name):
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    # binds spreadlab.fatpoints and spreadlab.linalg as submodules
+    fatpoints = importlib.import_module(".fatpoints", __name__)
+    if name in _FATPOINT_NAMES:
+        globals()[name] = getattr(fatpoints, name)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_NAMES))
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -33,7 +33,9 @@ the same text: ``_session`` keeps at most ``SESSION_CACHE_SIZE``
 sessions, least recently used out first, and a kept session's members
 stay alive until it is evicted.  The file is read on every call, so an
 edited file is parsed again; a parse error is raised, never kept.  The
-fat-point commands sample their scheme on every call.
+fat-point commands sample their scheme on every call.  Only they import
+``fatpoints``, and with it numpy, so the session commands run without
+numpy.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ import json
 import sys
 from typing import Callable, NamedTuple, Optional
 
-from . import fatpoints as fat
 from .filtrations import (
     Filtration,
     analytic_spread,
@@ -303,7 +304,7 @@ def _sp0(session, args):
     return {"n": args.level, "max_power": args.max_power, "witness": witness}
 
 
-def _multmap(scheme, args):
+def _multmap(fat, scheme, args):
     rep = fat.mult_map_surjective(scheme, args.d, args.m)
     return {"d": args.d, "m": args.m, "surjective": rep.surjective,
             "image_dim": rep.image_dim, "target_dim": rep.target_dim}
@@ -313,7 +314,7 @@ class Command(NamedTuple):
     name: str
     help: Optional[str]       # None leaves the command out of the --help listing
     arguments: tuple          # (flags, add_argument keywords), in digest order
-    run: Callable[..., dict]  # (session or fat-point scheme, args) -> result fields
+    run: Callable[..., dict]  # (session, args) or (fatpoints, scheme, args) -> fields
     fat: bool = False
 
 
@@ -349,14 +350,16 @@ COMMANDS = (
             lambda s, a: finite_generation_probe(*_ideal_and_optional(s, a),
                                                  a.amax, a.nmax)),
     Command("h0", "dimension of a linear system", (_M, _D),
-            lambda sc, a: {"d": a.d, "m": a.m, "h0": fat.h0(sc, a.d, a.m)}, fat=True),
+            lambda fat, sc, a: {"d": a.d, "m": a.m, "h0": fat.h0(sc, a.d, a.m)}, fat=True),
     Command("multmap", "multiplication-map surjectivity", (_M, _D), _multmap, fat=True),
     Command("contain", "graded power containment sweep",
             (_arg("--n", type=int, required=True), _S, _DMAX),
-            lambda sc, a: fat.graded_power_containment(sc, a.n, a.s, a.dmax), fat=True),
+            lambda fat, sc, a: fat.graded_power_containment(sc, a.n, a.s, a.dmax),
+            fat=True),
     Command("census", "surviving fiber generators census",
             (_arg("--nmax", type=int, required=True), _DMAX, _S),
-            lambda sc, a: fat.fiber_generator_census(sc, a.nmax, a.dmax, a.s), fat=True),
+            lambda fat, sc, a: fat.fiber_generator_census(sc, a.nmax, a.dmax, a.s),
+            fat=True),
 )
 
 
@@ -415,18 +418,20 @@ def _str_keys(value):
 def _run(args) -> int:
     cmd, dests = args.entry
     if cmd.fat:
+        from . import fatpoints as fat
+
         constraint = "elliptic" if args.elliptic else "none"
         r = args.r if args.r is not None else (12 if args.elliptic else 16)
-        subject = fat.sample_scheme(r, 1, constraint, seed=args.seed, p=args.p)
-        envelope = {"op": f"fatpoints-{cmd.name}", "seed": args.seed, "r": subject.r,
+        scheme = fat.sample_scheme(r, 1, constraint, seed=args.seed, p=args.p)
+        envelope = {"op": f"fatpoints-{cmd.name}", "seed": args.seed, "r": scheme.r,
                     "constraint": constraint, "p": args.p}
-        chunks = [cmd.name, str(subject.points)]
+        chunks = [cmd.name, str(scheme.points)]
+        fields = cmd.run(fat, scheme, args)
     else:
         text = _read_session(args.file)
-        subject = _session(text)
         envelope = {"op": cmd.name}
         chunks = [text]
-    fields = cmd.run(subject, args)
+        fields = cmd.run(_session(text), args)
     digest = hashlib.sha256()
     for chunk in chunks + [str(getattr(args, d)) for d in dests]:
         digest.update(chunk.encode() + b"\x00")

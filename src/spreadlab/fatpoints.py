@@ -452,12 +452,6 @@ def _frame_axes(points, p: int):
     return P, _FRAME_AXES[2 - np.argmax(nonzero[:, ::-1], axis=1)]
 
 
-def _local_frame(pt, p: int):
-    """The coordinate unit vectors e_a, e_b completing pt to a basis."""
-    a, b, _ = _frame_axes([pt], p)[1][0].tolist()
-    return tuple(tuple(int(i == axis) for i in range(3)) for axis in (a, b))
-
-
 def _condition_matrix(points, mults, d: int, p: int) -> np.ndarray:
     """Rows imposing vanishing to order mults[i] at points[i] on degree-d
     forms, point after point.

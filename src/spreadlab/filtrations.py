@@ -532,6 +532,8 @@ def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
     e <= 3a for a single ideal I_{a,e} whose own analytic spread equals
     the truncation's; the found exponent (or its absence up to the
     bound, the report's ``witness_bound``) is recorded in the report.
+    When every kept generator has degree 1 the truncation's Rees algebra
+    is R[I_1 t], so the witness is e = 1 with no second presentation.
     """
     if a < 1:
         raise ValueError("truncation bound must be at least 1")
@@ -548,6 +550,9 @@ def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
     report = _fiber_report(pres, I1)
 
     bound = 3 * a
+    if all(n == 1 for _, n, _ in pres.generators):
+        # the Rees algebra is R[I_1 t], so I_1's own spread is report.ell
+        return replace(report, witness_exponent=1, witness_bound=bound)
     witness = None
     for e in range(1, bound + 1):
         member = trunc.materialize(e)
@@ -648,8 +653,10 @@ def finite_generation_probe(
         truncation_spreads[a] = rep.ell
         truncation_witness[a] = rep.witness_exponent
 
+    # the first truncation is the adic filtration of I_1, so they share a spread
     symbolic_spreads = {
-        k: analytic_spread(symbolic_members[k]).ell for k in range(1, a_max + 1)
+        k: truncation_spreads[1] if k == 1 else analytic_spread(symbolic_members[k]).ell
+        for k in range(1, a_max + 1)
     }
 
     return {

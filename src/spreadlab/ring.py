@@ -89,15 +89,9 @@ def is_prime(n: int) -> bool:
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
-def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
 def mono_divides(a, b):
     """True when x^a divides x^b componentwise."""
     return all(x <= y for x, y in zip(a, b))
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 def mono_wdeg(a, w):
     return sum(x * y for x, y in zip(a, w))

@@ -45,9 +45,22 @@ from spreadlab import (
     saturate,
     symbolic_power,
 )
-from spreadlab.fatpoints import _all_pair_products, _variable_multiples, linear_system
+from spreadlab.fatpoints import (
+    _all_pair_products,
+    _frame_axes,
+    _variable_multiples,
+    linear_system,
+)
 from spreadlab.linalg import reduce_rows, rref_modp, span_rows
-from spreadlab.ring import _tokenize, mono_div, mono_divides, mono_lcm
+from spreadlab.ring import _tokenize, mono_divides
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def poly_lead_reduce(f, basis):
@@ -141,6 +154,13 @@ def brute_force_dim(monomials, nvars):
 def monomials_of_degree(d):
     """Exponent triples of degree d, first exponent descending, then second."""
     return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+
+
+def local_frame(pt, p):
+    """The coordinate unit vectors e_a, e_b that the library's condition
+    rows expand pt along (``fatpoints._frame_axes``)."""
+    a, b, _ = _frame_axes([pt], p)[1][0].tolist()
+    return tuple(tuple(int(i == axis) for i in range(3)) for axis in (a, b))
 
 
 def condition_rows_reference(pt, U, V, mult, d, p):

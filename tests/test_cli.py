@@ -502,3 +502,98 @@ def test_golden_output(argv, code, sha, curve_file, flat_file, capsys):
         got = exc.code
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, sha)
+
+
+# --- cold start: numpy loads only with the fat-point side ----------------------------
+
+FAT_NAMES = ("FatPointScheme", "LinearSystem", "fiber_generator_census",
+             "graded_power_containment", "h0", "linear_system", "mult_map_surjective",
+             "sample_scheme")
+
+# argv[1] is the session file, argv[2] the session commands as JSON; prints
+# which of numpy and spreadlab.fatpoints are loaded after each step
+COLD_START_CHILD = """
+import contextlib, io, json, sys
+
+def loaded():
+    return [m for m in ("numpy", "spreadlab.fatpoints") if m in sys.modules]
+
+seen = {}
+import spreadlab
+seen["import spreadlab"] = loaded()
+from spreadlab import cli
+seen["import spreadlab.cli"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit:
+        pass
+seen["--help"] = loaded()
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main([argv[0], "-f", sys.argv[1]] + argv[1:]))
+seen["session commands"] = loaded()
+fat_out = io.StringIO()
+with contextlib.redirect_stdout(fat_out):
+    codes.append(cli.main(["fatpoints", "h0", "--r", "4", "--m", "1", "--d", "2",
+                           "--seed", "1"]))
+seen["fatpoints h0"] = loaded()
+print(json.dumps({"seen": seen, "codes": codes, "fat_out": fat_out.getvalue()}))
+"""
+
+# argv[1] is where to write a pickled FatPointScheme
+LAZY_NAMES_CHILD = """
+import json, pickle, sys
+import spreadlab
+names = %r
+listed = [name in dir(spreadlab) for name in names]
+unloaded = "numpy" not in sys.modules and "spreadlab.fatpoints" not in sys.modules
+from spreadlab import sample_scheme
+same = [getattr(spreadlab, name) is getattr(spreadlab.fatpoints, name) for name in names]
+try:
+    spreadlab.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+scheme = sample_scheme(4, 1, "none", seed=1)
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump(scheme, fh)
+print(json.dumps({"listed": listed, "unloaded": unloaded, "same": same,
+                  "unknown": unknown, "round_trip": pickle.loads(pickle.dumps(scheme)) == scheme}))
+""" % (FAT_NAMES,)
+
+
+def _child(script, *args):
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          env=CHILD_ENV, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return json.loads(done.stdout)
+
+
+def test_session_commands_never_load_numpy(curve_file):
+    argvs = [list(c) for c in SESSION_COMMANDS["curve"]]
+    out = _child(COLD_START_CHILD, curve_file, json.dumps(argvs))
+    assert out["codes"] == [0] * (len(argvs) + 1)
+    before_fat = {step: out["seen"].pop(step) for step in
+                  ("import spreadlab", "import spreadlab.cli", "--help", "session commands")}
+    assert before_fat == dict.fromkeys(before_fat, [])
+    assert out["seen"] == {"fatpoints h0": ["numpy", "spreadlab.fatpoints"]}
+    assert out["fat_out"] == (
+        '{"constraint":"none","d":2,"digest":"c9b483643950","h0":2,"m":1,'
+        '"op":"fatpoints-h0","p":32003,"r":4,"schema":"1","seed":1}\n'
+    )
+
+
+def test_fat_point_names_load_on_first_access(tmp_path):
+    path = tmp_path / "scheme.pickle"
+    out = _child(LAZY_NAMES_CHILD, str(path))
+    assert out == {"listed": [True] * 8, "unloaded": True, "same": [True] * 8,
+                   "unknown": "module 'spreadlab' has no attribute 'no_such_name'",
+                   "round_trip": True}
+    # a fresh interpreter unpickles it without importing spreadlab first
+    script = ("import pickle, sys\n"
+              "scheme = pickle.load(open(sys.argv[1], 'rb'))\n"
+              "print([list(pt) for pt in scheme.points])")
+    points = _child(script, str(path))
+    assert points == [list(pt) for pt in spreadlab.sample_scheme(4, 1, "none", seed=1).points]

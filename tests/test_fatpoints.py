@@ -17,6 +17,7 @@ from oracles import (
     cubic_is_smooth_by_saturation,
     first_root_scan,
     gauss_jordan,
+    local_frame,
     monomials_of_degree,
     poly_roots_brute_force,
 )
@@ -29,7 +30,6 @@ from spreadlab.fatpoints import (
     _condition_matrix,
     _cubic_is_smooth,
     _first_root,
-    _local_frame,
     _product_groups,
     _roots_modp,
     _variable_multiples,
@@ -270,7 +270,7 @@ def test_basis_vanishing_independent_route(elliptic):
 
     for row in ls.basis[:3]:
         for pt in elliptic.points[:4]:
-            U, V = _local_frame(pt, elliptic.p)
+            U, V = local_frame(pt, elliptic.p)
             svar, tvar = ctx.gens()
             coords = [
                 ctx.const(pt[i]) + svar * U[i] + tvar * V[i] for i in range(3)
@@ -294,7 +294,7 @@ def test_condition_rows_against_dict_expansion(p):
     for mult in range(1, 6):
         for d in range(0, 13):
             for pt in (points[(mult + d) % len(points)], points[(mult * d) % len(points)]):
-                U, V = _local_frame(pt, p)
+                U, V = local_frame(pt, p)
                 det = (pt[0] * (U[1] * V[2] - U[2] * V[1])
                        - pt[1] * (U[0] * V[2] - U[2] * V[0])
                        + pt[2] * (U[0] * V[1] - U[1] * V[0]))

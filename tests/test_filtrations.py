@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+import spreadlab.filtrations as filtrations
 import spreadlab.ideals as ideals
 from oracles import (
     colength,
@@ -492,6 +493,50 @@ def test_trivial_max_truncations_have_full_spread(ctx3):
         rep = analytic_spread_truncated(F, a)
         assert rep.ell == 3
         assert rep.witness_exponent == 1
+
+
+def _count_calls(monkeypatch, name):
+    """The arguments of every later call of filtrations.<name>."""
+    calls = []
+    fn = getattr(filtrations, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(filtrations, name, counting)
+    return calls
+
+
+# curve truncations whose kept generators all lie in degree 1
+DEGREE_ONE_TRUNCATIONS = [(w, 1) for w in CURVES] + [
+    (w, 2) for w in ((3, 4, 7), (3, 5, 8), (4, 5, 6), (4, 6, 7))
+]
+
+
+@pytest.mark.parametrize("weights, a", DEGREE_ONE_TRUNCATIONS)
+def test_truncation_presented_by_I1_has_its_spread(monkeypatch, weights, a):
+    presentations = _count_calls(monkeypatch, "rees_presentation")
+    rep = analytic_spread_truncated(Filtration.symbolic(_curve_prime(weights)), a)
+    assert len(presentations) == 1
+    assert {n for _, n, _ in rep.presentation.generators} == {1}
+    monkeypatch.undo()
+    alone = analytic_spread(_curve_prime(weights))
+    assert (rep.witness_exponent, rep.ell) == (1, alone.ell)
+
+
+def test_truncation_with_a_degree_two_generator_searches_for_its_witness(monkeypatch):
+    spreads = _count_calls(monkeypatch, "analytic_spread")
+    rep = analytic_spread_truncated(Filtration.symbolic(_curve_prime((3, 4, 5))), 2)
+    assert [n for _, n, _ in rep.presentation.generators] == [1, 1, 1, 2]
+    # ell(I_1) = 3 misses the truncation's 2; ell(I_2) meets it
+    assert (rep.ell, rep.witness_exponent, len(spreads)) == (2, 2, 2)
+
+
+@pytest.mark.parametrize("weights", [(3, 4, 5), (3, 4, 7)])
+def test_probe_first_symbolic_spread_is_that_of_I(weights):
+    report = finite_generation_probe(_curve_prime(weights), a_max=1, n_max=2)
+    assert report["symbolic_power_spreads"] == {1: analytic_spread(_curve_prime(weights)).ell}
 
 
 # --- equimultiplicity --------------------------------------------------------------

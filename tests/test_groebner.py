@@ -14,9 +14,8 @@ from spreadlab import (
     weighted_degree,
 )
 from spreadlab.groebner import GroebnerBasis
-from spreadlab.ring import mono_div, mono_lcm
 
-from oracles import naive_buchberger
+from oracles import mono_div, mono_lcm, naive_buchberger
 
 
 def test_linear_elimination(ctx3):
