@@ -111,7 +111,8 @@ class _ArrayTable:
 
     def cache_info(self) -> _CacheInfo:
         """Hits, misses, and the byte cap and bytes held (as maxsize and
-        currsize, in the fields of functools' cache_info)."""
+        currsize, in the fields of functools' cache_info).  The table's
+        observability, as for the lru_cache tables; tests read it."""
         return _CacheInfo(self.hits, self.misses, self.maxbytes, self.nbytes)
 
 

@@ -39,9 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .ideals import (
     _AUX,
     Ideal,
-    _aux_ring,
     _eliminate,
-    _lift,
     _saturation,
     ideal_power,
     ideal_product,
@@ -173,32 +171,6 @@ class ReesPresentation:
     generators: Tuple[Tuple[str, int, Polynomial], ...]   # (name, degree, generator)
     rees_kernel: Ideal
     fiber_kernel: Optional[Ideal]
-
-    @property
-    def tvar_names(self):
-        return tuple(name for name, _, _ in self.generators)
-
-    def tdegree_weights(self):
-        """Grading with base variables in degree 0 and T{n}_j in degree n."""
-        zeros = (0,) * self.base_ctx.nvars
-        return zeros + tuple(deg for _, deg, _ in self.generators)
-
-    def substitution_images(self):
-        """Map of presentation variables to their images f * t^n.
-
-        The images live in the base ring extended by a single variable
-        named ``t@``, as in the ring that eliminates t, so a base variable
-        named t does not clash; substituting them into any element of the
-        Rees kernel must give 0.
-        """
-        ext = _aux_ring(self.base_ctx)
-        tvar = ext.var(_AUX)
-        images = {
-            name: _lift(gen, ext) * tvar ** degree for name, degree, gen in self.generators
-        }
-        for v in self.base_ctx.variables:
-            images[v] = ext.var(v)
-        return ext, images
 
 
 def _chosen_generators(F: Filtration, a: int) -> List[Tuple[int, Polynomial]]:

@@ -37,10 +37,12 @@ exponent that reaches it in an S-polynomial or in a reduction step,
 raise ValueError rather than return a basis computed from wrapped keys.
 
 Every reduction -- of an input, an S-polynomial, a tail in the final
-interreduction, or a normal form asked of a finished basis -- runs in
+interreduction, a normal form asked of a finished basis, or the exact
+division ``divide_exact`` that colon ideals use -- runs in
 ``_normal_form_terms`` over one table of pending terms and a heap of
 their packed keys (Monagan and Pearce's heap division), so each term is
-merged once; an S-polynomial enters the table as its two shifted tails.
+merged once; an S-polynomial enters the table as its two shifted tails,
+and a division records the quotient terms of its reduction steps.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def _codec(ctx: RingContext) -> _Codec:
         return codec
 
 
-def _normal_form_terms(pieces, basis, p, guard):
+def _normal_form_terms(pieces, basis, p, guard, quotient=None):
     """Remainder of a sum of pieces modulo the monic basis, and the
     number of reduction steps taken.
 
@@ -133,7 +135,9 @@ def _normal_form_terms(pieces, basis, p, guard):
     lies below the popped key, so a key enters the heap once and no
     remainder term is divisible by any leading monomial.  Every added
     exponent is checked against the guard bit, so one that reaches 2^31
-    raises ValueError.
+    raises ValueError.  When a ``quotient`` list is passed, each step
+    appends its quotient term (popped key - lm key, popped exponents -
+    lm, coefficient), the term the entry's polynomial was multiplied by.
     """
     pending = {}
     heap = []
@@ -167,11 +171,44 @@ def _normal_form_terms(pieces, basis, p, guard):
         for hkey, hm, tail in basis:
             if (eg - hm) & guard == guard:
                 add(tail, k - hkey, e - hm, p - c)
+                if quotient is not None:
+                    quotient.append((k - hkey, e - hm, c))
                 steps += 1
                 break
         else:
             rem.append((k, e, c))
     return rem, steps
+
+
+def divide_exact(f: Polynomial, b: Polynomial) -> Polynomial:
+    """The exact quotient f / b; ValueError if b is zero or does not divide f.
+
+    f scaled by lc(b)^-1 is the only piece and the monic b the only
+    basis entry of one ``_normal_form_terms`` run, so the recorded
+    quotient terms are f / b.  With one divisor each step's quotient key
+    is the popped key less a fixed one, and popped keys fall, so the
+    terms come out strictly descending.
+    """
+    if f.ctx != b.ctx:
+        raise ContextError("polynomials from different rings")
+    if b.is_zero:
+        raise ValueError("division by the zero polynomial")
+    ctx = f.ctx
+    codec = _codec(ctx)
+    divisor = codec.terms(b)
+    scale = pow(divisor[0][2], -1, ctx.p)
+    divisor = _monic(divisor, ctx.p)
+    quotient = []
+    rem, _ = _normal_form_terms(
+        [(codec.terms(f), 0, 0, scale)],
+        [(divisor[0][0], divisor[0][1], divisor[1:])],
+        ctx.p,
+        codec.guard,
+        quotient,
+    )
+    if rem:
+        raise ValueError("inexact polynomial division")
+    return codec.poly(ctx, quotient)
 
 
 def _monic(terms, p):

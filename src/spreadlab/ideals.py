@@ -9,14 +9,17 @@ variable) and ``saturate_by_elimination`` call it, and so does the Rees
 presentation.  Its block order has the result ring's order inside (a lex
 ring eliminates in block(idx, lex)), so every result carries its reduced
 basis.  The ideal of all variables carries its own.  Colon ideals come
-from intersections with principal ideals.  ``_saturation`` alone chooses
-how to compute A : B^infinity: by variable saturations (Bayer-Stillman)
-for weighted-homogeneous A and B the ideal of all variables, by iterated
-colon otherwise.  The variable saturations A : x_i^infinity are built in
-variable order, and the first whose quotient by A has finite length,
-which the leading monomials of A's basis decide exactly, is the
-saturation, since a power of m carries it into A; only when no piece is
-certified are the minimal pieces intersected.  ``saturate`` is the one
+from intersections with principal ideals: A : (b) is (A cap (b)) / b,
+each generator divided by ``groebner.divide_exact``, a run of the
+engine's one reduction routine, so no reduction loop lives here.
+``_saturation`` alone chooses how to compute A : B^infinity: by
+variable saturations (Bayer-Stillman) for weighted-homogeneous A and B
+the ideal of all variables, by iterated colon otherwise.  The variable
+saturations A : x_i^infinity are built in variable order, and the first
+whose quotient by A has finite length, which the leading monomials of
+A's basis decide exactly, is the saturation, since a power of m carries
+it into A; only when no piece is certified are the minimal pieces
+intersected.  ``saturate`` is the one
 place that computes a saturation index, by one normal-form rule on
 either route; ``filtrations.symbolic_power`` asks ``_saturation`` for
 the ideal alone.  ``saturate_by_elimination`` is the independent check.
@@ -28,7 +31,7 @@ import itertools
 import threading
 from typing import Iterable, List, Sequence, Tuple
 
-from .groebner import GroebnerBasis, groebner_basis
+from .groebner import GroebnerBasis, divide_exact, groebner_basis
 from .ring import (
     ContextError,
     HomogeneityError,
@@ -150,6 +153,8 @@ def ideal_equal(A: Ideal, B: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 
 def ideal_sum(A: Ideal, B: Ideal) -> Ideal:
+    """A + B.  Public ideal calculus (the README lists sums) with no
+    caller in the library."""
     A._same_ring(B)
     return Ideal(A.ctx, A.gens + B.gens)
 
@@ -267,25 +272,9 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
     return _eliminate(ctx, (_AUX,), ring, gens)
 
 
-def _divide_exact(f: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact division f/b; ValueError if b does not divide f."""
-    ctx = f.ctx
-    q = ctx.zero()
-    r = f
-    binv = pow(b.lc(), -1, ctx.p)
-    while not r.is_zero:
-        lm_r, lc_r = r.lm(), r.lc()
-        if not mono_divides(b.lm(), lm_r):
-            raise ValueError("inexact polynomial division")
-        qm = tuple(x - y for x, y in zip(lm_r, b.lm()))
-        qterm = ctx.monomial(qm, lc_r * binv)
-        q = q + qterm
-        r = r - qterm * b
-    return q
-
-
 def quotient(A: Ideal, B: Ideal) -> Ideal:
-    """Colon ideal A : B = {f | f*B inside A}."""
+    """Colon ideal A : B = {f | f*B inside A}: the intersection over B's
+    generators b of A : (b) = (A cap (b)) / b."""
     A._same_ring(B)
     if B.is_zero:
         raise ValueError("colon by the zero ideal")
@@ -295,7 +284,7 @@ def quotient(A: Ideal, B: Ideal) -> Ideal:
             piece = Ideal(A.ctx, A.gens)      # A : (unit) = A
         else:
             inter = intersect(A, Ideal(A.ctx, [b]))
-            piece = Ideal(A.ctx, [_divide_exact(g, b) for g in inter.gens])
+            piece = Ideal(A.ctx, [divide_exact(g, b) for g in inter.gens])
         result = piece if result is None else intersect(result, piece)
     return result
 
@@ -517,7 +506,8 @@ def is_max_ideal_associated(A: Ideal) -> bool:
 
     For the graded-local model this holds exactly when saturating by the
     variable ideal strictly enlarges A, equivalently when the single
-    colon A : m already does.
+    colon A : m already does.  The paper's test for m in Ass(R/p^n)
+    (acceptance criteria 5 and 6), public with no caller in the library.
     """
     if not A.is_proper:
         raise ValueError("associated-prime test wants a proper ideal")

@@ -330,6 +330,8 @@ class Polynomial:
         return self.terms[0][0]
 
     def lc(self) -> int:
+        """Leading coefficient.  Public API beside ``lm`` with no caller in
+        the library; the term-by-term division oracles use it."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
@@ -428,36 +430,6 @@ class Polynomial:
             mm[i] = e - 1
             d[tuple(mm)] = d.get(tuple(mm), 0) + c * e
         return Polynomial._from_dict(self.ctx, d)
-
-    def subs(self, values: dict) -> "Polynomial":
-        """Substitute polynomials (or ints) for variables, remaining vars kept."""
-        ctx = self.ctx
-        target = None
-        for v in values.values():
-            if isinstance(v, Polynomial):
-                target = v.ctx
-                break
-        target = target or ctx
-        images = []
-        for i, name in enumerate(ctx.variables):
-            if name in values:
-                v = values[name]
-                images.append(target.const(v) if isinstance(v, int) else v)
-            else:
-                images.append(target.var(name))
-        out = target.zero()
-        pow_cache = [dict() for _ in images]
-        for m, c in self.terms:
-            term = target.const(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                cache = pow_cache[i]
-                if e not in cache:
-                    cache[e] = images[i] ** e
-                term = term * cache[e]
-            out = out + term
-        return out
 
     # comparisons / hashing ---------------------------------------------------
 

@@ -12,7 +12,10 @@ The certified-reduction reference compares reduced Groebner bases of
 J*I + m*I^2 and I^2 where the engine compares ranks modulo m*I^2, and
 the exponent rank is the closed-form analytic spread of an
 equigenerated monomial ideal.  The text-syntax oracle builds every
-factor, product and sum of a polynomial through Polynomial arithmetic.
+factor, product and sum of a polynomial through Polynomial arithmetic,
+and the division and substitution references do the same: exact
+division by repeated lead-term subtraction, and the images of a Rees
+presentation's variables substituted term by term.
 The generator-walk reference keeps, member by member, each reduced
 basis element that the products of lower members and the elements kept
 before it do not generate.  The partition reference builds a truncation
@@ -82,6 +85,72 @@ def poly_lead_reduce(f, basis):
         q = ctx.monomial(mono_div(lm, hit.lm()), lc * pow(hit.lc(), -1, ctx.p))
         f = f - q * hit
     return remainder
+
+
+def divide_by_lead_terms(f, b):
+    """Exact division f / b by repeated lead-term subtraction in Polynomial
+    arithmetic; ValueError if b does not divide f."""
+    ctx = f.ctx
+    q = ctx.zero()
+    r = f
+    binv = pow(b.lc(), -1, ctx.p)
+    while not r.is_zero:
+        lm_r, lc_r = r.lm(), r.lc()
+        if not mono_divides(b.lm(), lm_r):
+            raise ValueError("inexact polynomial division")
+        qterm = ctx.monomial(mono_div(lm_r, b.lm()), lc_r * binv)
+        q = q + qterm
+        r = r - qterm * b
+    return q
+
+
+def subs(f, values):
+    """Substitute polynomials (or ints) for variables of f, keeping the rest."""
+    target = next((v.ctx for v in values.values() if isinstance(v, Polynomial)), f.ctx)
+    images = []
+    for name in f.ctx.variables:
+        v = values.get(name)
+        if v is None:
+            images.append(target.var(name))
+        else:
+            images.append(target.const(v) if isinstance(v, int) else v)
+    out = target.zero()
+    for m, c in f.terms:
+        term = target.const(c)
+        for image, e in zip(images, m):
+            term = term * image ** e
+        out = out + term
+    return out
+
+
+def tvar_names(pres):
+    """The fiber variables of a Rees presentation, in generator order."""
+    return tuple(name for name, _, _ in pres.generators)
+
+
+def tdegree_weights(pres):
+    """Grading with base variables in degree 0 and T{n}_j in degree n."""
+    return (0,) * pres.base_ctx.nvars + tuple(deg for _, deg, _ in pres.generators)
+
+
+def substitution_images(pres):
+    """Map of a Rees presentation's variables to their images f * t^n.
+
+    The images live in the base ring extended by one variable named
+    ``t@``, so a base variable named t does not clash; substituting them
+    into any element of the Rees kernel must give 0.
+    """
+    base = pres.base_ctx
+    ext = RingContext(base.p, ("t@",) + base.variables, weights=(1,) + base.weights)
+    tvar = ext.var("t@")
+
+    def lift(g):
+        return sum((ext.monomial((0,) + m, c) for m, c in g.terms), ext.zero())
+
+    images = {name: lift(gen) * tvar ** degree for name, degree, gen in pres.generators}
+    for v in base.variables:
+        images[v] = ext.var(v)
+    return ext, images
 
 
 def naive_buchberger(gens, ctx):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from spreadlab import (
+    ContextError,
     MonomialOrder,
     Polynomial,
     RingContext,
@@ -13,9 +14,9 @@ from spreadlab import (
     normal_form,
     weighted_degree,
 )
-from spreadlab.groebner import GroebnerBasis
+from spreadlab.groebner import GroebnerBasis, divide_exact
 
-from oracles import mono_div, mono_lcm, naive_buchberger
+from oracles import divide_by_lead_terms, mono_div, mono_lcm, naive_buchberger
 
 
 def test_linear_elimination(ctx3):
@@ -305,3 +306,61 @@ def test_stats_count_one_curve_prime():
     plain = GroebnerBasis(ctx, G.basis)
     assert plain.stats is None
     assert plain == G and hash(plain) == hash(G)
+
+
+# --- exact division ----------------------------------------------------------
+
+def _division_rings():
+    w = (3, 4, 5)
+    for p in (101, 32003, 2**61 - 1):
+        yield RingContext(p, ("x", "y", "z"))
+        yield RingContext(p, ("x", "y", "z"), MonomialOrder.lex())
+        yield RingContext(p, ("x", "y", "z"), MonomialOrder.weighted_grevlex(w), w)
+
+
+def _random_poly(rng, ctx, terms, top):
+    f = ctx.zero()
+    for _ in range(terms):
+        m = tuple(rng.randrange(top) for _ in range(ctx.nvars))
+        f = f + ctx.monomial(m, rng.randrange(1, ctx.p))
+    return f
+
+
+def test_divide_exact_matches_oracle():
+    rng = random.Random(71)
+    for ctx in _division_rings():
+        for _ in range(25):
+            q = _random_poly(rng, ctx, rng.randrange(1, 9), 4)
+            b = _random_poly(rng, ctx, rng.randrange(1, 5), 3)
+            if b.is_zero:
+                continue
+            f = q * b
+            got = divide_exact(f, b)
+            assert got == q == divide_by_lead_terms(f, b), (ctx, str(f), str(b))
+            assert got * b == f
+
+
+def test_divide_exact_refuses_inexact_division(ctx3):
+    # the leading term divides, but a remainder is left
+    with pytest.raises(ValueError, match="inexact"):
+        divide_exact(ctx3.poly("x^2 + y"), ctx3.poly("x"))
+    # the leading term does not divide
+    with pytest.raises(ValueError, match="inexact"):
+        divide_exact(ctx3.poly("y*z"), ctx3.poly("x"))
+
+
+def test_divide_exact_by_a_constant(ctx3):
+    f = ctx3.poly("3*x^2*y - 7*z + 5")
+    assert divide_exact(f, ctx3.const(5)) == f * pow(5, -1, ctx3.p)
+    assert divide_exact(f, ctx3.one()) == f
+    assert divide_exact(ctx3.zero(), ctx3.poly("x + y")).is_zero
+
+
+def test_divide_exact_by_zero_is_refused(ctx3):
+    with pytest.raises(ValueError, match="zero"):
+        divide_exact(ctx3.poly("x"), ctx3.zero())
+
+
+def test_divide_exact_refuses_mixed_rings(ctx3, ctx2):
+    with pytest.raises(ContextError):
+        divide_exact(ctx3.poly("x*y"), ctx2.poly("x"))

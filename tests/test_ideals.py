@@ -26,7 +26,7 @@ from spreadlab import (
     unit_ideal,
 )
 
-from oracles import brute_force_dim
+from oracles import brute_force_dim, divide_by_lead_terms
 
 
 # --- sum / product / power -------------------------------------------------
@@ -97,6 +97,45 @@ def test_quotient_example(ctx2):
 def test_quotient_by_zero_rejected(ctx3):
     with pytest.raises(ValueError):
         quotient(ideal(ctx3, "x"), ideal(ctx3, []))
+
+
+def _quotient_by_lead_terms(A, B):
+    """A : B by the intersections, each generator divided by the oracle."""
+    result = None
+    for b in B.gens:
+        inter = intersect(A, Ideal(A.ctx, [b]))
+        piece = Ideal(A.ctx, [divide_by_lead_terms(g, b) for g in inter.gens])
+        result = piece if result is None else intersect(result, piece)
+    return result
+
+
+def test_quotient_of_random_ideals_matches_oracle_division():
+    rng = random.Random(89)
+    grew = 0
+    for p in (101, 32003, 2**61 - 1):
+        ctx = RingContext(p, ("x", "y", "z"))
+
+        def form(top, terms):
+            f = ctx.zero()
+            for _ in range(terms):
+                m = [rng.randrange(top + 1) for _ in range(3)]
+                f = f + ctx.monomial(tuple(m), rng.randrange(1, p))
+            return f
+
+        def linear():
+            return sum((ctx.var(v) * rng.randrange(1, p) for v in "xyz"), ctx.zero())
+
+        for _ in range(2):
+            # generators that the linear forms divide, so the colons grow
+            l1, l2 = linear(), linear()
+            A = Ideal(ctx, [form(2, 3) * l1 * l2, form(2, 2) * l2, form(2, 2) * l1 + form(1, 2)])
+            assert not A.is_monomial()
+            for B in (Ideal(ctx, [l1]), Ideal(ctx, [l1, l2])):
+                got = quotient(A, B)
+                expected = _quotient_by_lead_terms(A, B)
+                assert got.gens == expected.gens and got == expected, (p, A, B)
+                grew += got != A
+    assert grew
 
 
 # --- saturation ------------------------------------------------------------
