@@ -25,6 +25,36 @@ Every array in it is read-only, so one caller cannot change what
 another is handed, and the table holds at most _TABLE_BYTES bytes of
 arrays, least recently used first out; it is freed with the last
 scheme that shares it.
+
+Once the conditions are independent, dimensions and surjectivity need
+no elimination.  Write Z for the scheme with multiplicities m_i, A(d)
+for its degree-d interpolation matrix, k = sum m_i (m_i + 1) / 2 for
+the number of its rows (the degree of Z) and N(d) = (d + 1)(d + 2) / 2
+for the number of monomials.  The kernel of A(d) is I_Z in degree d,
+so rank A(d) = H_Z(d), the Hilbert function of S / I_Z, and
+H_Z(d) <= k.  If a computed kernel shows rank A(d0) = k, then, in any
+characteristic:
+
+* Rule 1: h0(d) = N(d) - k for every d >= d0.  Over an extension field
+  of F_p, where ranks are the same, some linear form L is nonzero at
+  every point.  In each local frame L's expansion has a nonzero
+  constant term, so multiplication by L is injective modulo I_Z: H_Z
+  never decreases, and H_Z(d) = k from d0 on.
+* Rule 2: multiplication by the variables maps the degree-(d - 1)
+  piece onto the degree-d piece for every d >= d0 + 2.  L is a
+  nonzerodivisor on S / I_Z, so the regularity of S / I_Z is that of
+  the Artinian S / (I_Z + L), whose Hilbert function is
+  H_Z(d) - H_Z(d - 1): its top nonzero degree, at most d0 (Eisenbud,
+  The Geometry of Syzygies, ch. 4).  Then reg(I_Z) <= d0 + 1, and I_Z
+  is generated in degrees <= d0 + 1.
+
+The table records, per multiplicity vector, the least d0 that a
+computed kernel showed; no record is ever inferred from a rule.
+``h0``, the piece dimensions of the containment and the census, and
+the target dimension of a multiplication map use rule 1, and a map
+from degree d >= d0 + 2 is reported onto by rule 2 with no image.
+``linear_system`` always eliminates, since its basis is the canonical
+kernel.
 """
 
 from __future__ import annotations
@@ -62,6 +92,10 @@ _CACHE_SIZE = 64
 _PRODUCT_GROUPS_BYTES = 2**23
 _TABLE_BYTES = 2**23
 
+# Keys of which one _ArrayTable keeps a least value (note_least); a
+# scheme's table keeps one per multiplicity vector.
+_LEAST_KEYS = 256
+
 # Entries in one outer-product temporary of _all_pair_products (1 MiB of
 # int64), so a product of two large bases never holds them all at once.
 _PRODUCT_BLOCK = 2**17
@@ -72,14 +106,16 @@ _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 class _ArrayTable:
     """Least-recently-used map from keys to tuples of arrays and plain
     values, holding at most ``maxbytes`` bytes of arrays.  Stored arrays
-    are made read-only, so every caller can be handed the same ones.  A
-    copy or an unpickled table starts empty."""
+    are made read-only, so every caller can be handed the same ones.  It
+    also keeps the least value noted for each of at most _LEAST_KEYS
+    keys.  A copy or an unpickled table starts empty."""
 
     def __init__(self, maxbytes: int):
         self.maxbytes = maxbytes
         self.nbytes = 0
         self.hits = self.misses = 0
         self._entries: "OrderedDict[object, Tuple[tuple, int]]" = OrderedDict()
+        self._least: Dict[object, int] = {}
         self._lock = threading.Lock()
 
     def __reduce__(self):
@@ -108,6 +144,20 @@ class _ArrayTable:
                 while self.nbytes > self.maxbytes:
                     self.nbytes -= self._entries.popitem(last=False)[1][1]
         return entry
+
+    def note_least(self, key, value: int) -> None:
+        """Keep the least value noted for key; a new key past _LEAST_KEYS
+        drops the oldest one."""
+        with self._lock:
+            old = self._least.get(key)
+            if old is None and len(self._least) >= _LEAST_KEYS:
+                del self._least[next(iter(self._least))]
+            if old is None or value < old:
+                self._least[key] = value
+
+    def least(self, key) -> Optional[int]:
+        """The least value noted for key, or None."""
+        return self._least.get(key)
 
     def cache_info(self) -> _CacheInfo:
         """Hits, misses, and the byte cap and bytes held (as maxsize and
@@ -213,14 +263,13 @@ class FatPointScheme:
     )
 
     def __post_init__(self):
-        if len(self.points) != len(self.multiplicities):
-            raise ValueError("one multiplicity per point")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("points must be pairwise distinct")
+        _check_multiplicities(self.multiplicities, len(self.points))
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-        if min(self.multiplicities, default=0) < 0:
-            raise ValueError("multiplicities must be nonnegative")
+        # as projective points mod p: (1, 2, 3) and (2, 4, 6) are one
+        # point, and a vector that is zero mod p is none
+        if len({_normalize_point(pt, self.p) for pt in self.points}) != len(self.points):
+            raise ValueError("points must be pairwise distinct")
 
     @property
     def r(self) -> int:
@@ -231,9 +280,18 @@ class FatPointScheme:
             mults = (m,) * self.r
         else:
             mults = tuple(int(x) for x in m)
-        derived = FatPointScheme(self.p, self.points, mults, self.cubic, self.seed)
-        object.__setattr__(derived, "_table", self._table)    # the same points
+        _check_multiplicities(mults, self.r)
+        # the same points, already checked, and so the same table
+        derived = object.__new__(FatPointScheme)
+        derived.__dict__.update(self.__dict__, multiplicities=mults)
         return derived
+
+
+def _check_multiplicities(mults, r: int) -> None:
+    if len(mults) != r:
+        raise ValueError("one multiplicity per point")
+    if min(mults, default=0) < 0:
+        raise ValueError("multiplicities must be nonnegative")
 
 
 def _cubic_is_smooth(coeffs, p: int) -> bool:
@@ -535,15 +593,30 @@ def linear_system(scheme: FatPointScheme, d: int) -> LinearSystem:
     def kernel():
         A = interpolation_matrix(scheme, d)
         basis = nullspace_modp(A, scheme.p)
-        return basis, A.shape[1] - basis.shape[0]
+        rank = A.shape[1] - basis.shape[0]
+        if rank == A.shape[0]:          # independent conditions
+            scheme._table.note_least(scheme.multiplicities, d)
+        return basis, rank
 
     basis, rank = scheme._table.lookup(("kernel", scheme.multiplicities, d), kernel)
     return LinearSystem(scheme, d, basis, rank)
 
 
+def _independent_from(scheme: FatPointScheme) -> Optional[int]:
+    """The least degree d0 in which a computed kernel showed the scheme's
+    conditions independent, or None; rules 1 and 2 of the module
+    docstring hold from there on."""
+    return scheme._table.least(scheme.multiplicities)
+
+
 def h0(scheme: FatPointScheme, d: int, m=None) -> int:
-    """Dimension of the degree-d piece, optionally overriding multiplicities."""
+    """Dimension of the degree-d piece, optionally overriding
+    multiplicities: N(d) - k by rule 1 from a recorded d0 on, else the
+    kernel's."""
     s = scheme if m is None else scheme.with_multiplicities(m)
+    d0 = _independent_from(s)
+    if d0 is not None and d >= d0:
+        return (d + 1) * (d + 2) // 2 - sum(mi * (mi + 1) // 2 for mi in s.multiplicities)
     return linear_system(s, d).h0
 
 
@@ -570,21 +643,31 @@ def mult_map_surjective(scheme: FatPointScheme, d: int, m: int) -> MultMapReport
 def _mult_map(scheme: FatPointScheme, d: int, m: int):
     """The report of mult_map_surjective, with the RREF rows and pivots of
     the image x_k * (degree d-1 piece), for callers that reduce against it;
-    the image is computed once per scheme."""
+    the image is computed once per scheme.
+
+    From degree d0 + 2 on (module docstring, rule 2) the map is onto and
+    no image is built: the rows and pivots are None.  Otherwise the
+    image comes first, since its degree-(d-1) kernel may show the
+    conditions independent and so give the target's h0 by rule 1.
+    """
     if d < 1:
         raise ValueError("degree must be at least 1")
     s = scheme.with_multiplicities(m)
-    target = linear_system(s, d)
+    d0 = _independent_from(s)
+    if d0 is not None and d >= d0 + 2:
+        target_dim = h0(s, d)
+        return MultMapReport(True, target_dim, target_dim), None, None
 
     def image_rref():
         image = _variable_multiples(linear_system(s, d - 1).basis, d - 1, s.p)
         return rref_modp(image, s.p) if image.size else (image, ())
 
     image, pivots = s._table.lookup(("image", s.multiplicities, d), image_rref)
+    target_dim = h0(s, d)
     report = MultMapReport(
-        surjective=(image.shape[0] == target.h0),
+        surjective=(image.shape[0] == target_dim),
         image_dim=image.shape[0],
-        target_dim=target.h0,
+        target_dim=target_dim,
     )
     return report, image, pivots
 
@@ -638,23 +721,28 @@ def _power_spans(pieces: Dict[int, np.ndarray], s: int, degrees: Set[int], p: in
     return {D: rows for D, rows in levels[s].items() if D in degrees}
 
 
-def _power_containment(scheme: FatPointScheme, pieces, s: int, m: int, degrees):
+def _power_containment(
+    scheme: FatPointScheme, system: FatPointScheme, piece_degrees, s: int, m: int, degrees
+):
     """For each wanted degree D, ascending: the report of the
     multiplication map onto the (D, m) piece, the span of s-fold
-    products of piece elements in degree D (None where none was built),
-    and whether those products lie in x_k * (degree D-1 piece), all at
-    multiplicity m.
+    products of elements of the pieces of ``system`` in piece_degrees,
+    in degree D (None where none was built), and whether those products
+    lie in x_k * (degree D-1 piece), all at multiplicity m.
 
     Every degree's map is decided first.  The products vanish to order
-    m, so where the map is surjective it certifies containment; product
-    spans are built, in one :func:`_power_spans` call, only in the
-    degrees it leaves open, and reduced against its image.  A degree no
-    product reaches is contained.
+    m, so where the map is surjective it certifies containment; the
+    piece bases and the product spans are built, in one
+    :func:`_power_spans` call, only when a degree is left open, and
+    only in the degrees it leaves open, and reduced against its image.
+    A degree no product reaches is contained.
     """
     maps = {D: _mult_map(scheme, D, m) for D in sorted(degrees)}
-    spans = _power_spans(
-        pieces, s, {D for D, (cert, _, _) in maps.items() if not cert.surjective}, scheme.p
-    )
+    open_degrees = {D for D, (cert, _, _) in maps.items() if not cert.surjective}
+    spans = {}
+    if open_degrees:
+        pieces = {d: linear_system(system, d).basis for d in piece_degrees}
+        spans = _power_spans(pieces, s, open_degrees, scheme.p)
     decided = {}
     for D, (cert, image, pivots) in maps.items():
         products = spans.get(D)
@@ -683,22 +771,17 @@ def graded_power_containment(
     if n < 1 or s < 1:
         raise ValueError("n and s must be positive")
     sn = scheme.with_multiplicities(n)
-
-    pieces: Dict[int, np.ndarray] = {}
-    for d in range(0, d_max + 1):
-        ls = linear_system(sn, d)
-        if ls.h0:
-            pieces[d] = ls.basis
+    piece_degrees = [d for d in range(0, d_max + 1) if h0(sn, d)]
 
     product_degrees = {0}
     for _ in range(s):
         product_degrees = {
-            t + d for t in product_degrees for d in pieces if t + d <= d_max
+            t + d for t in product_degrees for d in piece_degrees if t + d <= d_max
         }
 
     degrees = {}
     for D, (cert, products, contained) in _power_containment(
-        scheme, pieces, s, s * n, product_degrees
+        scheme, sn, piece_degrees, s, s * n, product_degrees
     ).items():
         if cert.surjective:
             row = {"contained": True, "via": "multiplication-map surjectivity"}
@@ -738,21 +821,21 @@ def fiber_generator_census(
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if s < 1:
+        raise ValueError(f"s must be positive, got {s}")
     rows = []
     for n in range(1, n_max + 1):
         sn = scheme.with_multiplicities(n)
         for d in range(0, d_max + 1):
-            piece = linear_system(sn, d)
-            if piece.h0 == 0:
+            piece_dim = h0(sn, d)
+            if piece_dim == 0:
                 continue
-            _, _, contained = _power_containment(
-                scheme, {d: piece.basis}, s, s * n, {s * d}
-            )[s * d]
+            _, _, contained = _power_containment(scheme, sn, (d,), s, s * n, {s * d})[s * d]
             rows.append(
                 {
                     "n": n,
                     "degree": d,
-                    "piece_dim": piece.h0,
+                    "piece_dim": piece_dim,
                     "survives": not contained,
                 }
             )

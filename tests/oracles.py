@@ -24,7 +24,10 @@ the definition, which needs no filtration property.  The saturation-index refere
 definition of the index: it counts colon steps A : B, (A : B) : B, ...
 until the result repeats.  The containment reference builds every
 product span up to the top degree, one factor at a time, before it
-looks at any multiplication map.  The Huneke search looks for the
+looks at any multiplication map, and the dimension reference
+eliminates every degree it is asked about, where the library reads
+dimensions and surjectivity off the Hilbert function once the
+conditions are independent.  The Huneke search looks for the
 length condition of Huneke's criterion (Michigan Math. J. 34, 1987)
 among pairs of reduced-basis elements of symbolic powers, each length
 counted as the standard monomials of one Groebner basis.
@@ -50,11 +53,12 @@ from spreadlab import (
 )
 from spreadlab.fatpoints import (
     _all_pair_products,
+    _condition_matrix,
     _frame_axes,
     _variable_multiples,
     linear_system,
 )
-from spreadlab.linalg import reduce_rows, rref_modp, span_rows
+from spreadlab.linalg import nullspace_modp, rank_modp, reduce_rows, rref_modp, span_rows
 from spreadlab.ring import _tokenize, mono_divides
 
 
@@ -351,6 +355,26 @@ def containment_reference(scheme, n, s, d_max):
     if scheme.cubic is not None:
         report["expected_exception_degree"] = 3 * s * n
     return report
+
+
+def h0_and_image_rank_by_elimination(scheme, d):
+    """The degree-d h0 of the scheme and the rank of x_k * (its degree
+    d-1 piece), d >= 1, each from an elimination of that degree's
+    condition rows: no table, no record and no rule of the library's.
+    The multiples place each coefficient by exponent lookup."""
+    p = scheme.p
+
+    def kernel(e):
+        return nullspace_modp(_condition_matrix(scheme.points, scheme.multiplicities, e, p), p)
+
+    column = {mono: i for i, mono in enumerate(monomials_of_degree(d))}
+    source = kernel(d - 1)
+    multiples = np.zeros((3 * source.shape[0], len(column)), dtype=np.int64)
+    for k in range(3):
+        shifted = [column[tuple(e + (i == k) for i, e in enumerate(mono))]
+                   for mono in monomials_of_degree(d - 1)]
+        multiples[k * source.shape[0]:(k + 1) * source.shape[0], shifted] = source
+    return kernel(d).shape[0], rank_modp(multiples, p)
 
 
 def poly_roots_brute_force(f, p):

@@ -328,6 +328,16 @@ def test_fatpoints_prime_beyond_int64_exit_2(capsys):
     assert code == 2 and out is None
 
 
+@pytest.mark.parametrize("s", ["0", "-1"])
+@pytest.mark.parametrize("elliptic", [[], ["--elliptic"]])
+def test_fatpoints_census_nonpositive_s_exit_2(s, elliptic, capsys):
+    code = main(["fatpoints", "census", *elliptic, "--nmax", "1", "--dmax", "3",
+                 "--s", s, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: s must be positive, got {s}\n"
+
+
 def test_fatpoints_elliptic_large_prime():
     """Sampling 12 points on a cubic over F_(2^31 - 1) does not scan the field."""
     cmd = [sys.executable, "-m", "spreadlab", "fatpoints", "h0", "--elliptic",

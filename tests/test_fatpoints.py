@@ -17,6 +17,7 @@ from oracles import (
     cubic_is_smooth_by_saturation,
     first_root_scan,
     gauss_jordan,
+    h0_and_image_rank_by_elimination,
     local_frame,
     monomials_of_degree,
     poly_roots_brute_force,
@@ -26,10 +27,12 @@ from spreadlab.fatpoints import (
     _PRODUCT_GROUPS,
     _PRODUCT_GROUPS_BYTES,
     FatPointScheme,
+    MultMapReport,
     _all_pair_products,
     _condition_matrix,
     _cubic_is_smooth,
     _first_root,
+    _independent_from,
     _product_groups,
     _roots_modp,
     _variable_multiples,
@@ -202,6 +205,28 @@ def test_composite_modulus_and_negative_multiplicity_refused():
     with pytest.raises(ValueError):
         FatPointScheme(32003, points, (2, -1), None, 0)
     assert h0(scheme, 1, 0) == 3
+
+
+def test_one_projective_point_given_twice_is_refused(monkeypatch):
+    # (2, 4, 6) = 2 * (1, 2, 3), and 102 = 1 mod 101
+    for points in (((1, 2, 3), (2, 4, 6)), ((1, 2, 3), (102, 2, 3))):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            FatPointScheme(101, points, (1, 1), None, 0)
+    # a vector that is zero mod p is refused when the scheme is built
+    for points in (((0, 0, 0), (1, 0, 0)), ((101, 0, 202), (1, 0, 0))):
+        with pytest.raises(ValueError, match="not a projective point"):
+            FatPointScheme(101, points, (1, 1), None, 0)
+    scheme = FatPointScheme(101, ((1, 2, 3), (2, 4, 7)), (1, 1), None, 0)
+    assert scheme.points == ((1, 2, 3), (2, 4, 7))          # kept as given
+    assert h0(scheme, 1) == 1
+    # schemes derived from a checked one do not check the points again
+    import spreadlab.fatpoints as fatpoints
+
+    monkeypatch.setattr(fatpoints, "_normalize_point", None)
+    derived = scheme.with_multiplicities((2, 0))
+    assert derived.points == scheme.points and derived._table is scheme._table
+    with pytest.raises(ValueError, match="one multiplicity per point"):
+        scheme.with_multiplicities((1, 1, 1))
 
 
 # --- h0 values -----------------------------------------------------------------
@@ -515,6 +540,130 @@ def test_nagata_census_no_survivors(nagata):
 def test_census_empty(nagata):
     rep = fiber_generator_census(nagata, 0, 6)
     assert rep["pieces"] == [] and rep["survivors"] == []
+
+
+def test_census_refuses_nonpositive_s(nagata, elliptic):
+    for scheme in (nagata, elliptic):
+        for s in (0, -1):
+            with pytest.raises(ValueError, match=f"^s must be positive, got {s}$"):
+                fiber_generator_census(scheme, 1, 3, s)
+
+
+# --- dimensions and surjectivity from the Hilbert function ---------------------------
+
+RULE_PRIMES = (101, 32003, 2**31 - 1)
+
+
+@pytest.mark.parametrize("p", RULE_PRIMES)
+@pytest.mark.parametrize("constraint", ["none", "elliptic"])
+def test_rules_agree_with_direct_elimination(p, constraint):
+    """h0 (rule 1) and multiplication-map reports (rule 2) on seeded
+    schemes, uniform and mixed multiplicities 0-3, degrees 0-16 asked in
+    a shuffled order on a fresh table, against an elimination of every
+    degree."""
+    rng = random.Random(f"{constraint}-{p}")
+    by_rule = {1: 0, 2: 0}
+    for r in ((5, 16) if constraint == "none" else (12,)):
+        points = sample_scheme(r, 1, constraint, seed=rng.randrange(1000), p=p)
+        vectors = [(m,) * r for m in range(4)]
+        vectors += [tuple(rng.randrange(4) for _ in range(r)) for _ in range(2)]
+        for mults in vectors:
+            scheme = _rebuilt(points.with_multiplicities(mults))
+            degrees = list(range(17))
+            rng.shuffle(degrees)
+            for d in degrees:
+                d0 = _independent_from(scheme)
+                if d == 0:
+                    assert h0(scheme, 0) == (1 if not any(mults) else 0)
+                    continue
+                expected_h0, image_rank = h0_and_image_rank_by_elimination(scheme, d)
+                by_rule[1] += d0 is not None and d >= d0
+                by_rule[2] += d0 is not None and d >= d0 + 2
+                asked = [lambda: h0(scheme, d), lambda: mult_map_surjective(scheme, d, mults)]
+                if rng.randrange(2):
+                    asked.reverse()
+                answers = {type(a): a for a in (ask() for ask in asked)}
+                assert answers[int] == expected_h0, (r, mults, d)
+                assert answers[MultMapReport] == MultMapReport(
+                    image_rank == expected_h0, image_rank, expected_h0
+                ), (r, mults, d)
+    assert by_rule[1] > by_rule[2] > 0
+
+
+def test_containment_skips_the_kernel_rule_1_fixes(monkeypatch, nagata):
+    """On 16 general points the triple-point conditions are independent
+    in degree 14 (a 96 x 120 matrix of rank 96), so the degree-15 target
+    needs no 96 x 136 kernel."""
+    import spreadlab.fatpoints as fatpoints
+
+    shapes = []
+    real = fatpoints.nullspace_modp
+
+    def recording(A, p):
+        shapes.append(A.shape)
+        return real(A, p)
+
+    monkeypatch.setattr(fatpoints, "nullspace_modp", recording)
+    rep = graded_power_containment(_rebuilt(nagata), 1, 3, 15)
+    assert (96, 120) in shapes and (96, 136) not in shapes
+    monkeypatch.setattr(fatpoints, "nullspace_modp", real)
+    assert rep == containment_reference(_rebuilt(nagata), 1, 3, 15)
+    assert list(rep["degrees"]) == [15]
+
+
+def test_map_from_d0_plus_2_on_reduces_nothing(monkeypatch, nagata):
+    import spreadlab.fatpoints as fatpoints
+    import spreadlab.linalg as linalg
+
+    scheme = _rebuilt(nagata)
+    assert linear_system(scheme, 5).rank == 16 and _independent_from(scheme) == 5
+    reduced = []
+    real = linalg.rref_modp
+
+    def recording(A, p):
+        reduced.append(A.shape)
+        return real(A, p)
+
+    monkeypatch.setattr(linalg, "rref_modp", recording)
+    monkeypatch.setattr(fatpoints, "rref_modp", recording)
+    reports = {d: mult_map_surjective(scheme, d, 1) for d in (7, 8, 12)}
+    assert reduced == []
+    assert mult_map_surjective(scheme, 6, 1).surjective    # d0 + 1: the image is reduced
+    assert reduced
+    monkeypatch.undo()
+    for d, report in reports.items():
+        dim = len(monomial_basis(d)) - 16
+        assert report == MultMapReport(True, dim, dim)
+        assert h0_and_image_rank_by_elimination(scheme, d) == (dim, dim)
+
+
+def test_record_lives_in_the_table_and_is_least(nagata, monkeypatch):
+    import spreadlab.fatpoints as fatpoints
+
+    scheme = _rebuilt(nagata)
+    linear_system(scheme, 4)                 # 15 < 16 conditions: not independent
+    assert _independent_from(scheme) is None
+    linear_system(scheme, 7)
+    linear_system(scheme, 5)
+    linear_system(scheme, 6)
+    assert _independent_from(scheme) == 5
+    assert _independent_from(scheme.with_multiplicities(1)) == 5     # shared table
+    assert _independent_from(scheme.with_multiplicities(2)) is None
+    assert h0(scheme, 9) == len(monomial_basis(9)) - 16            # by rule 1
+    for copied in (pickle.loads(pickle.dumps(scheme)), copy.deepcopy(scheme),
+                   dataclasses.replace(scheme, seed=1)):
+        assert _independent_from(copied) is None
+        assert h0(copied, 9) == len(monomial_basis(9)) - 16        # by elimination
+        assert _independent_from(copied) == 9
+    # a table keeps the least value of at most _LEAST_KEYS keys, oldest out
+    monkeypatch.setattr(fatpoints, "_LEAST_KEYS", 2)
+    table = fatpoints._ArrayTable(0)
+    table.note_least("a", 3)
+    table.note_least("a", 4)
+    assert table.least("a") == 3
+    table.note_least("b", 2)
+    table.note_least("c", 1)
+    assert (table.least("a"), table.least("b"), table.least("c")) == (None, 2, 1)
 
 
 # --- product machinery ----------------------------------------------------------------
