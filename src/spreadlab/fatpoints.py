@@ -735,13 +735,17 @@ def _power_containment(
     piece bases and the product spans are built, in one
     :func:`_power_spans` call, only when a degree is left open, and
     only in the degrees it leaves open, and reduced against its image.
-    A degree no product reaches is contained.
+    Only the pieces of degree at most max(open) - (s - 1) * min(piece
+    degrees) are built: the level cap of :func:`_power_spans`, above
+    which a piece enters no product it keeps.  A degree no product
+    reaches is contained.
     """
     maps = {D: _mult_map(scheme, D, m) for D in sorted(degrees)}
     open_degrees = {D for D, (cert, _, _) in maps.items() if not cert.surjective}
     spans = {}
     if open_degrees:
-        pieces = {d: linear_system(system, d).basis for d in piece_degrees}
+        cap = max(open_degrees) - (s - 1) * min(piece_degrees)
+        pieces = {d: linear_system(system, d).basis for d in piece_degrees if d <= cap}
         spans = _power_spans(pieces, s, open_degrees, scheme.p)
     decided = {}
     for D, (cert, image, pivots) in maps.items():

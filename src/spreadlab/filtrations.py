@@ -30,9 +30,9 @@ elimination is needed).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -439,12 +439,6 @@ def _reduction_shortcut(I: Ideal):
     return None
 
 
-# Least recently used reports first; a hit moves its entry to the end.
-_SPREAD_MEMO: "OrderedDict[Ideal, SpreadReport]" = OrderedDict()
-_SPREAD_MEMO_SIZE = 1024
-_SPREAD_MEMO_LOCK = threading.Lock()
-
-
 def _fiber_report(pres: ReesPresentation, I: Ideal, notes: Tuple[str, ...] = ()) -> SpreadReport:
     """The spread report of pres's fiber, with the bounds ht(I) <= ell <= dim R."""
     n = I.ctx.nvars
@@ -468,8 +462,9 @@ def analytic_spread(I: Ideal) -> SpreadReport:
     the fiber is presented from it instead, which has the same analytic
     spread and a much smaller presentation, and the certificate is
     recorded in the report notes.  Otherwise the ideal is presented
-    itself.  Reports are memoized for the last 1024 ideals asked about,
-    and a repeated question returns the same report object.
+    itself.  Reports of nonzero ideals are memoized by ``_spread``, a
+    ``functools.lru_cache`` of the last 1024 ideals asked about, so a
+    repeated question returns the same report object.
     """
     _validate_spread_input(I)
     if I.is_zero:
@@ -477,41 +472,45 @@ def analytic_spread(I: Ideal) -> SpreadReport:
             ell=0, ring_dim=I.ctx.nvars, ht=None, bounds_ok=True, presentation=None,
             notes=("zero ideal: fiber is the residue field",),
         )
-    with _SPREAD_MEMO_LOCK:
-        report = _SPREAD_MEMO.get(I)
-        if report is not None:
-            _SPREAD_MEMO.move_to_end(I)
-            return report
+    return _spread(I)
+
+
+@functools.lru_cache(maxsize=1024)
+def _spread(I: Ideal) -> SpreadReport:
+    """The spread report of a proper, homogeneous, nonzero ideal."""
     J, notes = I, ()
     found = _reduction_shortcut(I)
     if found is not None:
         J, note = found
         notes = (note,)
-    report = _fiber_report(rees_presentation(Filtration.adic(J), 1), I, notes)
-    with _SPREAD_MEMO_LOCK:
-        _SPREAD_MEMO[I] = report
-        if len(_SPREAD_MEMO) > _SPREAD_MEMO_SIZE:
-            _SPREAD_MEMO.popitem(last=False)
-    return report
+    return _fiber_report(rees_presentation(Filtration.adic(J), 1), I, notes)
 
 
 def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
     """Analytic spread of the a-th truncation of F.
 
     When ``F.truncation_bound == a``, F is that truncation already and is
-    used as it is, members and bases included.  The height in the
+    used as it is, members and bases included.  Every member I_1..I_a
+    must pass the checks of ``analytic_spread``.  The height in the
     report is that of I_1.  Besides the fiber dimension, searches
     e <= 3a for a single ideal I_{a,e} whose own analytic spread equals
     the truncation's; the found exponent (or its absence up to the
     bound, the report's ``witness_bound``) is recorded in the report.
-    When every kept generator has degree 1 the truncation's Rees algebra
+    The first truncation is the adic filtration of I_1, so for a = 1 and
+    a nonzero I_1 the report is ``analytic_spread(I_1)``'s (memoized,
+    presentation and notes included) with witness e = 1.  For a >= 2,
+    when every kept generator has degree 1 the truncation's Rees algebra
     is R[I_1 t], so the witness is e = 1 with no second presentation.
     """
     if a < 1:
         raise ValueError("truncation bound must be at least 1")
     trunc = F if F.truncation_bound == a else F.truncate(a)
+    for n in range(1, a + 1):
+        _validate_spread_input(trunc.materialize(n))
     I1 = trunc.materialize(1)
-    _validate_spread_input(I1)
+    bound = 3 * a
+    if a == 1 and not I1.is_zero:
+        return replace(analytic_spread(I1), witness_exponent=1, witness_bound=bound)
     pres = rees_presentation(trunc, a)
     if pres.fiber_ctx is None:
         return SpreadReport(
@@ -521,7 +520,6 @@ def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
     # I_1 is nonzero here: its first basis element is always kept
     report = _fiber_report(pres, I1)
 
-    bound = 3 * a
     if all(n == 1 for _, n, _ in pres.generators):
         # the Rees algebra is R[I_1 t], so I_1's own spread is report.ell
         return replace(report, witness_exponent=1, witness_bound=bound)
@@ -566,7 +564,10 @@ def fiber_nilpotency_witness(
     Existence of such witnesses for every element of every member is
     the ideal-theoretic face of the filtration having analytic spread
     zero; an adic filtration of a nonzero ideal never produces one.
+    The level n must be at least 1: I_0 is the unit ideal, no member.
     """
+    if n < 1:
+        raise ValueError(f"filtration level must be at least 1, got {n}")
     if max_power < 1:
         raise ValueError("witness search bound must be at least 1")
     member = F.materialize(n)
@@ -594,7 +595,9 @@ def finite_generation_probe(
     degrees <= a as far as tested); (ii) the truncation spreads with the
     dichotomy flags; (iii) the spreads of the symbolic powers themselves
     with the below-dimension check at the maximal ideal.  The report is
-    a bounded search, never a proof.
+    a bounded search, never a proof.  The first truncation's spread is
+    ``analytic_spread(I_1)``, so the first symbolic power's spread is a
+    memo hit.
     """
     if a_max < 1:
         raise ValueError("probe bound a_max must be at least 1")
@@ -625,10 +628,8 @@ def finite_generation_probe(
         truncation_spreads[a] = rep.ell
         truncation_witness[a] = rep.witness_exponent
 
-    # the first truncation is the adic filtration of I_1, so they share a spread
     symbolic_spreads = {
-        k: truncation_spreads[1] if k == 1 else analytic_spread(symbolic_members[k]).ell
-        for k in range(1, a_max + 1)
+        k: analytic_spread(symbolic_members[k]).ell for k in range(1, a_max + 1)
     }
 
     return {

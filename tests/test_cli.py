@@ -237,6 +237,36 @@ def test_sp0_command(flat_file, capsys):
     assert code == 0 and out["witness"] is None
 
 
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_sp0_level_below_one_exit_2(level, flat_file, capsys):
+    code = main(["sp0", "-f", flat_file, "-F", "T", "-n", level, "-e", "x", "-M", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: filtration level must be at least 1, got {level}\n"
+
+
+def test_first_truncation_shares_the_spread_of_its_ideal(monkeypatch, curve_file, capsys):
+    """``ell-trunc -a 1`` on the symbolic filtration of p answers through
+    ``analytic_spread(p)``, so a later ``ell`` on p presents nothing."""
+    import spreadlab.filtrations as filtrations
+
+    presented = []
+    real = filtrations.rees_presentation
+
+    def counting(F, a=1):
+        presented.append(a)
+        return real(F, a)
+
+    monkeypatch.setattr(filtrations, "rees_presentation", counting)
+    _session.cache_clear()
+    filtrations._spread.cache_clear()
+    code, trunc = run_cli(["ell-trunc", "-f", curve_file, "-F", "S", "-a", "1"], capsys)
+    assert code == 0 and (trunc["ell"], trunc["witness_e"], trunc["witness_bound"]) == (3, 1, 3)
+    code, ell = run_cli(["ell", "-f", curve_file, "-i", "p"], capsys)
+    assert code == 0 and ell["ell"] == 3
+    assert presented == [1]
+
+
 def test_fingen_probe_command(flat_file, capsys):
     code, out = run_cli(
         ["fingen-probe", "-f", flat_file, "-i", "p", "-A", "2", "-N", "3"], capsys

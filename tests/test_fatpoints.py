@@ -611,6 +611,32 @@ def test_containment_skips_the_kernel_rule_1_fixes(monkeypatch, nagata):
     assert list(rep["degrees"]) == [15]
 
 
+def test_containment_builds_only_pieces_a_kept_product_uses(monkeypatch):
+    """The benchmark's ``contain E 1 2 12`` on seed 6 leaves degrees 6, 8
+    and 9 open; pieces start in degree 3, so a piece above 9 - 3 enters
+    no product of degree at most 9, and the multiplicity-1 kernels of
+    degrees 7 to 12 ((12, 36) to (12, 91)) are never built."""
+    import spreadlab.fatpoints as fatpoints
+
+    shapes = []
+    real = fatpoints.nullspace_modp
+
+    def recording(A, p):
+        shapes.append(A.shape)
+        return real(A, p)
+
+    monkeypatch.setattr(fatpoints, "nullspace_modp", recording)
+    rep = graded_power_containment(sample_scheme(12, 1, "elliptic", seed=6), 1, 2, 12)
+    assert shapes == [
+        (12, 1), (12, 3), (12, 6), (12, 10), (12, 15),
+        (36, 21), (36, 28), (36, 36), (36, 45), (12, 21), (12, 28),
+    ]
+    monkeypatch.setattr(fatpoints, "nullspace_modp", real)
+    assert rep == containment_reference(sample_scheme(12, 1, "elliptic", seed=6), 1, 2, 12)
+    assert sorted(D for D, row in rep["degrees"].items()
+                  if row["via"] == "product-span reduction") == [6, 8, 9]
+
+
 def test_map_from_d0_plus_2_on_reduces_nothing(monkeypatch, nagata):
     import spreadlab.fatpoints as fatpoints
     import spreadlab.linalg as linalg

@@ -520,6 +520,7 @@ DEGREE_ONE_TRUNCATIONS = [(w, 1) for w in CURVES] + [
 
 @pytest.mark.parametrize("weights, a", DEGREE_ONE_TRUNCATIONS)
 def test_truncation_presented_by_I1_has_its_spread(monkeypatch, weights, a):
+    filtrations._spread.cache_clear()
     presentations = _count_calls(monkeypatch, "rees_presentation")
     rep = analytic_spread_truncated(Filtration.symbolic(_curve_prime(weights)), a)
     assert len(presentations) == 1
@@ -527,6 +528,27 @@ def test_truncation_presented_by_I1_has_its_spread(monkeypatch, weights, a):
     monkeypatch.undo()
     alone = analytic_spread(_curve_prime(weights))
     assert (rep.witness_exponent, rep.ell) == (1, alone.ell)
+
+
+def test_first_truncation_is_answered_by_the_spread_of_I1(ctx3, curve_prime, curve_symbolic):
+    alone = analytic_spread(curve_prime)
+    rep = analytic_spread_truncated(curve_symbolic, 1)
+    assert rep == dataclasses.replace(alone, witness_exponent=1, witness_bound=3)
+    assert rep.presentation is alone.presentation
+    # a zero I_1 keeps the zero-filtration report
+    zero = analytic_spread_truncated(Filtration(ctx3, lambda F, n: ideal(ctx3, [])), 1)
+    assert (zero.ell, zero.witness_exponent, zero.notes) == (0, None, ("zero filtration",))
+
+
+def test_truncated_spread_rejects_an_inhomogeneous_higher_member(ctx3):
+    I1 = ideal(ctx3, "x", "y")
+    I2 = ideal(ctx3, "x^2", "x*y", "y^2", "x + y*z")
+    F = Filtration(ctx3, lambda F, n: I1 if n == 1 else I2)
+    with pytest.raises(HomogeneityError):
+        analytic_spread_truncated(F, 2)
+    with pytest.raises(HomogeneityError):
+        analytic_spread_truncated(F.truncate(2), 2)
+    assert analytic_spread_truncated(F, 1).ell == 2
 
 
 def test_truncation_with_a_degree_two_generator_searches_for_its_witness(monkeypatch):
@@ -583,6 +605,14 @@ def test_witness_membership_precondition(ctx3):
         fiber_nilpotency_witness(F, 1, ctx3.var("z"), 4)
     with pytest.raises(ValueError):
         fiber_nilpotency_witness(F, 1, ctx3.var("x"), 0)
+
+
+@pytest.mark.parametrize("n", (0, -1))
+def test_witness_refuses_a_level_below_one(ctx3, n):
+    # I_0 is the unit ideal, which is no member of the filtration
+    F = Filtration.trivial_max(ctx3)
+    with pytest.raises(ValueError, match=f"filtration level must be at least 1, got {n}"):
+        fiber_nilpotency_witness(F, n, ctx3.var("x"), 3)
 
 
 def test_sp0_dichotomy_small_sweep(ctx3):

@@ -8,9 +8,11 @@ the same (J, note) or None.  Spreads of equigenerated monomial ideals
 are checked against the rank of their exponent matrix.
 """
 
+import functools
 import itertools
 import random
-from collections import OrderedDict
+import sys
+import threading
 
 import pytest
 
@@ -143,21 +145,64 @@ def test_failed_scan_runs_no_groebner_basis(monkeypatch):
 # --- spread memo -------------------------------------------------------------------
 
 def test_spread_memo_is_bounded_lru(monkeypatch):
-    assert filtrations._SPREAD_MEMO_SIZE == 1024
-    memo = OrderedDict()
-    monkeypatch.setattr(filtrations, "_SPREAD_MEMO", memo)
-    monkeypatch.setattr(filtrations, "_SPREAD_MEMO_SIZE", 3)
+    assert filtrations._spread.cache_info().maxsize == 1024
+    memo = functools.lru_cache(maxsize=3)(filtrations._spread.__wrapped__)
+    monkeypatch.setattr(filtrations, "_spread", memo)
     ctx = RingContext(32003, ("x", "y", "z"))
     ideals_asked = [ideal(ctx, f"x^{k}", f"y^{k}") for k in range(1, 7)]
     reports = []
     for I in ideals_asked:
         reports.append(analytic_spread(I))
-        assert len(memo) <= 3
-    assert list(memo) == ideals_asked[3:]
+        assert memo.cache_info().currsize <= 3
+    assert memo.cache_info()[:2] == (0, 6)
     # a hit returns the same report and makes its ideal the newest entry
     assert analytic_spread(ideal(ctx, "y^4", "x^4")) is reports[3]
-    analytic_spread(ideals_asked[0])
-    assert list(memo) == [ideals_asked[5], ideals_asked[3], ideals_asked[0]]
+    # the oldest entries went first: the first ideal is asked again
+    reports[0] = analytic_spread(ideals_asked[0])
+    assert memo.cache_info()[:2] == (1, 7)
+    # the refreshed entry outlived the fifth ideal's, which was the oldest
+    for k in (5, 3, 0):
+        assert analytic_spread(ideals_asked[k]) is reports[k]
+    assert memo.cache_info()[:2] == (4, 7)
+    analytic_spread(ideals_asked[4])
+    assert memo.cache_info()[:2] == (4, 8)
+
+
+def test_spread_memo_under_threads(monkeypatch):
+    ctx = RingContext(32003, ("x", "y", "z"))
+    asked = [
+        ideal(ctx, "x^3", "y^3"), ideal(ctx, "x^2", "y^2", "z^2"), ideal(ctx, "x*y*z"),
+        ideal(ctx, "x^2", "x*y"), ideal(ctx, "x^2", "x*y", "y^2", "z^3"),
+        ideal(ctx, "y^2 - x*z", "x*y - z^2"), ideal(ctx, "x^3", "y^3", "z^3", "x*y*z"),
+        ideal(ctx, "x*y", "y*z", "x*z"),
+    ]
+    alone = [filtrations._spread.__wrapped__(I).ell for I in asked]
+    # a cap below the 8 ideals makes the threads evict each other's entries
+    memo = functools.lru_cache(maxsize=4)(filtrations._spread.__wrapped__)
+    monkeypatch.setattr(filtrations, "_spread", memo)
+    seen, sizes = {}, []
+
+    def ask(k):
+        for i in [*range(k, len(asked)), *range(k)]:      # each thread starts elsewhere
+            seen[k, i] = analytic_spread(asked[i]).ell
+            sizes.append(memo.cache_info().currsize)
+
+    workers = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert sorted(seen) == [(k, i) for k in range(4) for i in range(len(asked))]
+    assert all(ell == alone[i] for (_, i), ell in seen.items())
+    assert sorted(set(alone)) == [1, 2, 3]
+    assert max(sizes) <= memo.cache_info().maxsize == 4
+    assert memo.cache_info().currsize <= 4
 
 
 # --- closed-form monomial spreads ----------------------------------------------------
