@@ -11,8 +11,10 @@ A session file declares one ring, then named ideals and filtrations:
 
 The ring line takes each of the keys ``p``, ``vars``, ``order`` and
 ``weights`` at most once, and every variable name must read as one name
-token of the polynomial syntax in ``ring``.  Every declaration error,
-the ring's own checks included, names its line.
+token of the polynomial syntax in ``ring``.  Every declaration error
+names its line: ``SessionFile.parse`` prefixes it to any error raised
+while it handles that line, the ring's, the polynomial parser's and the
+filtration's own checks included.
 
 Lines starting with ``#`` are comments.  Every subcommand is one entry
 of ``COMMANDS``: its name, help, arguments and a handler returning its
@@ -79,11 +81,11 @@ _ORDERS = {
 _RING_KEYS = ("p", "vars", "order", "weights")
 
 
-def _integer(text: str, key: str, lineno: int) -> int:
+def _integer(text: str, key: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"line {lineno}: {key}= wants an integer, got {text!r}") from None
+        raise ValueError(f"{key}= wants an integer, got {text!r}") from None
 
 
 def _is_variable_name(name: str) -> bool:
@@ -111,107 +113,107 @@ class SessionFile:
 
     @classmethod
     def parse(cls, text: str) -> "SessionFile":
+        """The session the text declares; an error raised while line N is
+        handled reads ``line N: ...``."""
         session = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                head, rest = line.split(None, 1)
-            except ValueError:
-                raise ValueError(f"line {lineno}: cannot parse {line!r}")
-            if head == "ring":
-                if session is not None:
-                    raise ValueError(f"line {lineno}: duplicate ring declaration")
-                session = cls._parse_ring(rest, lineno)
-            elif head == "ideal":
-                if session is None:
-                    raise ValueError(f"line {lineno}: ideal before ring")
-                session._parse_ideal(rest, lineno)
-            elif head == "filtration":
-                if session is None:
-                    raise ValueError(f"line {lineno}: filtration before ring")
-                session._parse_filtration(rest, lineno)
-            else:
-                raise ValueError(f"line {lineno}: unknown declaration {head!r}")
+            if line:
+                try:
+                    session = cls._parse_line(session, line)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
         if session is None:
             raise ValueError("session file has no ring declaration")
         return session
 
     @classmethod
-    def _parse_ring(cls, rest: str, lineno: int) -> "SessionFile":
+    def _parse_line(cls, session, line: str) -> "SessionFile":
+        """The session after one declaration; None before the ring line."""
+        try:
+            head, rest = line.split(None, 1)
+        except ValueError:
+            raise ValueError(f"cannot parse {line!r}") from None
+        if head == "ring":
+            if session is not None:
+                raise ValueError("duplicate ring declaration")
+            return cls._parse_ring(rest)
+        if head not in ("ideal", "filtration"):
+            raise ValueError(f"unknown declaration {head!r}")
+        if session is None:
+            raise ValueError(f"{head} before ring")
+        if head == "ideal":
+            session._parse_ideal(rest)
+        else:
+            session._parse_filtration(rest)
+        return session
+
+    @classmethod
+    def _parse_ring(cls, rest: str) -> "SessionFile":
         fields = {}
         for token in rest.split():
             if "=" not in token:
-                raise ValueError(f"line {lineno}: expected key=value, got {token!r}")
+                raise ValueError(f"expected key=value, got {token!r}")
             key, value = token.split("=", 1)
             if key not in _RING_KEYS:
-                raise ValueError(
-                    f"line {lineno}: unknown ring key {key!r} "
-                    f"(expected {', '.join(_RING_KEYS)})"
-                )
+                raise ValueError(f"unknown ring key {key!r} (expected {', '.join(_RING_KEYS)})")
             if key in fields:
-                raise ValueError(f"line {lineno}: duplicate ring key {key!r}")
+                raise ValueError(f"duplicate ring key {key!r}")
             fields[key] = value
-        p = _integer(fields.get("p", str(DEFAULT_PRIME)), "p", lineno)
+        p = _integer(fields.get("p", str(DEFAULT_PRIME)), "p")
         if "vars" not in fields:
-            raise ValueError(f"line {lineno}: ring needs vars=")
+            raise ValueError("ring needs vars=")
         variables = tuple(v.strip() for v in fields["vars"].split(",") if v.strip())
         for name in variables:
             if not _is_variable_name(name):
                 raise ValueError(
-                    f"line {lineno}: {name!r} cannot name a variable "
+                    f"{name!r} cannot name a variable "
                     "(the polynomial syntax would not read it as one)"
                 )
         weights = None
         if "weights" in fields:
-            weights = tuple(_integer(w, "weights", lineno) for w in fields["weights"].split(","))
+            weights = tuple(_integer(w, "weights") for w in fields["weights"].split(","))
         order_name = fields.get("order", "grevlex")
         if order_name not in _ORDERS:
-            raise ValueError(f"line {lineno}: unknown order {order_name!r}")
-        try:
-            order = _ORDERS[order_name](weights if weights else (1,) * len(variables))
-            ctx = RingContext(p, variables, order, weights)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        return cls(ctx)
+            raise ValueError(f"unknown order {order_name!r}")
+        order = _ORDERS[order_name](weights if weights else (1,) * len(variables))
+        return cls(RingContext(p, variables, order, weights))
 
-    def _parse_ideal(self, rest: str, lineno: int):
+    def _parse_ideal(self, rest: str):
         if "=" not in rest:
-            raise ValueError(f"line {lineno}: ideal needs name = gens")
+            raise ValueError("ideal needs name = gens")
         name, gens = rest.split("=", 1)
         name = name.strip()
         if not name or name in self.ideals:
-            raise ValueError(f"line {lineno}: bad or duplicate ideal name {name!r}")
+            raise ValueError(f"bad or duplicate ideal name {name!r}")
         polys = [self.ctx.poly(g.strip()) for g in gens.split(",") if g.strip()]
         self.ideals[name] = Ideal(self.ctx, polys)
 
-    def _parse_filtration(self, rest: str, lineno: int):
+    def _parse_filtration(self, rest: str):
         if "=" not in rest:
-            raise ValueError(f"line {lineno}: filtration needs name = kind:...")
+            raise ValueError("filtration needs name = kind:...")
         name, spec = rest.split("=", 1)
         name = name.strip()
         spec = spec.strip()
         if not name or name in self.filtrations:
-            raise ValueError(f"line {lineno}: bad or duplicate filtration name {name!r}")
+            raise ValueError(f"bad or duplicate filtration name {name!r}")
         kind, *names = spec.split(":")
         if kind == "trivial-m" and not names:
             F = Filtration.trivial_max(self.ctx)
         elif kind == "adic" and len(names) == 1:
-            F = Filtration.adic(self._ideal(names[0], lineno))
+            F = Filtration.adic(self._ideal(names[0]))
         elif kind == "symbolic" and len(names) in (1, 2):
-            J = self._ideal(names[1], lineno) if len(names) == 2 else None
-            F = Filtration.symbolic(self._ideal(names[0], lineno), J)
+            J = self._ideal(names[1]) if len(names) == 2 else None
+            F = Filtration.symbolic(self._ideal(names[0]), J)
         elif kind in _FILTRATION_FORMS:
-            raise ValueError(f"line {lineno}: expected {_FILTRATION_FORMS[kind]}, got {spec!r}")
+            raise ValueError(f"expected {_FILTRATION_FORMS[kind]}, got {spec!r}")
         else:
-            raise ValueError(f"line {lineno}: unknown filtration kind {kind!r}")
+            raise ValueError(f"unknown filtration kind {kind!r}")
         self.filtrations[name] = F
 
-    def _ideal(self, name: str, lineno=None) -> Ideal:
+    def _ideal(self, name: str) -> Ideal:
         if name not in self.ideals:
-            where = f"line {lineno}: " if lineno else ""
-            raise ValueError(f"{where}unknown ideal {name!r}")
+            raise ValueError(f"unknown ideal {name!r}")
         return self.ideals[name]
 
     def filtration(self, name: str) -> Filtration:

@@ -264,8 +264,7 @@ class FatPointScheme:
 
     def __post_init__(self):
         _check_multiplicities(self.multiplicities, len(self.points))
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        _check_modulus(self.p)
         # as projective points mod p: (1, 2, 3) and (2, 4, 6) are one
         # point, and a vector that is zero mod p is none
         if len({_normalize_point(pt, self.p) for pt in self.points}) != len(self.points):
@@ -276,15 +275,18 @@ class FatPointScheme:
         return len(self.points)
 
     def with_multiplicities(self, m) -> "FatPointScheme":
-        if isinstance(m, int):
-            mults = (m,) * self.r
-        else:
-            mults = tuple(int(x) for x in m)
-        _check_multiplicities(mults, self.r)
+        mults = _multiplicity_vector(m, self.r)
         # the same points, already checked, and so the same table
         derived = object.__new__(FatPointScheme)
         derived.__dict__.update(self.__dict__, multiplicities=mults)
         return derived
+
+
+def _multiplicity_vector(m, r: int) -> Tuple[int, ...]:
+    """m as one checked multiplicity per point: an int is every point's."""
+    mults = (m,) * r if isinstance(m, int) else tuple(int(x) for x in m)
+    _check_multiplicities(mults, r)
+    return mults
 
 
 def _check_multiplicities(mults, r: int) -> None:
@@ -292,6 +294,11 @@ def _check_multiplicities(mults, r: int) -> None:
         raise ValueError("one multiplicity per point")
     if min(mults, default=0) < 0:
         raise ValueError("multiplicities must be nonnegative")
+
+
+def _check_modulus(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 def _cubic_is_smooth(coeffs, p: int) -> bool:
@@ -438,16 +445,13 @@ def sample_scheme(
     on a line come from gcd(f, x2^p - x2), at a cost polynomial in log p.
     One loop keeps the first occurrence of each point drawn, in order,
     until it has r.  Exhausting the budget of _MAX_TRIES draws (e.g. a
-    tiny field) raises a seed error.
+    tiny field) raises a seed error.  The modulus and the multiplicities
+    are checked before the first draw.
     """
     if r < 1:
         raise ValueError("need at least one point")
-    if isinstance(multiplicities, int):
-        mults = (multiplicities,) * r
-    else:
-        mults = tuple(int(x) for x in multiplicities)
-        if len(mults) != r:
-            raise ValueError("one multiplicity per point")
+    mults = _multiplicity_vector(multiplicities, r)
+    _check_modulus(p)
     rng = random.Random(seed)
 
     if constraint == "none":

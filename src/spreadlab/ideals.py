@@ -8,10 +8,13 @@ elimination: ``eliminate``, ``intersect`` (through an auxiliary
 variable) and ``saturate_by_elimination`` call it, and so does the Rees
 presentation.  Its block order has the result ring's order inside (a lex
 ring eliminates in block(idx, lex)), so every result carries its reduced
-basis.  The ideal of all variables carries its own.  Colon ideals come
-from intersections with principal ideals: A : (b) is (A cap (b)) / b,
-each generator divided by ``groebner.divide_exact``, a run of the
-engine's one reduction routine, so no reduction loop lives here.
+basis.  The ideal of all variables carries its own.  One rule,
+``_by_generators``, gives the colon A : B and ``saturate_by_elimination``:
+the intersection of one piece per generator b of B, where the piece of
+a unit b is A, so that then the answer is A itself, with its basis.  The
+colon's piece A : (b) is (A cap (b)) / b, each generator divided by
+``groebner.divide_exact``, a run of the engine's one reduction routine,
+so no reduction loop lives here.
 ``_saturation`` alone chooses how to compute A : B^infinity: by
 variable saturations (Bayer-Stillman) for weighted-homogeneous A and B
 the ideal of all variables, by iterated colon otherwise.  The variable
@@ -19,7 +22,7 @@ saturations A : x_i^infinity are built in variable order, and the first
 whose quotient by A has finite length, which the leading monomials of
 A's basis decide exactly, is the saturation, since a power of m carries
 it into A; only when no piece is certified are the minimal pieces
-intersected.  ``saturate`` is the one
+intersected, by the same fold.  ``saturate`` is the one
 place that computes a saturation index, by one normal-form rule on
 either route; ``filtrations.symbolic_power`` asks ``_saturation`` for
 the ideal alone.  ``saturate_by_elimination`` is the independent check.
@@ -27,9 +30,10 @@ the ideal alone.  ``saturate_by_elimination`` is the independent check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .groebner import GroebnerBasis, divide_exact, groebner_basis
 from .ring import (
@@ -272,21 +276,37 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
     return _eliminate(ctx, (_AUX,), ring, gens)
 
 
+def _by_generators(A: Ideal, B: Ideal, piece: Callable[[Polynomial], Ideal], zero: str) -> Ideal:
+    """The intersection over B's generators b of one piece each: A : (b)
+    for the colon A : B, A : b^infinity for the saturation A : B^infinity.
+
+    The piece of a unit b is A, and every piece contains A, so then the
+    answer is A itself, with its basis.  A zero B is refused with the
+    message ``zero``.
+    """
+    A._same_ring(B)
+    if B.is_zero:
+        raise ValueError(zero)
+    if any(b.constant_value() is not None for b in B.gens):
+        return A
+    return _meet(piece(b) for b in B.gens)
+
+
+def _meet(pieces: Iterable[Ideal]) -> Ideal:
+    """The intersection of a nonempty run of ideals, folded left through
+    ``intersect``, looked up on every call, so that a rebound
+    ``ideals.intersect`` (the benchmark tracer's) sees each one."""
+    return functools.reduce(intersect, pieces)
+
+
 def quotient(A: Ideal, B: Ideal) -> Ideal:
     """Colon ideal A : B = {f | f*B inside A}: the intersection over B's
     generators b of A : (b) = (A cap (b)) / b."""
-    A._same_ring(B)
-    if B.is_zero:
-        raise ValueError("colon by the zero ideal")
-    result = None
-    for b in B.gens:
-        if b.constant_value() not in (None, 0):
-            piece = Ideal(A.ctx, A.gens)      # A : (unit) = A
-        else:
-            inter = intersect(A, Ideal(A.ctx, [b]))
-            piece = Ideal(A.ctx, [divide_exact(g, b) for g in inter.gens])
-        result = piece if result is None else intersect(result, piece)
-    return result
+
+    def piece(b):
+        return Ideal(A.ctx, [divide_exact(g, b) for g in intersect(A, Ideal(A.ctx, [b])).gens])
+
+    return _by_generators(A, B, piece, "colon by the zero ideal")
 
 
 def saturate(A: Ideal, B: Ideal) -> Tuple[Ideal, int]:
@@ -418,35 +438,23 @@ def _saturate_by_variables(A: Ideal) -> Tuple[Ideal, GroebnerBasis]:
             if any(_basis_contains(piece, q) for q in minimal):
                 continue
             minimal = [q for q in minimal if not _basis_contains(q, piece)] + [piece]
-    result = None
-    for q in minimal:
-        piece = Ideal(ctx, [_reorder(f, ctx) for f in q])
-        result = piece if result is None else intersect(result, piece)
-    return result, A_basis
+    return _meet(Ideal(ctx, [_reorder(f, ctx) for f in q]) for q in minimal), A_basis
 
 
 def saturate_by_elimination(A: Ideal, B: Ideal) -> Ideal:
     """A : B^infinity via the extra-variable route, one generator at a time.
 
-    For each generator b the ideal A + (y*b - 1) is built in an extended
-    ring and y is eliminated; the results are intersected.  Independent
+    The piece of a generator b is A + (y*b - 1), built in an extended
+    ring, with y eliminated; the pieces are intersected.  Independent
     of the iterated-colon path, which makes it the cross-check of choice.
     """
-    A._same_ring(B)
-    if B.is_zero:
-        raise ValueError("saturation by the zero ideal")
-    ctx = A.ctx
-    result = None
-    for b in B.gens:
-        if b.constant_value() not in (None, 0):
-            piece = Ideal(ctx, A.gens)
-        else:
-            ring = _aux_ring(ctx)
-            gens = [_lift(g, ring) for g in A.gens]
-            gens.append(ring.var(_AUX) * _lift(b, ring) - ring.one())
-            piece = _eliminate(ctx, (_AUX,), ring, gens)
-        result = piece if result is None else intersect(result, piece)
-    return result
+
+    def piece(b):
+        ring = _aux_ring(A.ctx)
+        gens = [_lift(g, ring) for g in A.gens] + [ring.var(_AUX) * _lift(b, ring) - ring.one()]
+        return _eliminate(A.ctx, (_AUX,), ring, gens)
+
+    return _by_generators(A, B, piece, "saturation by the zero ideal")
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,28 @@ def test_bad_ring_declaration_exit_2(ring_line, message, tmp_path, capsys):
     assert captured.err.startswith("error: line 2: ") and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "declaration, message",
+    [
+        # raised by the polynomial parser and by Filtration.symbolic
+        ("ideal q = x, zz", "unknown variable 'zz'"),
+        ("ideal q = x, 2^3", "expected + or -, found '^'"),
+        ("filtration S = symbolic:a:zero", "saturating ideal must be proper and nonzero"),
+        # raised by the session parser itself
+        ("ideal a = y", "bad or duplicate ideal name 'a'"),
+        ("filtration S = adic:q", "unknown ideal 'q'"),
+        ("filtration S = symbolic", "expected symbolic:NAME or symbolic:NAME:J, got 'symbolic'"),
+    ],
+)
+def test_bad_ideal_or_filtration_declaration_exit_2(declaration, message, tmp_path, capsys):
+    f = tmp_path / "bad.ring"
+    f.write_text(f"ring p=32003 vars=x,y,z\nideal a = x, y\nideal zero = 0\n{declaration}\n")
+    code = main(["gb", "-f", str(f), "-i", "a"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: line 4: {message}\n"
+
+
 def test_ring_accepts_every_key_once():
     parsed = SessionFile.parse("ring weights=1,2 order=lex vars=x_1,Y2 p=101\nideal a = x_1*Y2^2\n")
     assert parsed.ctx.variables == ("x_1", "Y2") and parsed.ctx.weights == (1, 2)

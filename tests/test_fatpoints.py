@@ -207,6 +207,26 @@ def test_composite_modulus_and_negative_multiplicity_refused():
     assert h0(scheme, 1, 0) == 3
 
 
+@pytest.mark.parametrize("constraint", ["none", "elliptic"])
+def test_sample_scheme_refuses_a_composite_modulus_before_drawing(constraint):
+    # the scheme's own message, not a failure of the first draw
+    with pytest.raises(ValueError, match=r"^modulus 4 is not prime$"):
+        sample_scheme(16, 1, constraint, seed=1, p=4)
+
+
+def test_sample_scheme_checks_multiplicities_before_the_cubic_search(monkeypatch):
+    import spreadlab.fatpoints as fatpoints
+
+    searched = []
+    real = fatpoints._cubic_is_smooth
+    monkeypatch.setattr(fatpoints, "_cubic_is_smooth", lambda *a: searched.append(a) or real(*a))
+    with pytest.raises(ValueError, match=r"^multiplicities must be nonnegative$"):
+        sample_scheme(12, -1, "elliptic", seed=1)
+    with pytest.raises(ValueError, match=r"^one multiplicity per point$"):
+        sample_scheme(12, (1,) * 11, "elliptic", seed=1)
+    assert searched == []
+
+
 def test_one_projective_point_given_twice_is_refused(monkeypatch):
     # (2, 4, 6) = 2 * (1, 2, 3), and 102 = 1 mod 101
     for points in (((1, 2, 3), (2, 4, 6)), ((1, 2, 3), (102, 2, 3))):

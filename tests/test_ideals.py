@@ -95,8 +95,43 @@ def test_quotient_example(ctx2):
 
 
 def test_quotient_by_zero_rejected(ctx3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^colon by the zero ideal$"):
         quotient(ideal(ctx3, "x"), ideal(ctx3, []))
+
+
+def test_saturation_by_zero_rejected(ctx3):
+    A = ideal(ctx3, "x")
+    for saturation in (saturate, saturate_by_elimination):
+        with pytest.raises(ValueError, match=r"^saturation by the zero ideal$"):
+            saturation(A, ideal(ctx3, "0"))
+
+
+@pytest.mark.parametrize("gens", [("1", "x"), ("x", "3")])
+def test_a_unit_generator_gives_A_with_its_basis(monkeypatch, ctx3, gens):
+    A = ideal(ctx3, "x^2 - y*z", "y^3")
+    B = ideal(ctx3, *gens)
+    assert A.is_proper and B.is_unit         # both bases exist before counting
+    real, calls = ideals.groebner_basis, []
+    monkeypatch.setattr(ideals, "groebner_basis", lambda *a: calls.append(a) or real(*a))
+    for colon in (quotient, saturate_by_elimination):
+        got = colon(A, B)
+        assert got.gb is A.gb
+    assert calls == []
+
+
+def test_colon_and_saturation_by_two_generators(monkeypatch, ctx3):
+    # A = z * (x^2, y^2): A : (x, y) = z * (x^2, x*y, y^2), and every piece
+    # A : x^infinity = A : y^infinity is (z)
+    A = ideal(ctx3, "x^2*z", "y^2*z")
+    B = ideal(ctx3, "x", "y")
+    real, calls = ideals.intersect, []
+    monkeypatch.setattr(ideals, "intersect", lambda P, Q: calls.append(1) or real(P, Q))
+    assert quotient(A, B) == ideal(ctx3, "x^2*z", "x*y*z", "y^2*z")
+    assert len(calls) == 3              # A cap (x), A cap (y), then the two pieces
+    assert saturate_by_elimination(A, B) == ideal(ctx3, "z")
+    assert len(calls) == 4              # the two pieces
+    # (x, y)^3, not (x, y)^2, lies in (x^2, y^2)
+    assert saturate(A, B) == (ideal(ctx3, "z"), 3)
 
 
 def _quotient_by_lead_terms(A, B):
