@@ -23,7 +23,8 @@ triples sorted strictly descending by key.  Both are packed integers
   guard kept clear, so x^a divides x^b exactly when
   ``((b | guard) - a) & guard == guard``, a product is ``a + b``, a
   quotient ``a - b``, and the lcm is a per-field max built from the same
-  mask;
+  mask.  The fields are the little-endian bytes of one ``struct``
+  record, so packing or unpacking a vector is one call;
 * the key is the order's additive key tuple with one field per
   component, wide enough for the key of the all-(2^31 - 1) exponent
   vector, so integer comparison and addition agree with the tuple order
@@ -42,13 +43,18 @@ division ``divide_exact`` that colon ideals use -- runs in
 ``_normal_form_terms`` over one table of pending terms and a heap of
 their packed keys (Monagan and Pearce's heap division), so each term is
 merged once; an S-polynomial enters the table as its two shifted tails,
-and a division records the quotient terms of its reduction steps.
+and a division records the quotient terms of its reduction steps.  A
+lone unshifted, unscaled piece (an input, a tail, or a normal form's
+argument) first has its irreducible leading terms copied straight into
+the remainder, so most such reductions, which take no step at all,
+put no term in the table or heap.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import lshift, mul
+import struct
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
@@ -63,12 +69,12 @@ _RANGE_ERROR = f"exponent above {_MAX_EXP} (2^31 - 1) in a Groebner computation"
 class _Codec:
     """Packing of one ring's exponent tuples and order keys."""
 
-    __slots__ = ("guard", "shifts", "key_weights", "wdeg_mask")
+    __slots__ = ("guard", "fields", "key_weights", "wdeg_mask")
 
     def __init__(self, ctx: RingContext):
         n = ctx.nvars
-        self.shifts = tuple(_FIELD * j for j in range(n))
-        self.guard = sum(1 << (s + _GUARD_SHIFT) for s in self.shifts)
+        self.fields = struct.Struct(f"<{n}I")
+        self.guard = sum(1 << (_FIELD * j + _GUARD_SHIFT) for j in range(n))
         # Every key component is a sign-definite linear form in the
         # exponents, so for admitted vectors it lies between 0 and its
         # value at the all-maximal vector, and so does the difference of
@@ -93,22 +99,21 @@ class _Codec:
         )
 
     def terms(self, f: Polynomial):
-        shifts, weights = self.shifts, self.key_weights
+        pack, weights = self.fields.pack, self.key_weights
         out = []
         for m, c in f.terms:
             if max(m) > _MAX_EXP:
                 raise ValueError(_RANGE_ERROR)
-            out.append((sum(map(mul, m, weights)), sum(map(lshift, m, shifts)), c))
+            out.append((sum(map(mul, m, weights)), int.from_bytes(pack(*m), "little"), c))
         return out
 
     def key(self, e: int) -> int:
-        return sum(((e >> s) & _MAX_EXP) * w for s, w in zip(self.shifts, self.key_weights))
+        fields = self.fields
+        return sum(map(mul, fields.unpack(e.to_bytes(fields.size, "little")), self.key_weights))
 
     def poly(self, ctx: RingContext, terms) -> Polynomial:
-        shifts = self.shifts
-        return Polynomial(
-            ctx, tuple((tuple((e >> s) & _MAX_EXP for s in shifts), c) for _, e, c in terms)
-        )
+        unpack, size = self.fields.unpack, self.fields.size
+        return Polynomial(ctx, tuple((unpack(e.to_bytes(size, "little")), c) for _, e, c in terms))
 
 
 def _codec(ctx: RingContext) -> _Codec:
@@ -126,19 +131,40 @@ def _normal_form_terms(pieces, basis, p, guard, quotient=None):
 
     A piece (terms, key shift, exponent shift, scale) stands for its
     terms times that monomial and scalar.  ``basis`` holds (lm key, lm,
-    tail) entries.  Pending terms live in one table from packed key to
-    [coefficient, packed exponents], with coefficients reduced mod p
-    only when popped, and a heap of negated keys.  The largest pending
-    term is popped and, if some leading monomial divides it, reduced by
-    the first such entry in basis order, whose tail joins as one more
-    piece.  A packed key determines its monomial, and every added term
-    lies below the popped key, so a key enters the heap once and no
+    tail) entries.  A lone piece with no shift and scale 1 (an input, a
+    tail in the final interreduction, or a normal form asked of a basis)
+    holds reduced terms in descending order, so its leading terms that no
+    leading monomial divides are copied straight into the remainder, and
+    only the rest of it goes on.  Pending terms live in one table from
+    packed key to [coefficient, packed exponents], with coefficients
+    reduced mod p only when popped, and a heap of negated keys.  The
+    largest pending term is popped and, if some leading monomial divides
+    it, reduced by the first such entry in basis order, whose tail joins
+    as one more piece.  A packed key determines its monomial, and every
+    added term lies below the popped key, so a key enters the heap once,
+    the remainder stays descending after the copied terms, and no
     remainder term is divisible by any leading monomial.  Every added
     exponent is checked against the guard bit, so one that reaches 2^31
     raises ValueError.  When a ``quotient`` list is passed, each step
     appends its quotient term (popped key - lm key, popped exponents -
     lm, coefficient), the term the entry's polynomial was multiplied by.
     """
+    rem = []
+    if len(pieces) == 1 and pieces[0][1:] == (0, 0, 1):
+        terms = pieces[0][0]
+        n = 0       # leading terms that no leading monomial divides
+        for _, e, _ in terms:
+            eg = e | guard
+            for entry in basis:
+                if (eg - entry[1]) & guard == guard:
+                    break
+            else:
+                n += 1
+                continue
+            break
+        if n:
+            rem = terms[:n]
+            pieces = [(terms[n:], 0, 0, 1)]
     pending = {}
     heap = []
     push = heapq.heappush
@@ -158,7 +184,6 @@ def _normal_form_terms(pieces, basis, p, guard, quotient=None):
 
     for piece in pieces:
         add(*piece)
-    rem = []
     steps = 0
     pop = heapq.heappop
     while heap:
@@ -247,24 +272,27 @@ def _buchberger(inputs, ctx: RingContext):
         # M: keep only divisibility-minimal lcms.  A divisor is never a
         # larger integer, so one ascending pass against the minimal lcms
         # found so far decides each one.
-        minimal = []
+        minimal = set()
         for l in sorted(set(with_h)):
             lg = l | guard
-            if not any((lg - m) & guard == guard for m in minimal):
-                minimal.append(l)
-        minimal = set(minimal)
-        keep = [(i, l) for i, l in enumerate(with_h) if l in minimal]
-        pruned_m += t - len(keep)
-        # F: one pair per distinct lcm, none at all if some pair is coprime
-        classes = {}
-        for i, l in keep:
-            classes.setdefault(l, []).append(i)
-        fresh = []
-        for l, idxs in classes.items():
-            if any(entries[i][1] + lm_h == l for i in idxs):
-                continue
-            fresh.append((min(idxs), l))
-        pruned_f += len(keep) - len(fresh)
+            for m in minimal:
+                if (lg - m) & guard == guard:
+                    break
+            else:
+                minimal.add(l)
+        # F: one pair per minimal lcm, its first, and none at all if some
+        # pair with that lcm is coprime
+        first = {}
+        coprime = set()
+        kept = 0
+        for i, l in enumerate(with_h):
+            if l in minimal:
+                kept += 1
+                first.setdefault(l, i)
+                if entries[i][1] + lm_h == l:
+                    coprime.add(l)
+        pruned_m += t - kept
+        pruned_f += kept - len(first) + len(coprime)
         # B: retire old pairs strictly refined by the new leading monomial
         for (i, j) in list(lcms):
             l = lcms[(i, j)]
@@ -277,10 +305,11 @@ def _buchberger(inputs, ctx: RingContext):
                 pruned_b += 1
         excess.append(sugar - (h[0][0] & wmask))
         entries.append((h[0][0], lm_h, h[1:]))
-        for i, l in sorted(fresh):
-            lcms[(i, t)] = l
-            lk = codec.key(l)
-            heapq.heappush(heap, ((lk & wmask) + max(excess[i], excess[t]), lk, i, t))
+        for l, i in first.items():
+            if l not in coprime:
+                lcms[(i, t)] = l
+                lk = codec.key(l)
+                heapq.heappush(heap, ((lk & wmask) + max(excess[i], excess[t]), lk, i, t))
 
     for f in inputs:
         h, n = _normal_form_terms([(f, 0, 0, 1)], entries, p, guard)
@@ -332,11 +361,13 @@ def _reduce_basis(elements, p, guard):
     steps = 0
     for lkey, lm, tail in sorted(elements):
         lmg = lm | guard
-        if any((lmg - e[1]) & guard == guard for e in entries):
-            continue
-        tail, n = _normal_form_terms([(tail, 0, 0, 1)], entries, p, guard)
-        steps += n
-        entries.append((lkey, lm, tail))
+        for e in entries:
+            if (lmg - e[1]) & guard == guard:
+                break
+        else:
+            tail, n = _normal_form_terms([(tail, 0, 0, 1)], entries, p, guard)
+            steps += n
+            entries.append((lkey, lm, tail))
     return [[(k, m, 1)] + tail for k, m, tail in entries], steps
 
 

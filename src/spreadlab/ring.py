@@ -13,6 +13,7 @@ the ring's weights -- callers that need that guarantee go through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, neg
 from typing import Optional
 
 
@@ -87,7 +88,7 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def mono_divides(a, b):
     """True when x^a divides x^b componentwise."""
@@ -164,7 +165,7 @@ class MonomialOrder:
         k = self.kind
         if k == "grevlex":
             def key(exps):
-                return (sum(exps),) + tuple(-e for e in reversed(exps))
+                return (sum(exps), *map(neg, reversed(exps)))
             return key
         if k == "lex":
             return tuple
@@ -176,7 +177,8 @@ class MonomialOrder:
                 return (
                     sum(e * x for e, x in zip(exps, w)),
                     sum(exps),
-                ) + tuple(-e for e in reversed(exps))
+                    *map(neg, reversed(exps)),
+                )
             return key
         if k == "saturation":
             w, i = self.weights, self.var
@@ -189,7 +191,8 @@ class MonomialOrder:
                     sum(e * x for e, x in zip(exps, w)),
                     -exps[i],
                     sum(exps),
-                ) + tuple(-e for e in reversed(exps))
+                    *map(neg, reversed(exps)),
+                )
             return key
         if k == "block":
             elim = self.elim
@@ -199,7 +202,7 @@ class MonomialOrder:
             inner_key = self.inner.key_function(len(rest))
             def key(exps):
                 inside = [exps[i] for i in elim]
-                head = (sum(inside),) + tuple(-e for e in reversed(inside))
+                head = (sum(inside), *map(neg, reversed(inside)))
                 return head + inner_key(tuple(exps[i] for i in rest))
             return key
         raise ValueError(f"unknown order kind {k!r}")

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import spreadlab.ideals as ideals
 from spreadlab import (
     ContextError,
+    Filtration,
     MonomialOrder,
     Polynomial,
     RingContext,
@@ -12,11 +14,19 @@ from spreadlab import (
     ideal,
     ideal_equal,
     normal_form,
+    rees_presentation,
+    symbolic_power,
     weighted_degree,
 )
 from spreadlab.groebner import GroebnerBasis, divide_exact
 
-from oracles import divide_by_lead_terms, mono_div, mono_lcm, naive_buchberger
+from oracles import (
+    divide_by_lead_terms,
+    mono_div,
+    mono_lcm,
+    naive_buchberger,
+    poly_lead_reduce,
+)
 
 
 def test_linear_elimination(ctx3):
@@ -188,6 +198,41 @@ def test_sugar_selection_matches_oracle_on_rees_relations():
                 assert groebner_basis(rels, ctx).basis == naive_buchberger(rels, ctx)
 
 
+def test_engine_matches_oracle_on_rees_eliminations_in_six_to_eight_variables():
+    # T_j - f_j t for two to four forms f_j of one weighted degree in x,
+    # y, z: 6-8 variables, where all three pair criteria fire.  Degrees
+    # stay small because the criterion-free oracle grows fast with them.
+    rng = random.Random(83)
+    block = MonomialOrder.block((0,), MonomialOrder.grevlex())
+    fired = dict.fromkeys(("pruned_m", "pruned_f", "pruned_b"), 0)
+    for p in (101, 32003):
+        for w, degrees in (((1, 1, 1), (1, 2)), ((1, 2, 3), (2, 3))):
+            base = RingContext(p, ("x", "y", "z"), weights=w)
+            for _ in range(8):
+                d, count = rng.choice(degrees), rng.randrange(2, 5)
+                forms = []
+                while len(forms) < count:
+                    f = _random_form(rng, base, d, w, 2)
+                    if not f.is_zero:
+                        forms.append(f)
+                tnames = tuple(f"T{j}" for j in range(count))
+                ctx = RingContext(
+                    p, ("t",) + base.variables + tnames, block,
+                    (1,) + w + (d + 1,) * count,
+                )
+                rels = [
+                    ctx.var(name) - Polynomial(ctx, tuple(
+                        ((1,) + m + (0,) * count, c) for m, c in f.terms
+                    ))
+                    for name, f in zip(tnames, forms)
+                ]
+                G = groebner_basis(rels, ctx)
+                assert G.basis == naive_buchberger(rels, ctx), (p, w, [str(f) for f in forms])
+                for k in fired:
+                    fired[k] += G.stats[k]
+    assert all(fired.values()), fired
+
+
 def test_sugar_selection_matches_oracle_on_inhomogeneous_input():
     # mixed degrees: an element's sugar then exceeds the weighted degree
     # of its leading monomial, and pairs carry that excess
@@ -306,6 +351,106 @@ def test_stats_count_one_curve_prime():
     plain = GroebnerBasis(ctx, G.basis)
     assert plain.stats is None
     assert plain == G and hash(plain) == hash(G)
+
+
+def _captured_bases(monkeypatch):
+    """Every basis that ``ideals`` computes from here on, in call order."""
+    runs = []
+
+    def capture(gens, ctx=None):
+        G = groebner_basis(gens, ctx)
+        runs.append(G)
+        return G
+
+    monkeypatch.setattr(ideals, "groebner_basis", capture)
+    return runs
+
+
+def test_stats_of_a_ten_variable_rees_elimination(monkeypatch):
+    # six degree-4 monomials with no certified reduction among them: the
+    # Rees ring has six fiber variables, and its block-order elimination
+    # is where the B criterion fires.  Counts recorded before the
+    # engine's per-call costs were cut, which must leave them unchanged.
+    runs = _captured_bases(monkeypatch)
+    ctx = RingContext(32003, ("x", "y", "z"))
+    I = ideal(ctx, "y^4", "x*z^3", "x*y^2*z", "x^2*z^2", "x^2*y*z", "x^3*z")
+    rees_presentation(Filtration.adic(I))
+    (G,) = [G for G in runs if G.ctx.nvars == 10]
+    assert len(G) == 29
+    assert dict(G.stats) == {
+        "pairs_created": 406,
+        "pruned_m": 250,
+        "pruned_f": 36,
+        "pruned_b": 7,
+        "spolys_reduced": 113,
+        "zero_reductions": 90,
+        "reduction_steps": 150,
+    }
+
+
+def test_stats_of_the_saturation_run_of_a_symbolic_square(monkeypatch, curve_ctx):
+    # P^(2) for the (t^3, t^4, t^5) prime: one run in x's saturation
+    # order, certified at once
+    runs = _captured_bases(monkeypatch)
+    P = ideal(curve_ctx, "y^2 - x*z", "x^3 - y*z", "x^2*y - z^2")
+    symbolic_power(P, 2)
+    (G,) = [G for G in runs if G.ctx.order.kind == "saturation"]
+    assert G.ctx.order.var == 0 and len(G) == 6
+    assert dict(G.stats) == {
+        "pairs_created": 15,
+        "pruned_m": 8,
+        "pruned_f": 0,
+        "pruned_b": 1,
+        "spolys_reduced": 6,
+        "zero_reductions": 6,
+        "reduction_steps": 9,
+    }
+
+
+# --- normal forms --------------------------------------------------------------
+
+def test_normal_form_copies_an_irreducible_prefix_exactly():
+    # A normal form's leading terms that no leading monomial divides go
+    # straight into the remainder; the rest is reduced as before.  Each
+    # kind of input is checked against plain lead-term reduction.
+    ctx = RingContext(32003, ("x", "y", "z"))
+    G = groebner_basis([ctx.poly("x^2 - y*z"), ctx.poly("y^3 - z^3")])
+    lms = [g.lm() for g in G]
+
+    def reducible(m):
+        return any(all(a <= b for a, b in zip(v, m)) for v in lms)
+
+    cases = {
+        "irreducible": ctx.poly("x*y^2*z^2 + 5*x*z^4 + y^2*z - 3"),
+        "prefix": ctx.poly("x*y^2*z^2 + 7*x^2*z^2 - x^2*y + y^3 + 2"),
+        "leading": ctx.poly("x^3*y^2 + x*y^2*z^2 - 4*x^2 + z"),
+    }
+    rng = random.Random(89)
+    while len(cases) < 60:
+        f = _random_poly(rng, ctx, rng.randrange(1, 7), 4)
+        if not f.is_zero:
+            cases[len(cases)] = f
+    kinds = set()
+    for label, f in cases.items():
+        flags = [reducible(m) for m, _ in f.terms]
+        kind = "leading" if flags[0] else "prefix" if any(flags) else "irreducible"
+        assert not isinstance(label, str) or kind == label
+        kinds.add(kind)
+        got = G.normal_form(f)
+        assert got == poly_lead_reduce(f, G.basis), str(f)
+        if kind == "irreducible":
+            assert got == f
+    assert kinds == {"irreducible", "prefix", "leading"}
+
+
+def test_exponent_beyond_guard_after_an_irreducible_prefix_is_refused():
+    # x^5 leads f and no leading monomial divides it; reducing the next
+    # term, x*y^(2^30 + 5), by x*y + y^(2^30) reaches y^(2^31 + 4)
+    lex = RingContext(32003, ("x", "y"), MonomialOrder.lex())
+    G = groebner_basis([lex.poly("x*y + y^1073741824")])
+    assert G.normal_form(lex.poly("x^5 + y^7")) == lex.poly("x^5 + y^7")
+    with pytest.raises(ValueError):
+        G.normal_form(lex.poly("x^5 + x*y^1073741829"))
 
 
 # --- exact division ----------------------------------------------------------
