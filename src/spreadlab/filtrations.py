@@ -25,7 +25,12 @@ parser cannot produce, so they never clash with a base variable.  The
 analytic spread is the Krull dimension of the special fiber, i.e. of
 k[T] modulo the image of the Rees kernel under x -> 0 (that image
 generates exactly (Q + (x)) restricted to k[T], so no second
-elimination is needed).
+elimination is needed).  Each level's generators are chosen by a walk
+over the member's reduced basis that is one engine run
+(``groebner.new_generators``).  Before presenting an ideal I,
+``analytic_spread`` looks for a reduction J among I's generators,
+certified by I^2 = J*I + m*I^2 from the residues of the products of the
+basis elements outside m*I (graded Nakayama).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .groebner import new_generators
 from .ideals import (
     _AUX,
     Ideal,
@@ -179,22 +185,21 @@ def _chosen_generators(F: Filtration, a: int) -> List[Tuple[int, Polynomial]]:
     Walks the canonical reduced basis of each member in the ring's
     ascending order and keeps exactly the elements not already produced
     by products of lower members and previously kept elements, so higher
-    degrees only receive variables for genuinely new generators.  The
-    ring's order need not follow weighted degree, so an element kept
-    early may be generated by elements of lower weighted degree kept
-    after it: the kept set need not be minimal.  ``rees_presentation``
-    numbers the kept elements by degree.
+    degrees only receive variables for genuinely new generators.  Each
+    level's walk is one engine run (``groebner.new_generators``), exact
+    for inhomogeneous members too.  The ring's order need not follow
+    weighted degree, so an element kept early may be generated by
+    elements of lower weighted degree kept after it: the kept set need
+    not be minimal.  ``rees_presentation`` numbers the kept elements by
+    degree.
     """
     chosen: List[Tuple[int, Polynomial]] = []
     for n in range(1, a + 1):
         member = F.materialize(n)
         if member.is_unit:
             raise ValueError("filtration member is the unit ideal")
-        absorbed = _lower_products(F, n)
-        for g in member.gb.basis:
-            if not absorbed.contains(g):
-                chosen.append((n, g))
-                absorbed = Ideal(F.ctx, absorbed.gens + (g,))
+        kept = new_generators(_lower_products(F, n).gens, member.gb.basis, F.ctx)
+        chosen.extend((n, g) for g in kept)
     return chosen
 
 
@@ -321,42 +326,42 @@ def _validate_spread_input(I: Ideal):
         )
 
 
-def _residues_modulo_m_square(gens: Sequence[Polynomial]) -> Dict[Tuple[int, int], dict]:
-    """Each product g_i g_k (i <= k) reduced modulo m*I^2, as a sparse vector.
+def _residues_modulo_m(items: Sequence[Polynomial]) -> List[dict]:
+    """Each item reduced modulo m*K, K the ideal the items generate, as a
+    sparse vector.
 
-    The gens must be weighted-homogeneous.  Works degree by degree from
-    the lowest product degree up: (m I^2)_E is spanned by the x_v times
-    a basis of (I^2)_{E - w_v}, and (I^2)_E by (m I^2)_E together with
-    the products of degree E.  Each product is reduced fully against an
-    echelon basis of (m I^2)_E, so its residue lies in the span of the
-    non-pivot monomials, a complement of (m I^2)_E: residues have the
-    ranks of the products' images in I^2 / m I^2.  Vectors are dicts
-    from exponent tuples to residues mod p, pivoted on their largest
-    exponent tuple, with Python-integer arithmetic.
+    The items must be weighted-homogeneous.  Works degree by degree from
+    the lowest item degree up to the highest: (m K)_E is spanned by the
+    x_v times a basis of K_{E - w_v}, and K_E by (m K)_E together with
+    the items of degree E.  Each item is reduced fully against an
+    echelon basis of (m K)_E, so its residue lies in the span of the
+    non-pivot monomials, a complement of (m K)_E: residues have the
+    ranks of the items' images in K / m K.  Vectors are dicts from
+    exponent tuples to residues mod p, pivoted on their largest exponent
+    tuple, with Python-integer arithmetic.
     """
-    ctx = gens[0].ctx
+    ctx = items[0].ctx
     p, weights = ctx.p, ctx.weights
-    degs = [weighted_degree(g) for g in gens]
-    by_degree: Dict[int, List[Tuple[Tuple[int, int], Polynomial]]] = {}
-    for i, k in itertools.combinations_with_replacement(range(len(gens)), 2):
-        by_degree.setdefault(degs[i] + degs[k], []).append(((i, k), gens[i] * gens[k]))
-    square: Dict[int, Dict[tuple, dict]] = {}      # degree E -> echelon of (I^2)_E
-    residues: Dict[Tuple[int, int], dict] = {}
+    by_degree: Dict[int, List[int]] = {}
+    for i, f in enumerate(items):
+        by_degree.setdefault(weighted_degree(f), []).append(i)
+    spans: Dict[int, Dict[tuple, dict]] = {}       # degree E -> echelon of K_E
+    residues: List[dict] = [{} for _ in items]
     for E in range(min(by_degree), max(by_degree) + 1):
         echelon: Dict[tuple, dict] = {}
         for v, w in enumerate(weights):
-            for row in square.get(E - w, {}).values():
+            for row in spans.get(E - w, {}).values():
                 _insert_row(_shift(row, v), echelon, p)
         pivots = sorted(echelon, reverse=True)
-        for pair, f in by_degree.get(E, ()):
-            vec = dict(f.terms)
+        for i in by_degree.get(E, ()):
+            vec = dict(items[i].terms)
             for lead in pivots:
                 c = vec.get(lead)
                 if c:
                     _subtract(vec, echelon[lead], c, p)
-            residues[pair] = vec
+            residues[i] = vec
             _insert_row(dict(vec), echelon, p)
-        square[E] = echelon
+        spans[E] = echelon
     return residues
 
 
@@ -410,7 +415,14 @@ def _reduction_shortcut(I: Ideal):
     and any j on the right; so the certificate holds exactly when the
     products with a factor in J have the rank of all products modulo
     m*I^2.  Those residues are computed once per ideal, degree by
-    degree, from the cached basis of I; no further Groebner basis runs.
+    degree, from the cached basis of I, in two calls of
+    ``_residues_modulo_m`` and no further Groebner basis run.  The first
+    finds S, the basis elements outside m*I; the second reduces the
+    products over S x S modulo m*I^2.  A product with a factor in m*I
+    lies in m*I^2, so its residue is zero, and by graded Nakayama S
+    generates I, so the products over S x S generate I^2: the nonzero
+    residues, and so every rank and certificate, are those of all
+    products, from degrees up to 2 max deg S only.
     Returns (J, note) for the first subset that passes, else None.
     Entirely deterministic.
     """
@@ -420,7 +432,10 @@ def _reduction_shortcut(I: Ideal):
     if len(gens) <= n:
         return None
     p = ctx.p
-    residues = {pair: vec for pair, vec in _residues_modulo_m_square(gens).items() if vec}
+    S = [i for i, r in enumerate(_residues_modulo_m(gens)) if r]
+    pairs = list(itertools.combinations_with_replacement(S, 2))
+    level2 = _residues_modulo_m([gens[i] * gens[k] for i, k in pairs])
+    residues = {pair: vec for pair, vec in zip(pairs, level2) if vec}
     full = _rank(residues.values(), p)
     tried = 0
     for d in range(2, n + 1):

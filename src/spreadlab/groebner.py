@@ -48,10 +48,26 @@ lone unshifted, unscaled piece (an input, a tail, or a normal form's
 argument) first has its irreducible leading terms copied straight into
 the remainder, so most such reductions, which take no step at all,
 put no term in the table or heap.
+
+A run (``_Run``) holds the monic elements, their sugars and the live
+pairs, and has two drivers.  ``groebner_basis`` adds every input, then
+completes the pair set once and interreduces.  ``new_generators`` adds
+base generators and completes, then takes candidates in order: each is
+reduced by the elements so far, a Groebner basis of what was added, and
+a nonzero remainder is installed and the pairs completed again, so one
+run decides every candidate's membership.
+
+Inputs are packed by the codec of the ring the computation runs in, one
+per ring value, shared through a bounded ``functools.lru_cache``.  A
+generator may come from any ring with that ring's characteristic and
+variables; its terms are re-sorted by packed key when its order differs,
+so callers that change orders or weights (eliminations, saturations)
+hand polynomials over as they are.  Any other ring raises ContextError.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import struct
 from operator import mul
@@ -116,13 +132,36 @@ class _Codec:
         return Polynomial(ctx, tuple((unpack(e.to_bytes(size, "little")), c) for _, e, c in terms))
 
 
+@functools.lru_cache(maxsize=256)
 def _codec(ctx: RingContext) -> _Codec:
-    try:
-        return ctx._gb_codec
-    except AttributeError:
-        codec = _Codec(ctx)
-        object.__setattr__(ctx, "_gb_codec", codec)
-        return codec
+    """The packing of ctx's ring, one per ring value: every job builds
+    fresh elimination and Rees rings, but their shapes recur."""
+    return _Codec(ctx)
+
+
+def _packed(gens, ctx: RingContext, codec: _Codec):
+    """The packed terms of each generator in ctx's order, descending.
+
+    Text is parsed in ctx.  A polynomial from another ring with ctx's
+    characteristic and variables is packed by ctx's codec, and its terms
+    are sorted by the packed keys when that ring's order differs; any
+    other ring raises ContextError.  A zero generator packs as [].
+    """
+    out = []
+    for g in gens:
+        if not isinstance(g, Polynomial):
+            g = ctx.poly(g)
+        own = g.ctx
+        if own is ctx:
+            out.append(codec.terms(g))
+            continue
+        if own.p != ctx.p or own.variables != ctx.variables:
+            raise ContextError("generators from different rings")
+        terms = codec.terms(g)
+        if own.order != ctx.order:
+            terms.sort(reverse=True)
+        out.append(terms)
+    return out
 
 
 def _normal_form_terms(pieces, basis, p, guard, quotient=None):
@@ -244,31 +283,81 @@ def _monic(terms, p):
     return [(k, m, (cc * inv) % p) for k, m, cc in terms]
 
 
-def _buchberger(inputs, ctx: RingContext):
-    """Reduced basis of the packed inputs, and the engine's counters."""
-    p = ctx.p
-    codec = _codec(ctx)
-    guard = codec.guard
+def _lcm(a, b, guard):
+    ge = ((a | guard) - b) & guard          # guard bit set where a >= b
+    return b ^ ((a ^ b) & (ge - (ge >> _GUARD_SHIFT)))
 
-    def lcm(a, b):
-        ge = ((a | guard) - b) & guard          # guard bit set where a >= b
-        return b ^ ((a ^ b) & (ge - (ge >> _GUARD_SHIFT)))
 
-    wmask = codec.wdeg_mask
+class _Run:
+    """One Buchberger run: its monic elements, their sugars, the live
+    pairs, and the engine's counters.
 
-    entries = []    # (lm key, lm, tail) of each monic element
-    excess = []     # sugar minus the weighted degree of the lm, per element
-    heap = []       # (sugar, lcm key, i, j)
-    lcms = {}       # live (i, j) pairs, i < j -> packed lcm
-    created = pruned_m = pruned_f = pruned_b = spolys = zeros = steps = 0
+    ``add`` reduces a packed input by the elements so far and installs a
+    nonzero remainder; ``complete`` reduces pairs until none is left, and
+    then the elements are a Groebner basis of everything added.
+    ``groebner_basis`` adds every input and completes once.
+    ``new_generators`` completes before each candidate, so a candidate's
+    remainder is zero exactly when the ideal holds it.
+    """
 
-    def install(h, sugar):
+    __slots__ = ("p", "codec", "entries", "excess", "heap", "lcms", "stats")
+
+    def __init__(self, ctx: RingContext):
+        self.p = ctx.p
+        self.codec = _codec(ctx)
+        self.entries = []   # (lm key, lm, tail) of each monic element
+        self.excess = []    # sugar minus the weighted degree of the lm, per element
+        self.heap = []      # (sugar, lcm key, i, j)
+        self.lcms = {}      # live (i, j) pairs, i < j -> packed lcm
+        self.stats = dict.fromkeys((
+            "pairs_created", "pruned_m", "pruned_f", "pruned_b",
+            "spolys_reduced", "zero_reductions", "reduction_steps",
+        ), 0)
+
+    def add(self, f) -> bool:
+        """Reduce the packed f by the elements; install it if nonzero."""
+        h, n = _normal_form_terms([(f, 0, 0, 1)], self.entries, self.p, self.codec.guard)
+        self.stats["reduction_steps"] += n
+        if h:
+            wmask = self.codec.wdeg_mask
+            self._install(_monic(h, self.p), max(k & wmask for k, _, _ in f))
+        return bool(h)
+
+    def complete(self) -> None:
+        """Reduce the live pairs, smallest sugar first, until none is left."""
+        entries, heap, lcms, p = self.entries, self.heap, self.lcms, self.p
+        guard = self.codec.guard
+        stats = self.stats
+        while heap:
+            sugar, lk, i, j = heapq.heappop(heap)
+            l = lcms.pop((i, j), None)
+            if l is None:
+                continue
+            s = [
+                (entries[i][2], lk - entries[i][0], l - entries[i][1], 1),
+                (entries[j][2], lk - entries[j][0], l - entries[j][1], p - 1),
+            ]
+            h, n = _normal_form_terms(s, entries, p, guard)
+            stats["reduction_steps"] += n
+            stats["spolys_reduced"] += 1
+            if h:
+                self._install(_monic(h, p), sugar)
+            else:
+                stats["zero_reductions"] += 1
+
+    def reduced(self):
+        """The canonical reduced basis of the elements, packed."""
+        basis, n = _reduce_basis(self.entries, self.p, self.codec.guard)
+        self.stats["reduction_steps"] += n
+        return basis
+
+    def _install(self, h, sugar):
         """Gebauer-Moeller update of the pair set for a new element h."""
-        nonlocal created, pruned_m, pruned_f, pruned_b
+        entries, lcms, codec = self.entries, self.lcms, self.codec
+        guard = codec.guard
         t = len(entries)
         lm_h = h[0][1]
-        with_h = [lcm(e[1], lm_h) for e in entries]
-        created += t
+        with_h = [_lcm(e[1], lm_h, guard) for e in entries]
         # M: keep only divisibility-minimal lcms.  A divisor is never a
         # larger integer, so one ascending pass against the minimal lcms
         # found so far decides each one.
@@ -291,9 +380,8 @@ def _buchberger(inputs, ctx: RingContext):
                 first.setdefault(l, i)
                 if entries[i][1] + lm_h == l:
                     coprime.add(l)
-        pruned_m += t - kept
-        pruned_f += kept - len(first) + len(coprime)
         # B: retire old pairs strictly refined by the new leading monomial
+        pruned_b = 0
         for (i, j) in list(lcms):
             l = lcms[(i, j)]
             if (
@@ -303,48 +391,42 @@ def _buchberger(inputs, ctx: RingContext):
             ):
                 del lcms[(i, j)]
                 pruned_b += 1
+        stats = self.stats
+        stats["pairs_created"] += t
+        stats["pruned_m"] += t - kept
+        stats["pruned_f"] += kept - len(first) + len(coprime)
+        stats["pruned_b"] += pruned_b
+        wmask = codec.wdeg_mask
+        excess = self.excess
         excess.append(sugar - (h[0][0] & wmask))
         entries.append((h[0][0], lm_h, h[1:]))
         for l, i in first.items():
             if l not in coprime:
                 lcms[(i, t)] = l
                 lk = codec.key(l)
-                heapq.heappush(heap, ((lk & wmask) + max(excess[i], excess[t]), lk, i, t))
+                heapq.heappush(self.heap, ((lk & wmask) + max(excess[i], excess[t]), lk, i, t))
 
-    for f in inputs:
-        h, n = _normal_form_terms([(f, 0, 0, 1)], entries, p, guard)
-        steps += n
-        if h:
-            install(_monic(h, p), max(k & wmask for k, _, _ in f))
 
-    while heap:
-        sugar, lk, i, j = heapq.heappop(heap)
-        l = lcms.pop((i, j), None)
-        if l is None:
-            continue
-        s = [
-            (entries[i][2], lk - entries[i][0], l - entries[i][1], 1),
-            (entries[j][2], lk - entries[j][0], l - entries[j][1], p - 1),
-        ]
-        h, n = _normal_form_terms(s, entries, p, guard)
-        steps += n
-        spolys += 1
-        if h:
-            install(_monic(h, p), sugar)
-        else:
-            zeros += 1
+def new_generators(base, candidates, ctx: RingContext) -> list:
+    """The candidates, in order, that lie outside the ideal generated by
+    base and the candidates kept before them, from one engine run.
 
-    basis, n = _reduce_basis(entries, p, guard)
-    stats = {
-        "pairs_created": created,
-        "pruned_m": pruned_m,
-        "pruned_f": pruned_f,
-        "pruned_b": pruned_b,
-        "spolys_reduced": spolys,
-        "zero_reductions": zeros,
-        "reduction_steps": steps + n,
-    }
-    return basis, stats
+    The run adds base and completes its pairs; then each candidate is
+    reduced by the elements so far, which form a Groebner basis, so a
+    zero remainder means it lies inside.  A nonzero remainder is
+    installed and the pairs are completed again before the next
+    candidate.  Exact for any generators, homogeneous or not.  Inputs
+    are read as ``groebner_basis`` reads them.
+    """
+    run = _Run(ctx)
+    for f in _packed(base, ctx, run.codec):
+        run.add(f)
+    kept = []
+    for g, f in zip(candidates, _packed(candidates, ctx, run.codec)):
+        run.complete()
+        if run.add(f):
+            kept.append(g)
+    return kept
 
 
 def _reduce_basis(elements, p, guard):
@@ -447,10 +529,15 @@ class GroebnerBasis:
 
 
 def groebner_basis(gens: Iterable[Polynomial], ctx: Optional[RingContext] = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by gens in ctx's ring.
 
-    An empty or all-zero generator list yields the basis of the zero
-    ideal (an empty basis), not an error.
+    ctx defaults to the first generator's ring.  Text is parsed in ctx,
+    and a generator may come from any ring with ctx's characteristic and
+    variables, whatever its order and weights: it is packed by ctx's
+    codec and its terms sorted by ctx's order.  A generator from any
+    other ring raises ContextError.  An empty or all-zero generator
+    list yields the basis of the zero ideal (an empty basis), not an
+    error.
     """
     gens = list(gens)
     if ctx is None:
@@ -458,18 +545,14 @@ def groebner_basis(gens: Iterable[Polynomial], ctx: Optional[RingContext] = None
             raise ValueError("need a ring context for an empty generator list")
         ctx = gens[0].ctx
     codec = _codec(ctx)
-    inputs = []
-    for g in gens:
-        if not isinstance(g, Polynomial):
-            g = ctx.poly(g)
-        if g.ctx != ctx:
-            raise ContextError("generators from different rings")
-        if not g.is_zero:
-            inputs.append(codec.terms(g))
+    inputs = [f for f in _packed(gens, ctx, codec) if f]
     if not inputs:
         return GroebnerBasis(ctx, ())
-    basis, stats = _buchberger(inputs, ctx)
-    return GroebnerBasis(ctx, [codec.poly(ctx, t) for t in basis], stats)
+    run = _Run(ctx)
+    for f in inputs:
+        run.add(f)
+    run.complete()
+    return GroebnerBasis(ctx, [codec.poly(ctx, t) for t in run.reduced()], run.stats)
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:

@@ -208,7 +208,9 @@ def _eliminate(ctx: RingContext, names: Sequence[str], ring: RingContext, gens) 
     ``ring`` has the variables ``names``, at any positions, and ctx's, in
     ctx's sequence; its weights steer the engine's sugar and its order
     does not matter.  The basis is computed once, in ring's variables and
-    weights under ``MonomialOrder.block(names, ctx.order)``.  That order
+    weights under ``MonomialOrder.block(names, ctx.order)``; gens are
+    handed to ``groebner_basis`` as they are, and the engine packs and
+    sorts their terms for the block order.  That order
     compares monomials free of ``names`` by ctx's order, so the elements
     whose leading monomial is free of them (and then every term is), with
     those exponents dropped, are ctx's reduced basis of the intersection
@@ -217,7 +219,7 @@ def _eliminate(ctx: RingContext, names: Sequence[str], ring: RingContext, gens) 
     idx = [ring.var_index(n) for n in names]
     keep = [i for i in range(ring.nvars) if i not in idx]
     big = RingContext(ring.p, ring.variables, MonomialOrder.block(idx, ctx.order), ring.weights)
-    gb = groebner_basis([_reorder(g, big) for g in gens], big)
+    gb = groebner_basis(gens, big)
     kept = [
         Polynomial(ctx, tuple((tuple(m[i] for i in keep), c) for m, c in g.terms))
         for g in gb
@@ -367,7 +369,7 @@ def _saturate_variable(A: Ideal, i: int) -> Tuple[GroebnerBasis, GroebnerBasis]:
     if not A.is_homogeneous():
         raise HomogeneityError("variable saturation needs weighted-homogeneous generators")
     sat = RingContext(ctx.p, ctx.variables, MonomialOrder.saturation(ctx.weights, i), ctx.weights)
-    G = groebner_basis([_reorder(f, sat) for f in A.gens], sat)
+    G = groebner_basis(A.gens, sat)
     quotients = []
     for g in G:
         k = g.lm()[i]

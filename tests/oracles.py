@@ -9,7 +9,10 @@ dict expansion along an arbitrary local frame, Gauss-Jordan elimination,
 roots of a univariate polynomial by evaluation at every element, and
 smoothness of a plane cubic by saturating its Jacobian ideal.
 The certified-reduction reference compares reduced Groebner bases of
-J*I + m*I^2 and I^2 where the engine compares ranks modulo m*I^2, and
+J*I + m*I^2 and I^2 where the engine compares ranks modulo m*I^2; the
+full-range residue reference reduces every product g_i g_k of the
+reduced basis modulo m*I^2, through every degree up to the highest
+product's, where the engine first drops the basis elements in m*I; and
 the exponent rank is the closed-form analytic spread of an
 equigenerated monomial ideal.  The text-syntax oracle builds every
 factor, product and sum of a polynomial through Polynomial arithmetic,
@@ -58,8 +61,9 @@ from spreadlab.fatpoints import (
     _variable_multiples,
     linear_system,
 )
+from spreadlab.filtrations import _insert_row, _shift, _subtract
 from spreadlab.linalg import nullspace_modp, rank_modp, reduce_rows, rref_modp, span_rows
-from spreadlab.ring import _tokenize, mono_divides
+from spreadlab.ring import _tokenize, mono_divides, weighted_degree
 
 
 def mono_div(a, b):
@@ -448,6 +452,44 @@ def reduction_certificate_reference(I, max_subsets=64):
                 )
                 return J, note
     return None
+
+
+def residues_modulo_m_square(gens):
+    """Each product g_i g_k (i <= k) reduced modulo m*I^2, as a sparse vector.
+
+    The full-range residue routine: every product of the weighted-
+    homogeneous gens is formed, and m*I^2 is built degree by degree from
+    the lowest product degree to the highest.  (m I^2)_E is spanned by
+    the x_v times a basis of (I^2)_{E - w_v}, and (I^2)_E by (m I^2)_E
+    together with the products of degree E.  Each product is reduced
+    fully against an echelon basis of (m I^2)_E, pivoted on the largest
+    exponent tuple, so its residue is its normal form modulo that space.
+    Returns {(i, k): residue}, zero residues included.
+    """
+    ctx = gens[0].ctx
+    p, weights = ctx.p, ctx.weights
+    degs = [weighted_degree(g) for g in gens]
+    by_degree = {}
+    for i, k in itertools.combinations_with_replacement(range(len(gens)), 2):
+        by_degree.setdefault(degs[i] + degs[k], []).append(((i, k), gens[i] * gens[k]))
+    square = {}         # degree E -> echelon of (I^2)_E
+    residues = {}
+    for E in range(min(by_degree), max(by_degree) + 1):
+        echelon = {}
+        for v, w in enumerate(weights):
+            for row in square.get(E - w, {}).values():
+                _insert_row(_shift(row, v), echelon, p)
+        pivots = sorted(echelon, reverse=True)
+        for pair, f in by_degree.get(E, ()):
+            vec = dict(f.terms)
+            for lead in pivots:
+                c = vec.get(lead)
+                if c:
+                    _subtract(vec, echelon[lead], c, p)
+            residues[pair] = vec
+            _insert_row(dict(vec), echelon, p)
+        square[E] = echelon
+    return residues
 
 
 def greedy_generator_walk(F, a):

@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 import spreadlab.filtrations as filtrations
+import spreadlab.groebner as groebner
 import spreadlab.ideals as ideals
 from oracles import (
     colength,
@@ -220,8 +221,8 @@ def test_rees_dimension_is_dim_plus_one(ctx3, curve_prime):
     assert krull_dim(pres.rees_kernel) == 4
 
 
-def _curve_prime(weights):
-    ctx = RingContext(32003, ("t", "x", "y", "z"), weights=(1,) + weights)
+def _curve_prime(weights, p=32003):
+    ctx = RingContext(p, ("t", "x", "y", "z"), weights=(1,) + weights)
     param = [f"{v} - t^{e}" for v, e in zip("xyz", weights)]
     return ideals.eliminate(ideal(ctx, *param), ["t"])
 
@@ -360,6 +361,50 @@ def test_chosen_generators_are_the_greedy_walk():
     for w in ((3, 4, 7), (3, 5, 8), (4, 6, 7)):
         pres = rees_presentation(Filtration.adic(_curve_prime(w)), 1)
         assert len(pres.generators) == 3
+
+
+def _walk_cases():
+    """(filtration, a, kept per level) for walks that reject candidates."""
+    ctx = RingContext(32003, ("x", "y", "z"))
+    inhomogeneous = ideal(ctx, "x^2 + y", "y*z - z^3", "x*z")
+    sym = {w: Filtration.symbolic(_curve_prime(w)) for w in ((3, 4, 7), (4, 5, 7))}
+    return [
+        # one of the prime's four basis elements is generated by the others
+        (Filtration.adic(_curve_prime((3, 5, 8))), 1, [3]),
+        # lower products reject whole levels
+        (sym[(3, 4, 7)].truncate(2), 2, [3, 0]),
+        (sym[(3, 4, 7)].truncate(3), 3, [3, 0, 0]),
+        (sym[(4, 5, 7)].truncate(3), 3, [3, 1, 1]),
+        (Filtration.adic(inhomogeneous), 1, [len(inhomogeneous.gb.basis)]),
+        (Filtration.symbolic(_curve_prime((3, 4, 5), p=2**61 - 1)).truncate(2), 2, [3, 1]),
+    ]
+
+
+def test_generator_walk_is_one_engine_run(monkeypatch):
+    rejected = []
+    for F, a, per_level in _walk_cases():
+        for n in range(1, a + 1):
+            F.materialize(n).gb          # the members and their bases come first
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (groebner, ideals):
+            monkeypatch.setattr(module, "groebner_basis", counting(module.groebner_basis))
+        monkeypatch.setattr(ideals.Ideal, "contains", counting(ideals.Ideal.contains))
+        chosen = filtrations._chosen_generators(F, a)
+        monkeypatch.undo()
+        assert calls == []
+        walk = greedy_generator_walk(F, a)
+        assert [(n, g.terms) for n, g in chosen] == [(n, g.terms) for n, g in walk]
+        assert [sum(n == k for n, _ in chosen) for k in range(1, a + 1)] == per_level
+        rejected.append(sum(per_level) < sum(len(F.materialize(n).gb.basis) for n in range(1, a + 1)))
+    # every walk but the inhomogeneous ideal's rejects a candidate
+    assert rejected == [True] * 4 + [False, True]
 
 
 def test_rees_relations_homogeneous_for_elimination_weights(monkeypatch):

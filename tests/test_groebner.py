@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import spreadlab.groebner as groebner
 import spreadlab.ideals as ideals
 from spreadlab import (
     ContextError,
@@ -18,7 +19,7 @@ from spreadlab import (
     symbolic_power,
     weighted_degree,
 )
-from spreadlab.groebner import GroebnerBasis, divide_exact
+from spreadlab.groebner import GroebnerBasis, divide_exact, new_generators
 
 from oracles import (
     divide_by_lead_terms,
@@ -509,3 +510,66 @@ def test_divide_exact_by_zero_is_refused(ctx3):
 def test_divide_exact_refuses_mixed_rings(ctx3, ctx2):
     with pytest.raises(ContextError):
         divide_exact(ctx3.poly("x*y"), ctx2.poly("x"))
+
+
+# --- generators read from another ring ------------------------------------------------
+
+@pytest.mark.parametrize("p", (101, 32003, 2**61 - 1))
+def test_generators_from_another_order_match_their_reordered_copies(p):
+    rng = random.Random(f"foreign-order/{p}")
+    layouts, ring_w = _oracle_layouts(3)
+    names = ("x", "y", "z")
+    rings = [RingContext(p, names, order, ring_w) for _, order in layouts]
+    rings.append(RingContext(p, names, weights=(2, 3, 1)))     # other ring weights
+    for source in rings:
+        gens = []
+        for _ in range(3):
+            f = source.zero()
+            for _ in range(3):
+                f = f + source.monomial(tuple(rng.randrange(3) for _ in names), rng.randrange(1, p))
+            gens.append(f)
+        for target in rings:
+            # packed for target's order: keys strictly descending
+            for terms in groebner._packed(gens, target, groebner._codec(target)):
+                assert terms == sorted(terms, reverse=True)
+            got = groebner_basis(gens, target)
+            assert got == groebner_basis([ideals._reorder(g, target) for g in gens], target)
+            assert all(g.ctx is target for g in got)
+            # the packed terms were sorted for target's order
+            assert all(
+                [m for m, _ in g.terms] == sorted((m for m, _ in g.terms), key=target.key, reverse=True)
+                for g in got
+            )
+
+
+def test_generators_from_another_ring_are_refused(ctx3):
+    f = ctx3.poly("x*y - z")
+    for other in (
+        RingContext(ctx3.p, ("x", "y", "w")),
+        RingContext(ctx3.p, ("x", "y")),
+        RingContext(101, ctx3.variables),
+    ):
+        with pytest.raises(ContextError):
+            groebner_basis([f], other)
+        with pytest.raises(ContextError):
+            new_generators([], [f], other)
+
+
+def test_codec_is_shared_per_ring_value():
+    def ring(k):
+        return RingContext(10007, ("a", "b", "c"), MonomialOrder.lex(), (k, 2, 3))
+
+    first, second = ring(1), ring(1)
+    assert first == second and first is not second
+    before = groebner._codec.cache_info()
+    codec = groebner._codec(first)
+    assert groebner._codec(second) is codec
+    after = groebner._codec.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    # the cache is bounded: enough other rings evict the first one's codec
+    bound = after.maxsize
+    assert bound == 256
+    for k in range(2, bound + 2):
+        groebner._codec(ring(k))
+    assert groebner._codec.cache_info().currsize == bound
+    assert groebner._codec(ring(1)) is not codec

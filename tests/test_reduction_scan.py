@@ -4,7 +4,9 @@
 of the products g_j g_k modulo m*I^2.  Every answer here is compared
 with ``oracles.reduction_certificate_reference``, which decides the same
 equality by comparing reduced Groebner bases, and must return exactly
-the same (J, note) or None.  Spreads of equigenerated monomial ideals
+the same (J, note) or None.  The products' residues, formed only over
+the basis elements outside m*I, are compared with those of
+``oracles.residues_modulo_m_square``, which forms every product.  Spreads of equigenerated monomial ideals
 are checked against the rank of their exponent matrix.
 """
 
@@ -18,9 +20,10 @@ import pytest
 
 import spreadlab.filtrations as filtrations
 import spreadlab.ideals as ideals
-from oracles import exponent_rank, reduction_certificate_reference
+from oracles import exponent_rank, reduction_certificate_reference, residues_modulo_m_square
 from spreadlab import RingContext, analytic_spread, ideal
 from spreadlab.filtrations import _reduction_shortcut
+from spreadlab.ring import mono_wdeg, weighted_degree
 
 PRIMES = (101, 32003, 2**61 - 1)
 WEIGHTS = ((1, 1, 1), (1, 2, 3))
@@ -140,6 +143,116 @@ def test_failed_scan_runs_no_groebner_basis(monkeypatch):
     monkeypatch.setattr(ideals, "groebner_basis", counting)
     assert _reduction_shortcut(I) is None
     assert calls == []
+
+
+# --- residues over the basis elements outside m*I ------------------------------------
+
+def _dense_form(rng, ctx, d):
+    """A form of weighted degree d with every monomial of that degree."""
+    return _form(rng, ctx, d, len(_weighted_monomials(d, ctx.weights)))
+
+
+def _subsets(ngens, nvars):
+    """The subsets _reduction_shortcut tries, in its order."""
+    combos = (
+        combo for d in range(2, nvars + 1) for combo in itertools.combinations(range(ngens), d)
+    )
+    return list(itertools.islice(combos, filtrations._MAX_SUBSETS))
+
+
+def _subset_ranks(residues, combos, p):
+    return [
+        filtrations._rank(
+            [vec for (i, k), vec in residues.items() if i in combo or k in combo], p
+        )
+        for combo in combos
+    ]
+
+
+def _two_level_residues(gens):
+    """The nonzero product residues as ``_reduction_shortcut`` builds
+    them, and S, the basis elements outside m*I."""
+    S = [i for i, r in enumerate(filtrations._residues_modulo_m(gens)) if r]
+    pairs = list(itertools.combinations_with_replacement(S, 2))
+    level2 = filtrations._residues_modulo_m([gens[i] * gens[k] for i, k in pairs])
+    return {pair: vec for pair, vec in zip(pairs, level2) if vec}, S
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_residues_over_generators_outside_m_times_I_match_full_range(p):
+    rng = random.Random(f"residues/{p}")
+    ctx = RingContext(p, ("x", "y", "z"), weights=(1, 2, 3))
+    # complete intersections of two dense forms, whose reduced bases hold
+    # elements of m*I, and ideals of three or four sparse forms
+    cases = [ideal(ctx, [_dense_form(rng, ctx, d) for d in (4, 6)]) for _ in range(3)]
+    cases += [ideal(ctx, [_dense_form(rng, ctx, d) for d in (3, 5)]) for _ in range(2)]
+    while len(cases) < 12:
+        I = ideal(ctx, [_form(rng, ctx, rng.randrange(3, 7), 2) for _ in range(rng.randrange(3, 5))])
+        if I.is_proper and 3 < len(I.gb.basis) <= 8:
+            cases.append(I)
+    cases += [
+        ideal(ctx, gens) for weights, gens, _ in DEGREE_GAP if weights == (1, 2, 3)
+    ]
+    # a monomial ideal: its reduced basis is its minimal generators
+    cases.append(ideal(ctx, "x^3", "x*y", "y^3", "x*z", "z^2"))
+    dropped, certified = [], []
+    for I in cases:
+        gens = list(I.gb.basis)
+        full = {pair: vec for pair, vec in residues_modulo_m_square(gens).items() if vec}
+        got, S = _two_level_residues(gens)
+        assert got == full
+        dropped.append(len(S) < len(gens))
+        combos = _subsets(len(gens), ctx.nvars)
+        ranks = _subset_ranks(got, combos, p)
+        assert ranks == _subset_ranks(full, combos, p)
+        # the certificate is the first subset whose products have full rank
+        top = filtrations._rank(full.values(), p)
+        expected = next((combo for combo, r in zip(combos, ranks) if r == top), None)
+        found = _reduction_shortcut(I)
+        certified.append(found is not None)
+        if expected is None:
+            assert found is None
+        else:
+            assert found[0].gens == tuple(gens[i] for i in expected)
+            assert str(list(expected)) in found[1]
+    assert any(dropped) and not all(dropped)
+    assert any(certified) and not all(certified)
+
+
+def test_dense_weighted_instance_forms_only_products_over_S(monkeypatch):
+    # the benchmark's dense (1, 2, 3) spread: two dense forms of degrees 4 and 6
+    ctx = RingContext(32003, ("x", "y", "z"), weights=(1, 2, 3))
+    rng = random.Random("residues/dense-123")
+    I = ideal(ctx, [_dense_form(rng, ctx, d) for d in (4, 6)])
+    gens = list(I.gb.basis)
+    degs = [weighted_degree(g) for g in gens]
+    calls, built = [], []
+    residues, insert = filtrations._residues_modulo_m, filtrations._insert_row
+
+    def recording(items):
+        calls.append(list(items))
+        return residues(items)
+
+    def inserting(vec, echelon, p):
+        if vec:
+            built.append(mono_wdeg(next(iter(vec)), ctx.weights))
+        return insert(vec, echelon, p)
+
+    monkeypatch.setattr(filtrations, "_residues_modulo_m", recording)
+    monkeypatch.setattr(filtrations, "_insert_row", inserting)
+    found = _reduction_shortcut(I)
+    monkeypatch.undo()
+    assert len(calls) == 2 and calls[0] == gens
+    S = [i for i, r in enumerate(residues(gens)) if r]
+    assert len(S) == 2 < len(gens) == 5
+    # level 2 forms the products over S x S and no other
+    assert calls[1] == [
+        gens[i] * gens[k] for i, k in itertools.combinations_with_replacement(S, 2)
+    ]
+    # no degree above 2 max deg S is built, where the full range reaches 2 max deg G
+    top = 2 * max(degs[i] for i in S)
+    assert max(built) <= top < 2 * max(degs)
+    assert found is not None and found[0].gens == tuple(gens[i] for i in S)
 
 
 # --- spread memo -------------------------------------------------------------------
