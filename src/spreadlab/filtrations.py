@@ -31,6 +31,15 @@ over the member's reduced basis that is one engine run
 ``analytic_spread`` looks for a reduction J among I's generators,
 certified by I^2 = J*I + m*I^2 from the residues of the products of the
 basis elements outside m*I (graded Nakayama).
+
+Most spreads need no Rees kernel.  ``analytic_spread`` bounds ell(I)
+below by L, the larger of ht(I) and the Jacobian rank of the initial
+forms of least weighted order (Bivia-Ausina, Comm. Algebra 31 (2003);
+Beecken-Mittmann-Saxena, Inf. Comput. 222 (2013)), and above by U, the
+smallest of dim R, mu(I) and the size of a certified reduction.  When
+L = U that is ell.  A presentation's generators and rings are built at
+once, but its kernels only on first read, so a settled spread never runs
+the elimination.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .groebner import new_generators
@@ -168,15 +177,56 @@ class ReesPresentation:
     and the fiber variables, T{n}_{j} weighing wdeg(f_{n,j}) (the weight
     of its image f_{n,j} t^n when t weighs 0); ``rees_kernel`` is the
     kernel of T{n}_{j} -> f_{n,j} * t^n there; ``fiber_kernel`` lives in
-    the T-variables alone and cuts out the special fiber.
+    the T-variables alone and cuts out the special fiber (None when
+    there are no generators).  The generators, the rings and the
+    ``relations`` T{n}_{j} - f_{n,j} t^n are built eagerly.  The two
+    kernels come from one elimination of t from the relations, run on
+    the first read of either and kept: under a lock, so concurrent first
+    readers get the same objects.  A spread that its bounds settle never
+    reads them (``analytic_spread``).
     """
 
     base_ctx: RingContext
     ring_ctx: RingContext
     fiber_ctx: Optional[RingContext]
     generators: Tuple[Tuple[str, int, Polynomial], ...]   # (name, degree, generator)
-    rees_kernel: Ideal
-    fiber_kernel: Optional[Ideal]
+    relations: Tuple[Polynomial, ...] = ()
+    _kernels: Optional[Tuple[Ideal, Optional[Ideal]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    @property
+    def rees_kernel(self) -> Ideal:
+        return self._eliminated()[0]
+
+    @property
+    def fiber_kernel(self) -> Optional[Ideal]:
+        return self._eliminated()[1]
+
+    def _eliminated(self) -> Tuple[Ideal, Optional[Ideal]]:
+        with self._lock:
+            if self._kernels is None:
+                object.__setattr__(self, "_kernels", self._eliminate_t())
+        return self._kernels
+
+    def _eliminate_t(self) -> Tuple[Ideal, Optional[Ideal]]:
+        """The Rees kernel, by block-order elimination of t from the
+        relations, and the fiber kernel, generated by the images of the
+        kernel's basis under x -> 0."""
+        if not self.relations:
+            return Ideal(self.ring_ctx, ()), None
+        rees_kernel = _eliminate(self.ring_ctx, (_AUX,), self.relations[0].ctx, self.relations)
+        base_n, fiber_ctx = self.base_ctx.nvars, self.fiber_ctx
+        fiber_gens = []
+        for g in rees_kernel.gb.basis:
+            terms = [(m[base_n:], c) for m, c in g.terms if not any(m[:base_n])]
+            if terms:
+                terms.sort(key=lambda t: fiber_ctx.key(t[0]), reverse=True)
+                fiber_gens.append(Polynomial(fiber_ctx, tuple(terms)))
+        return rees_kernel, Ideal(fiber_ctx, fiber_gens)
 
 
 def _chosen_generators(F: Filtration, a: int) -> List[Tuple[int, Polynomial]]:
@@ -208,13 +258,14 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
 
     The generators are those ``_chosen_generators`` keeps, numbered
     T{n}_1@, T{n}_2@, ... by ascending (n, weighted degree, ring order of
-    the leading monomial).  The kernel is computed by block-order
-    elimination of t from the relations T{n}_{j} - f_{n,j} t^n, where
-    T{n}_{j} weighs wdeg(f_{n,j}) + n and t weighs 1 so that every
-    relation of a weighted-homogeneous filtration is homogeneous and the
-    engine's sugar selection proceeds degree by degree (the weights do
-    not enter the block order).  The fiber kernel is generated by the
-    images of the kernel generators under x -> 0.
+    the leading monomial).  The kernel is computed, on its first read,
+    by block-order elimination of t from the relations
+    T{n}_{j} - f_{n,j} t^n, where T{n}_{j} weighs wdeg(f_{n,j}) + n and
+    t weighs 1 so that every relation of a weighted-homogeneous
+    filtration is homogeneous and the engine's sugar selection proceeds
+    degree by degree (the weights do not enter the block order).  The
+    fiber kernel is generated by the images of the kernel generators
+    under x -> 0.
     """
     if a < 1:
         raise ValueError("presentation bound must be at least 1")
@@ -234,19 +285,11 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
         counters[n] += 1
         chosen.append((f"T{n}_{counters[n]}@", n, g))
 
-    base_n = ctx.nvars
     tnames = tuple(name for name, _, _ in chosen)
 
     if not tnames:
         combined = RingContext(ctx.p, ctx.variables, MonomialOrder.grevlex(), ctx.weights)
-        return ReesPresentation(
-            base_ctx=ctx,
-            ring_ctx=combined,
-            fiber_ctx=None,
-            generators=(),
-            rees_kernel=Ideal(combined, ()),
-            fiber_kernel=None,
-        )
+        return ReesPresentation(base_ctx=ctx, ring_ctx=combined, fiber_ctx=None, generators=())
 
     # t@ before the base and fiber variables, graded so that
     # T{n}_j - f t^n is homogeneous; ``_eliminate`` ranks t@ above the rest
@@ -267,30 +310,15 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
         ctx.p, ctx.variables + tnames, MonomialOrder.grevlex(),
         ctx.weights + tuple(wdeg(g) for _, _, g in chosen),
     )
-    rees_kernel = _eliminate(combined, (_AUX,), ring, relations)
-
     fiber_ctx = RingContext(
         ctx.p, tnames, MonomialOrder.grevlex(), tuple(deg for _, deg, _ in chosen)
     )
-    fiber_gens = []
-    for g in rees_kernel.gb.basis:
-        terms = []
-        for m, c in g.terms:
-            if any(m[:base_n]):
-                continue
-            terms.append((m[base_n:], c))
-        if terms:
-            terms.sort(key=lambda t: fiber_ctx.key(t[0]), reverse=True)
-            fiber_gens.append(Polynomial(fiber_ctx, tuple(terms)))
-    fiber_kernel = Ideal(fiber_ctx, fiber_gens)
-
     return ReesPresentation(
         base_ctx=ctx,
         ring_ctx=combined,
         fiber_ctx=fiber_ctx,
         generators=tuple(chosen),
-        rees_kernel=rees_kernel,
-        fiber_kernel=fiber_kernel,
+        relations=tuple(relations),
     )
 
 
@@ -303,7 +331,11 @@ class SpreadReport:
     """Analytic spread with its bounds and evidence.
 
     Frozen because ``analytic_spread`` memoizes reports and hands the
-    same object to every caller asking about the same ideal.
+    same object to every caller asking about the same ideal.  ``bounds``
+    is (L, U), the cheap lower and upper bounds of a nonzero ideal's
+    spread (``analytic_spread``); L == U means ell was settled by them
+    and no Rees kernel was computed.  It is None for the zero ideal and
+    for truncations with a >= 2.
     """
 
     ell: int
@@ -314,6 +346,7 @@ class SpreadReport:
     witness_exponent: Optional[int] = None
     witness_bound: Optional[int] = None
     notes: Tuple[str, ...] = ()
+    bounds: Optional[Tuple[int, int]] = None
 
 
 def _validate_spread_input(I: Ideal):
@@ -399,11 +432,53 @@ def _rank(rows, p: int) -> int:
     return sum(_insert_row(dict(row), echelon, p) for row in rows)
 
 
+def _initial_jacobian_rank(gens: Sequence[Polynomial]) -> int:
+    """A lower bound for the analytic spread of the ideal I that gens generate.
+
+    For a positive weight w, let nu(f) be the least w-degree of a term
+    of f, in(f) the sum of the terms of that degree, and
+    nu(I) = min nu(g).  Sending f in I^n to its part of w-degree
+    n*nu(I) is a graded ring map from the fiber cone onto
+    k[in(g) : nu(g) = nu(I)]: it vanishes on m*I^n, and initial forms
+    multiply.  So ell(I) is at least the transcendence degree of that
+    algebra, and that is at least the rank of the Jacobian matrix of
+    those initial forms at any point, in every characteristic
+    (Bivia-Ausina, Comm. Algebra 31 (2003), for the initial forms;
+    Beecken-Mittmann-Saxena, Inf. Comput. 222 (2013), for the rank).
+    Returns the larger rank over w = (1, ..., 1) and the ring's weights,
+    at the point (3, 7, 11, ...) of F_p^n, from the dict echelon, so it
+    is exact at every prime.
+    """
+    ctx = gens[0].ctx
+    p, n = ctx.p, ctx.nvars
+    point = [(4 * v + 3) % p for v in range(n)]
+    best = 0
+    for w in dict.fromkeys(((1,) * n, ctx.weights)):
+        degrees = [[mono_wdeg(m, w) for m, _ in g.terms] for g in gens]
+        nu = min(min(d) for d in degrees)
+        rows = []
+        for g, d in zip(gens, degrees):
+            row: Dict[int, int] = {}
+            for (m, c), e in zip(g.terms, d):
+                if e != nu:
+                    continue
+                for v in range(n):
+                    if not m[v]:
+                        continue
+                    value = c * m[v]
+                    for u in range(n):
+                        value = value * pow(point[u], m[u] - (u == v), p) % p
+                    row[v] = (row.get(v, 0) + value) % p
+            rows.append({v: c for v, c in row.items() if c})
+        best = max(best, _rank(rows, p))
+    return best
+
+
 # Subsets of generators _reduction_shortcut tries before it gives up.
 _MAX_SUBSETS = 64
 
 
-def _reduction_shortcut(I: Ideal):
+def _reduction_shortcut(I: Ideal, level1: Optional[List[dict]] = None):
     """Certified small reduction of I drawn from its own generators.
 
     Scans subsets J of 2 to nvars canonical generators in canonical
@@ -418,7 +493,8 @@ def _reduction_shortcut(I: Ideal):
     degree, from the cached basis of I, in two calls of
     ``_residues_modulo_m`` and no further Groebner basis run.  The first
     finds S, the basis elements outside m*I; the second reduces the
-    products over S x S modulo m*I^2.  A product with a factor in m*I
+    products over S x S modulo m*I^2; a caller that holds the first
+    call's result passes it as ``level1``.  A product with a factor in m*I
     lies in m*I^2, so its residue is zero, and by graded Nakayama S
     generates I, so the products over S x S generate I^2: the nonzero
     residues, and so every rank and certificate, are those of all
@@ -432,7 +508,9 @@ def _reduction_shortcut(I: Ideal):
     if len(gens) <= n:
         return None
     p = ctx.p
-    S = [i for i, r in enumerate(_residues_modulo_m(gens)) if r]
+    if level1 is None:
+        level1 = _residues_modulo_m(gens)
+    S = [i for i, r in enumerate(level1) if r]
     pairs = list(itertools.combinations_with_replacement(S, 2))
     level2 = _residues_modulo_m([gens[i] * gens[k] for i, k in pairs])
     residues = {pair: vec for pair, vec in zip(pairs, level2) if vec}
@@ -477,9 +555,12 @@ def analytic_spread(I: Ideal) -> SpreadReport:
     the fiber is presented from it instead, which has the same analytic
     spread and a much smaller presentation, and the certificate is
     recorded in the report notes.  Otherwise the ideal is presented
-    itself.  Reports of nonzero ideals are memoized by ``_spread``, a
-    ``functools.lru_cache`` of the last 1024 ideals asked about, so a
-    repeated question returns the same report object.
+    itself.  When two cheap bounds meet, they give ell and the
+    presentation's kernel is never computed (``_spread``); the report's
+    ``bounds`` holds them either way.  Reports of nonzero ideals are
+    memoized by ``_spread``, a ``functools.lru_cache`` of the last 1024
+    ideals asked about, so a repeated question returns the same report
+    object.
     """
     _validate_spread_input(I)
     if I.is_zero:
@@ -492,13 +573,33 @@ def analytic_spread(I: Ideal) -> SpreadReport:
 
 @functools.lru_cache(maxsize=1024)
 def _spread(I: Ideal) -> SpreadReport:
-    """The spread report of a proper, homogeneous, nonzero ideal."""
+    """The spread report of a proper, homogeneous, nonzero ideal.
+
+    Bounds the spread by L <= ell <= U, where L is the larger of ht(I)
+    and ``_initial_jacobian_rank`` and U the smallest of nvars, mu(I)
+    (the rank of the basis's residues modulo m*I) and the size of a
+    certified reduction.  When L == U that is ell, and the Rees kernel
+    of the presentation is never computed; otherwise ell is the
+    dimension of its fiber kernel.
+    """
+    n, gens = I.ctx.nvars, I.gb.basis
+    level1 = _residues_modulo_m(gens)
+    upper = min(n, _rank(level1, I.ctx.p))
     J, notes = I, ()
-    found = _reduction_shortcut(I)
+    found = _reduction_shortcut(I, level1)
     if found is not None:
         J, note = found
         notes = (note,)
-    return _fiber_report(rees_presentation(Filtration.adic(J), 1), I, notes)
+        upper = min(upper, len(J.gens))
+    ht = height(I)
+    # the Jacobian rank is at most ell <= upper, so it cannot raise ht = upper
+    lower = ht if ht == upper else max(ht, _initial_jacobian_rank(gens))
+    pres = rees_presentation(Filtration.adic(J), 1)
+    ell = lower if lower == upper else krull_dim(pres.fiber_kernel)
+    return SpreadReport(
+        ell=ell, ring_dim=n, ht=ht, bounds_ok=(ht <= ell <= n), presentation=pres, notes=notes,
+        bounds=(lower, upper),
+    )
 
 
 def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:

@@ -421,7 +421,8 @@ def test_rees_relations_homogeneous_for_elimination_weights(monkeypatch):
         return compute(gens, ctx)
 
     monkeypatch.setattr(ideals, "groebner_basis", recording)
-    _presentations()
+    for _, _, pres in _presentations():
+        pres.rees_kernel                 # the elimination runs on the first read
     assert len(handed) == len(CURVES) + 4
     *graded, (inhomogeneous, _) = handed
     for gens, _ in graded:

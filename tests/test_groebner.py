@@ -375,7 +375,7 @@ def test_stats_of_a_ten_variable_rees_elimination(monkeypatch):
     runs = _captured_bases(monkeypatch)
     ctx = RingContext(32003, ("x", "y", "z"))
     I = ideal(ctx, "y^4", "x*z^3", "x*y^2*z", "x^2*z^2", "x^2*y*z", "x^3*z")
-    rees_presentation(Filtration.adic(I))
+    rees_presentation(Filtration.adic(I)).rees_kernel   # read: the elimination is lazy
     (G,) = [G for G in runs if G.ctx.nvars == 10]
     assert len(G) == 29
     assert dict(G.stats) == {
