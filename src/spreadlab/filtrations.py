@@ -40,6 +40,12 @@ smallest of dim R, mu(I) and the size of a certified reduction.  When
 L = U that is ell.  A presentation's generators and rings are built at
 once, but its kernels only on first read, so a settled spread never runs
 the elimination.
+
+A truncation generated by I_1, which is every first truncation and every
+one whose kept generators all have degree 1, has Rees algebra R[I_1 t]:
+its spread is ``analytic_spread(I_1)``, reached by that one path.  Only a
+truncation with a kept generator above degree 1 reads its own fiber
+kernel.
 """
 
 from __future__ import annotations
@@ -334,19 +340,26 @@ class SpreadReport:
     same object to every caller asking about the same ideal.  ``bounds``
     is (L, U), the cheap lower and upper bounds of a nonzero ideal's
     spread (``analytic_spread``); L == U means ell was settled by them
-    and no Rees kernel was computed.  It is None for the zero ideal and
-    for truncations with a >= 2.
+    and no Rees kernel was computed.  A truncation generated by I_1 gets
+    the report of I_1, bounds included (``analytic_spread_truncated``),
+    so ``bounds`` is None only for the zero ideal and for truncations
+    with a kept generator above degree 1.  ``bounds_ok`` is
+    ht <= ell <= dim R, read from the fields.
     """
 
     ell: int
     ring_dim: int
     ht: Optional[int]
-    bounds_ok: bool
     presentation: Optional[ReesPresentation]
     witness_exponent: Optional[int] = None
     witness_bound: Optional[int] = None
     notes: Tuple[str, ...] = ()
     bounds: Optional[Tuple[int, int]] = None
+
+    @property
+    def bounds_ok(self) -> bool:
+        """Whether ht <= ell <= dim R holds (ell <= dim R when ht is None)."""
+        return (self.ht is None or self.ht <= self.ell) and self.ell <= self.ring_dim
 
 
 def _validate_spread_input(I: Ideal):
@@ -478,7 +491,7 @@ def _initial_jacobian_rank(gens: Sequence[Polynomial]) -> int:
 _MAX_SUBSETS = 64
 
 
-def _reduction_shortcut(I: Ideal, level1: Optional[List[dict]] = None):
+def _reduction_shortcut(I: Ideal, level1: List[dict]):
     """Certified small reduction of I drawn from its own generators.
 
     Scans subsets J of 2 to nvars canonical generators in canonical
@@ -491,10 +504,10 @@ def _reduction_shortcut(I: Ideal, level1: Optional[List[dict]] = None):
     products with a factor in J have the rank of all products modulo
     m*I^2.  Those residues are computed once per ideal, degree by
     degree, from the cached basis of I, in two calls of
-    ``_residues_modulo_m`` and no further Groebner basis run.  The first
-    finds S, the basis elements outside m*I; the second reduces the
-    products over S x S modulo m*I^2; a caller that holds the first
-    call's result passes it as ``level1``.  A product with a factor in m*I
+    ``_residues_modulo_m`` and no further Groebner basis run.  The first,
+    on the reduced basis, is the caller's, passed as ``level1``: it finds
+    S, the basis elements outside m*I.  The second reduces the products
+    over S x S modulo m*I^2.  A product with a factor in m*I
     lies in m*I^2, so its residue is zero, and by graded Nakayama S
     generates I, so the products over S x S generate I^2: the nonzero
     residues, and so every rank and certificate, are those of all
@@ -508,8 +521,6 @@ def _reduction_shortcut(I: Ideal, level1: Optional[List[dict]] = None):
     if len(gens) <= n:
         return None
     p = ctx.p
-    if level1 is None:
-        level1 = _residues_modulo_m(gens)
     S = [i for i, r in enumerate(level1) if r]
     pairs = list(itertools.combinations_with_replacement(S, 2))
     level2 = _residues_modulo_m([gens[i] * gens[k] for i, k in pairs])
@@ -530,16 +541,6 @@ def _reduction_shortcut(I: Ideal, level1: Optional[List[dict]] = None):
                 )
                 return Ideal(ctx, [gens[i] for i in combo]), note
     return None
-
-
-def _fiber_report(pres: ReesPresentation, I: Ideal, notes: Tuple[str, ...] = ()) -> SpreadReport:
-    """The spread report of pres's fiber, with the bounds ht(I) <= ell <= dim R."""
-    n = I.ctx.nvars
-    ell = krull_dim(pres.fiber_kernel)
-    ht = height(I)
-    return SpreadReport(
-        ell=ell, ring_dim=n, ht=ht, bounds_ok=(ht <= ell <= n), presentation=pres, notes=notes,
-    )
 
 
 def analytic_spread(I: Ideal) -> SpreadReport:
@@ -565,7 +566,7 @@ def analytic_spread(I: Ideal) -> SpreadReport:
     _validate_spread_input(I)
     if I.is_zero:
         return SpreadReport(
-            ell=0, ring_dim=I.ctx.nvars, ht=None, bounds_ok=True, presentation=None,
+            ell=0, ring_dim=I.ctx.nvars, ht=None, presentation=None,
             notes=("zero ideal: fiber is the residue field",),
         )
     return _spread(I)
@@ -597,8 +598,7 @@ def _spread(I: Ideal) -> SpreadReport:
     pres = rees_presentation(Filtration.adic(J), 1)
     ell = lower if lower == upper else krull_dim(pres.fiber_kernel)
     return SpreadReport(
-        ell=ell, ring_dim=n, ht=ht, bounds_ok=(ht <= ell <= n), presentation=pres, notes=notes,
-        bounds=(lower, upper),
+        ell=ell, ring_dim=n, ht=ht, presentation=pres, notes=notes, bounds=(lower, upper),
     )
 
 
@@ -608,15 +608,15 @@ def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
     When ``F.truncation_bound == a``, F is that truncation already and is
     used as it is, members and bases included.  Every member I_1..I_a
     must pass the checks of ``analytic_spread``.  The height in the
-    report is that of I_1.  Besides the fiber dimension, searches
-    e <= 3a for a single ideal I_{a,e} whose own analytic spread equals
-    the truncation's; the found exponent (or its absence up to the
-    bound, the report's ``witness_bound``) is recorded in the report.
-    The first truncation is the adic filtration of I_1, so for a = 1 and
-    a nonzero I_1 the report is ``analytic_spread(I_1)``'s (memoized,
-    presentation and notes included) with witness e = 1.  For a >= 2,
-    when every kept generator has degree 1 the truncation's Rees algebra
-    is R[I_1 t], so the witness is e = 1 with no second presentation.
+    report is that of I_1.  A truncation generated by I_1 (a = 1, or no
+    kept generator above degree 1) has Rees algebra R[I_1 t], so for a
+    nonzero I_1 its report is ``analytic_spread(I_1)``'s (memoized,
+    bounds, presentation and notes included) with witness e = 1 and
+    ``witness_bound`` 3a.  Otherwise ell is the dimension of the
+    truncation's own fiber kernel, and the search over e <= 3a for a
+    single ideal I_{a,e} whose own analytic spread equals it records
+    the least such exponent, or its absence up to the bound
+    ``witness_bound``.
     """
     if a < 1:
         raise ValueError("truncation bound must be at least 1")
@@ -625,32 +625,30 @@ def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
         _validate_spread_input(trunc.materialize(n))
     I1 = trunc.materialize(1)
     bound = 3 * a
-    if a == 1 and not I1.is_zero:
-        return replace(analytic_spread(I1), witness_exponent=1, witness_bound=bound)
-    pres = rees_presentation(trunc, a)
-    if pres.fiber_ctx is None:
+    pres = None if a == 1 and not I1.is_zero else rees_presentation(trunc, a)
+    if pres is not None and pres.fiber_ctx is None:
         return SpreadReport(
-            ell=0, ring_dim=F.ctx.nvars, ht=None, bounds_ok=True, presentation=pres,
-            notes=("zero filtration",),
+            ell=0, ring_dim=F.ctx.nvars, ht=None, presentation=pres, notes=("zero filtration",),
         )
-    # I_1 is nonzero here: its first basis element is always kept
-    report = _fiber_report(pres, I1)
-
-    if all(n == 1 for _, n, _ in pres.generators):
-        # the Rees algebra is R[I_1 t], so I_1's own spread is report.ell
-        return replace(report, witness_exponent=1, witness_bound=bound)
+    if pres is None or all(n == 1 for _, n, _ in pres.generators):
+        # the Rees algebra is R[I_1 t], and I_1 = I_{a,1} witnesses its spread
+        return replace(analytic_spread(I1), witness_exponent=1, witness_bound=bound)
+    ell = krull_dim(pres.fiber_kernel)
     witness = None
     for e in range(1, bound + 1):
         member = trunc.materialize(e)
         if member.is_zero or not member.is_proper:
             continue
-        if analytic_spread(member).ell == report.ell:
+        if analytic_spread(member).ell == ell:
             witness = e
             break
     notes = ()
     if witness is None:
         notes = (f"no single-ideal spread witness found up to e = {bound}",)
-    return replace(report, witness_exponent=witness, witness_bound=bound, notes=notes)
+    return SpreadReport(
+        ell=ell, ring_dim=F.ctx.nvars, ht=height(I1), presentation=pres,
+        witness_exponent=witness, witness_bound=bound, notes=notes,
+    )
 
 
 @dataclass

@@ -489,28 +489,24 @@ class Polynomial:
 # weighted homogeneity
 # ---------------------------------------------------------------------------
 
-def weighted_degree(f: Polynomial, weights=None) -> Optional[int]:
-    """Common weighted degree of all terms of f, or None if inhomogeneous.
+def weighted_degree(f: Polynomial) -> Optional[int]:
+    """Common weighted degree of all terms of f under the ring's weights,
+    or None if f is inhomogeneous.
 
     Raises ValueError on the zero polynomial (its degree is undefined).
-    Arbitrary integer weight vectors are accepted so that auxiliary
-    gradings (e.g. zero weights on base variables) can be checked too.
     """
     if f.is_zero:
         raise ValueError("weighted degree of the zero polynomial is undefined")
-    w = tuple(weights) if weights is not None else f.ctx.weights
-    if len(w) != f.ctx.nvars:
-        raise ValueError("weight vector length mismatch")
-    degs = {mono_wdeg(m, w) for m, _ in f.terms}
+    degs = {mono_wdeg(m, f.ctx.weights) for m, _ in f.terms}
     if len(degs) == 1:
         return degs.pop()
     return None
 
 
-def is_weighted_homogeneous(f: Polynomial, weights=None) -> bool:
+def is_weighted_homogeneous(f: Polynomial) -> bool:
     if f.is_zero:
         return True
-    return weighted_degree(f, weights) is not None
+    return weighted_degree(f) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import spreadlab.ideals as ideals
 from spreadlab import Filtration, RingContext, ideal
 
 
@@ -38,3 +40,25 @@ def curve_prime(curve_ctx):
 @pytest.fixture(scope="session")
 def curve_symbolic(curve_prime):
     return Filtration.symbolic(curve_prime)
+
+
+@pytest.fixture
+def rees_eliminations(monkeypatch):
+    """``rees_eliminations(pause=0.0)`` starts recording the rings of the
+    Rees-ring eliminations ``ideals`` runs, each started after ``pause``
+    seconds of sleep, and returns the list it appends them to."""
+
+    def record(pause=0.0):
+        rings = []
+        compute = ideals.groebner_basis
+
+        def recording(gens, ctx=None):
+            if ctx.variables[0] == "t@" and "T1_1@" in ctx.variables:
+                rings.append(ctx)
+                time.sleep(pause)
+            return compute(gens, ctx)
+
+        monkeypatch.setattr(ideals, "groebner_basis", recording)
+        return rings
+
+    return record

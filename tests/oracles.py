@@ -63,7 +63,7 @@ from spreadlab.fatpoints import (
 )
 from spreadlab.filtrations import _insert_row, _shift, _subtract
 from spreadlab.linalg import nullspace_modp, rank_modp, reduce_rows, rref_modp, span_rows
-from spreadlab.ring import _tokenize, mono_divides, weighted_degree
+from spreadlab.ring import _tokenize, mono_divides, mono_wdeg, weighted_degree
 
 
 def mono_div(a, b):
@@ -139,6 +139,11 @@ def tvar_names(pres):
 def tdegree_weights(pres):
     """Grading with base variables in degree 0 and T{n}_j in degree n."""
     return (0,) * pres.base_ctx.nvars + tuple(deg for _, deg, _ in pres.generators)
+
+
+def homogeneous_under(g, weights):
+    """Whether every term of g has the same degree under the weight vector."""
+    return len({mono_wdeg(m, weights) for m, _ in g.terms}) == 1
 
 
 def substitution_images(pres):

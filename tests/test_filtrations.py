@@ -10,6 +10,7 @@ import spreadlab.ideals as ideals
 from oracles import (
     colength,
     greedy_generator_walk,
+    homogeneous_under,
     huneke_pair,
     naive_buchberger,
     subs,
@@ -204,10 +205,10 @@ def test_rees_kernel_homogeneous_in_both_gradings(curve_symbolic):
     pres = rees_presentation(curve_symbolic.truncate(2), 2)
     tweights = tdegree_weights(pres)
     for g in pres.rees_kernel.gb.basis:
-        assert weighted_degree(g, tweights) is not None          # T-degrees
-        assert weighted_degree(g, pres.ring_ctx.weights) is not None  # w-degrees
+        assert homogeneous_under(g, tweights)                 # T-degrees
+        assert homogeneous_under(g, pres.ring_ctx.weights)    # w-degrees
     for g in pres.fiber_kernel.gb.basis:
-        assert weighted_degree(g, pres.fiber_ctx.weights) is not None
+        assert homogeneous_under(g, pres.fiber_ctx.weights)
     ext, images = substitution_images(pres)
     for g in pres.rees_kernel.gb.basis:
         assert subs(g, images).is_zero
@@ -560,20 +561,29 @@ def _count_calls(monkeypatch, name):
 
 # curve truncations whose kept generators all lie in degree 1
 DEGREE_ONE_TRUNCATIONS = [(w, 1) for w in CURVES] + [
-    (w, 2) for w in ((3, 4, 7), (3, 5, 8), (4, 5, 6), (4, 6, 7))
+    (w, a) for a in (2, 3) for w in ((3, 4, 7), (3, 5, 8), (4, 5, 6), (4, 6, 7))
 ]
 
 
 @pytest.mark.parametrize("weights, a", DEGREE_ONE_TRUNCATIONS)
-def test_truncation_presented_by_I1_has_its_spread(monkeypatch, weights, a):
+def test_truncation_presented_by_I1_has_its_spread(monkeypatch, rees_eliminations, weights, a):
     filtrations._spread.cache_clear()
-    presentations = _count_calls(monkeypatch, "rees_presentation")
-    rep = analytic_spread_truncated(Filtration.symbolic(_curve_prime(weights)), a)
-    assert len(presentations) == 1
+    F = Filtration.symbolic(_curve_prime(weights))
+    rings = rees_eliminations()
+    rep = analytic_spread_truncated(F, a)
+    # past a = 1 no Rees ring is eliminated: the bounds (2, 2) of the four
+    # curves' primes settle the spread of I_1
+    assert a == 1 or rings == []
+    # the only elimination is I_1's own, when its bounds do not meet
+    lower, upper = rep.bounds
+    assert len(rings) == (lower < upper)
     assert {n for _, n, _ in rep.presentation.generators} == {1}
     monkeypatch.undo()
-    alone = analytic_spread(_curve_prime(weights))
-    assert (rep.witness_exponent, rep.ell) == (1, alone.ell)
+    assert rep == dataclasses.replace(
+        analytic_spread(F.materialize(1)), witness_exponent=1, witness_bound=3 * a
+    )
+    # the truncation's own fiber kernel is the reference
+    assert rep.ell == krull_dim(rees_presentation(F.truncate(a), a).fiber_kernel)
 
 
 def test_first_truncation_is_answered_by_the_spread_of_I1(ctx3, curve_prime, curve_symbolic):

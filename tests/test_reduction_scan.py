@@ -22,7 +22,7 @@ import spreadlab.filtrations as filtrations
 import spreadlab.ideals as ideals
 from oracles import exponent_rank, reduction_certificate_reference, residues_modulo_m_square
 from spreadlab import RingContext, analytic_spread, ideal
-from spreadlab.filtrations import _reduction_shortcut
+from spreadlab.filtrations import _reduction_shortcut, _residues_modulo_m
 from spreadlab.ring import mono_wdeg, weighted_degree
 
 PRIMES = (101, 32003, 2**61 - 1)
@@ -67,7 +67,7 @@ def _scanned_ideal(rng, ctx, degrees, terms):
 
 
 def assert_scan_matches_reference(I):
-    got = _reduction_shortcut(I)
+    got = _reduction_shortcut(I, _residues_modulo_m(I.gb.basis))
     expected = reduction_certificate_reference(I)
     if expected is None:
         assert got is None
@@ -141,7 +141,7 @@ def test_failed_scan_runs_no_groebner_basis(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ideals, "groebner_basis", counting)
-    assert _reduction_shortcut(I) is None
+    assert _reduction_shortcut(I, _residues_modulo_m(I.gb.basis)) is None
     assert calls == []
 
 
@@ -208,7 +208,7 @@ def test_residues_over_generators_outside_m_times_I_match_full_range(p):
         # the certificate is the first subset whose products have full rank
         top = filtrations._rank(full.values(), p)
         expected = next((combo for combo, r in zip(combos, ranks) if r == top), None)
-        found = _reduction_shortcut(I)
+        found = _reduction_shortcut(I, _residues_modulo_m(gens))
         certified.append(found is not None)
         if expected is None:
             assert found is None
@@ -240,7 +240,7 @@ def test_dense_weighted_instance_forms_only_products_over_S(monkeypatch):
 
     monkeypatch.setattr(filtrations, "_residues_modulo_m", recording)
     monkeypatch.setattr(filtrations, "_insert_row", inserting)
-    found = _reduction_shortcut(I)
+    found = _reduction_shortcut(I, filtrations._residues_modulo_m(gens))
     monkeypatch.undo()
     assert len(calls) == 2 and calls[0] == gens
     S = [i for i, r in enumerate(residues(gens)) if r]

@@ -11,7 +11,6 @@ Every bound is checked here against ell from the forced fiber kernel.
 import itertools
 import random
 import threading
-import time
 
 import pytest
 
@@ -35,22 +34,6 @@ MERSENNE = 2**61 - 1
 def _curve_prime(weights, p=32003):
     ctx = RingContext(p, ("t", "x", "y", "z"), weights=(1,) + weights)
     return eliminate(ideal(ctx, *(f"{v} - t^{e}" for v, e in zip("xyz", weights))), ["t"])
-
-
-def _rees_eliminations(monkeypatch, pause=0.0):
-    """The rings of the Rees-ring eliminations ``ideals`` runs from here on,
-    each started after ``pause`` seconds of sleep."""
-    rings = []
-    compute = ideals.groebner_basis
-
-    def recording(gens, ctx=None):
-        if ctx.variables[0] == "t@" and "T1_1@" in ctx.variables:
-            rings.append(ctx)
-            time.sleep(pause)
-        return compute(gens, ctx)
-
-    monkeypatch.setattr(ideals, "groebner_basis", recording)
-    return rings
 
 
 def _random_ideal(rng, ctx):
@@ -88,33 +71,33 @@ def test_bounds_hold_and_settled_spreads_match_the_fiber_kernel(p):
     assert settled >= 8
 
 
-def test_paper_scale_cubes_settle_with_no_rees_elimination(monkeypatch):
+def test_paper_scale_cubes_settle_with_no_rees_elimination(rees_eliminations):
     cube = symbolic_power(_curve_prime((3, 5, 7)), 3)
     square = symbolic_power(_curve_prime((4, 5, 7)), 2)
     filtrations._spread.cache_clear()
-    rings = _rees_eliminations(monkeypatch)
+    rings = rees_eliminations()
     for I in (cube, square):
         rep = analytic_spread(I)
         assert (rep.ell, rep.bounds) == (3, (3, 3))
     assert rings == []
 
 
-def test_the_567_prime_declines_and_keeps_the_rees_path(monkeypatch):
+def test_the_567_prime_declines_and_keeps_the_rees_path(rees_eliminations):
     # the Jacobian rank of its initial forms is 2 < mu = 3
     P = _curve_prime((5, 6, 7))
     filtrations._spread.cache_clear()
-    rings = _rees_eliminations(monkeypatch)
+    rings = rees_eliminations()
     rep = analytic_spread(P)
     assert (rep.ell, rep.ht, rep.bounds) == (3, 2, (2, 3))
     assert len(rings) == 1
 
 
-def test_a_settled_spread_at_the_mersenne_prime(monkeypatch):
+def test_a_settled_spread_at_the_mersenne_prime(monkeypatch, rees_eliminations):
     # ht = 2, but the initial forms y^2 - x*z, y*z, z^2 under w = (1, 1, 1)
     # have a Jacobian of rank 3 = mu
     P = _curve_prime((3, 4, 5), p=MERSENNE)
     filtrations._spread.cache_clear()
-    rings = _rees_eliminations(monkeypatch)
+    rings = rees_eliminations()
     rep = analytic_spread(P)
     assert (rep.ell, rep.ht, rep.bounds) == (3, 2, (3, 3))
     assert rings == []
@@ -122,13 +105,13 @@ def test_a_settled_spread_at_the_mersenne_prime(monkeypatch):
     assert krull_dim(rep.presentation.fiber_kernel) == 3
 
 
-def test_the_ring_weights_settle_an_ideal_generated_in_one_weighted_degree(monkeypatch):
+def test_the_ring_weights_settle_an_ideal_generated_in_one_weighted_degree(rees_eliminations):
     # under w = (1, 1, 1) only z has the least order, so the unit weight
     # gives rank 1; under the ring's weights all three generators have
     # degree 3 and their Jacobian has rank 3 = mu > ht = 2
     ctx = RingContext(32003, ("x", "y", "z"), weights=(1, 2, 3))
     filtrations._spread.cache_clear()
-    rings = _rees_eliminations(monkeypatch)
+    rings = rees_eliminations()
     rep = analytic_spread(ideal(ctx, "x^3", "x*y", "z"))
     assert (rep.ell, rep.ht, rep.bounds) == (3, 2, (3, 3))
     assert rings == []
@@ -154,13 +137,13 @@ def test_lazy_rees_kernel_equals_an_eager_elimination():
         assert pres.rees_kernel is pres.rees_kernel
 
 
-def test_threads_reading_a_settled_kernel_get_one_object(monkeypatch):
+def test_threads_reading_a_settled_kernel_get_one_object(rees_eliminations):
     # six degree-4 monomials, settled at ell = 3; the elimination sleeps
     # before it starts, so every thread reads while the first one runs
     ctx = RingContext(32003, ("x", "y", "z"))
     I = ideal(ctx, "y^4", "x*z^3", "x*y^2*z", "x^2*z^2", "x^2*y*z", "x^3*z")
     filtrations._spread.cache_clear()
-    rings = _rees_eliminations(monkeypatch, pause=0.05)
+    rings = rees_eliminations(pause=0.05)
     rep = analytic_spread(I)
     assert rep.bounds == (3, 3) and rings == []
     barrier = threading.Barrier(4)

@@ -6,6 +6,10 @@ string (the benchmark's tracer looks functions up by name).  Imports and
 the definition itself do not count.  Dunder names are exempt.  A second,
 stricter check counts only src/ and bench/ as users, so library code
 that only tests reach is flagged unless an allowlist gives its reason.
+A third holds parameters to the same standard: an optional parameter
+that no call in src/ or bench/ passes, or a default of a private
+function that every such call overrides, is flagged unless an allowlist
+gives its reason.  Calls are matched to functions by name.
 """
 
 import ast
@@ -91,3 +95,82 @@ def test_every_defined_name_has_a_library_user():
     # an allowance outlives its reason once the library uses the name
     stale = sorted(set(TEST_ONLY_KEPT) - {name for name, _ in unused})
     assert not stale, f"allowed but used in src/ or bench/: {stale}"
+
+
+# Optional parameters that no library call passes, or private defaults that
+# every library call overrides, which stay, and why.
+PARAMETERS_KEPT = {}
+
+
+def _functions(tree):
+    """(function node, callee names, bound) for each module-level function
+    and method: the names its calls go by (a class's name counts for its
+    ``__init__``), and 1 for bound when calls bind arguments after self or
+    cls."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, (node.name,), 0
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    names = (item.name, node.name) if item.name == "__init__" else (item.name,)
+                    yield item, names, 0 if static else 1
+
+
+def _optional_parameters(fn, bound):
+    """(name, position) of each parameter with a default; position is None
+    for a keyword-only one."""
+    args = (fn.args.posonlyargs + fn.args.args)[bound:]
+    first = len(args) - len(fn.args.defaults)
+    for i, arg in enumerate(args[first:], first):
+        yield arg.arg, i
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position):
+    """Whether the call passes the parameter, by keyword, by position, or
+    through *args or **kwargs."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _parameter_flags():
+    calls = {}
+    for _, tree in _trees(ROOT / "src", ROOT / "bench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    flags = []
+    for path, tree in _trees(PACKAGE):
+        for fn, names, bound in _functions(tree):
+            name = fn.name
+            private = name.startswith("_") and not name.endswith("__")
+            for param, position in _optional_parameters(fn, bound):
+                passed = [
+                    _passes(call, param, position) for n in names for call in calls.get(n, ())
+                ]
+                where = f"{path.relative_to(ROOT)}:{fn.lineno} {name}.{param}"
+                if not any(passed):
+                    flags.append((f"{name}.{param}", f"{where}: no call passes it"))
+                elif private and all(passed):
+                    flags.append((f"{name}.{param}", f"{where}: every call overrides it"))
+    return flags
+
+
+def test_every_optional_parameter_has_a_library_use():
+    flags = _parameter_flags()
+    flagged = [why for key, why in flags if key not in PARAMETERS_KEPT]
+    assert not flagged, "parameter options the library does not use:\n" + "\n".join(flagged)
+    stale = sorted(set(PARAMETERS_KEPT) - {key for key, _ in flags})
+    assert not stale, f"allowed but no longer flagged: {stale}"
