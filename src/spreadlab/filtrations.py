@@ -37,9 +37,9 @@ below by L, the larger of ht(I) and the Jacobian rank of the initial
 forms of least weighted order (Bivia-Ausina, Comm. Algebra 31 (2003);
 Beecken-Mittmann-Saxena, Inf. Comput. 222 (2013)), and above by U, the
 smallest of dim R, mu(I) and the size of a certified reduction.  When
-L = U that is ell.  A presentation's generators and rings are built at
-once, but its kernels only on first read, so a settled spread never runs
-the elimination.
+L = U that is ell.  A presentation stores only its generators: its
+rings, relations and kernels come from one elimination of t, run on the
+first read of a kernel, so a settled spread builds none of them.
 
 A truncation generated by I_1, which is every first truncation and every
 one whose kept generators all have degree 1, has Rees algebra R[I_1 t]:
@@ -175,28 +175,32 @@ def _lower_products(F: Filtration, n: int) -> Ideal:
 # Rees presentation and fiber cone
 # ---------------------------------------------------------------------------
 
+def _wdeg(g: Polynomial) -> int:
+    """The largest term degree of g, which is the degree of a homogeneous g."""
+    return max(mono_wdeg(m, g.ctx.weights) for m, _ in g.terms)
+
+
 @dataclass(frozen=True)
 class ReesPresentation:
-    """Presentation of the Rees algebra of a truncation.
+    """Presentation of the Rees algebra of a truncation, stored as its
+    generators.
 
-    ``ring_ctx`` is the combined polynomial ring in the base variables
-    and the fiber variables, T{n}_{j} weighing wdeg(f_{n,j}) (the weight
-    of its image f_{n,j} t^n when t weighs 0); ``rees_kernel`` is the
-    kernel of T{n}_{j} -> f_{n,j} * t^n there; ``fiber_kernel`` lives in
-    the T-variables alone and cuts out the special fiber (None when
-    there are no generators).  The generators, the rings and the
-    ``relations`` T{n}_{j} - f_{n,j} t^n are built eagerly.  The two
-    kernels come from one elimination of t from the relations, run on
-    the first read of either and kept: under a lock, so concurrent first
-    readers get the same objects.  A spread that its bounds settle never
-    reads them (``analytic_spread``).
+    ``generators`` holds (name, degree, f) for each fiber variable
+    T{n}_{j}, the chosen generator f = f_{n,j} of I_n, all in
+    ``base_ctx``.  ``rees_kernel`` is the kernel of T{n}_{j} -> f t^n in
+    the ring of the base and fiber variables, T{n}_{j} weighing wdeg(f)
+    (the weight of f t^n when t weighs 0); ``fiber_kernel`` lives in the
+    fiber variables alone, T{n}_{j} weighing n, and cuts out the special
+    fiber (None when there are no generators).  The kernels' rings are
+    ``rees_kernel.ctx`` and ``fiber_kernel.ctx``.  Rings, relations and
+    kernels come from one elimination of t (``_eliminate_t``), run on the
+    first read of either kernel and kept: under a lock, so concurrent
+    first readers get the same objects.  A spread that its bounds settle
+    never reads them, so it builds none of them (``analytic_spread``).
     """
 
     base_ctx: RingContext
-    ring_ctx: RingContext
-    fiber_ctx: Optional[RingContext]
     generators: Tuple[Tuple[str, int, Polynomial], ...]   # (name, degree, generator)
-    relations: Tuple[Polynomial, ...] = ()
     _kernels: Optional[Tuple[Ideal, Optional[Ideal]]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -220,12 +224,39 @@ class ReesPresentation:
 
     def _eliminate_t(self) -> Tuple[Ideal, Optional[Ideal]]:
         """The Rees kernel, by block-order elimination of t from the
-        relations, and the fiber kernel, generated by the images of the
-        kernel's basis under x -> 0."""
-        if not self.relations:
-            return Ideal(self.ring_ctx, ()), None
-        rees_kernel = _eliminate(self.ring_ctx, (_AUX,), self.relations[0].ctx, self.relations)
-        base_n, fiber_ctx = self.base_ctx.nvars, self.fiber_ctx
+        relations T{n}_{j} - f t^n, and the fiber kernel, generated by the
+        images of the kernel's basis under x -> 0.
+
+        The relations live in a ring with t@ before the base and fiber
+        variables, where T{n}_{j} weighs wdeg(f) + n and t weighs 1, so
+        every relation of a weighted-homogeneous filtration is
+        homogeneous and the engine's sugar selection proceeds degree by
+        degree (the weights do not enter the block order; ``_eliminate``
+        ranks t@ above the rest).  Without generators the kernel is zero
+        in the base variables and there is no fiber kernel.
+        """
+        ctx, chosen = self.base_ctx, self.generators
+        tnames = tuple(name for name, _, _ in chosen)
+        combined = RingContext(
+            ctx.p, ctx.variables + tnames, MonomialOrder.grevlex(),
+            ctx.weights + tuple(_wdeg(g) for _, _, g in chosen),
+        )
+        if not chosen:
+            return Ideal(combined, ()), None
+        ring = RingContext(
+            ctx.p,
+            (_AUX,) + combined.variables,
+            weights=(1,) + ctx.weights + tuple(_wdeg(g) + n for _, n, g in chosen),
+        )
+        tvar, pad = ring.var(_AUX), (0,) * len(tnames)
+        relations = [
+            ring.var(name)
+            - Polynomial(ring, tuple(((0,) + m + pad, c) for m, c in g.terms)) * tvar ** n
+            for name, n, g in chosen
+        ]
+        rees_kernel = _eliminate(combined, (_AUX,), ring, relations)
+        base_n = ctx.nvars
+        fiber_ctx = RingContext(ctx.p, tnames, MonomialOrder.grevlex(), tuple(n for _, n, _ in chosen))
         fiber_gens = []
         for g in rees_kernel.gb.basis:
             terms = [(m[base_n:], c) for m, c in g.terms if not any(m[:base_n])]
@@ -260,72 +291,26 @@ def _chosen_generators(F: Filtration, a: int) -> List[Tuple[int, Polynomial]]:
 
 
 def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
-    """Present the Rees algebra of the truncation of F at a.
+    """Present the Rees algebra of the truncation of F at a by its
+    generators.
 
     The generators are those ``_chosen_generators`` keeps, numbered
     T{n}_1@, T{n}_2@, ... by ascending (n, weighted degree, ring order of
-    the leading monomial).  The kernel is computed, on its first read,
-    by block-order elimination of t from the relations
-    T{n}_{j} - f_{n,j} t^n, where T{n}_{j} weighs wdeg(f_{n,j}) + n and
-    t weighs 1 so that every relation of a weighted-homogeneous
-    filtration is homogeneous and the engine's sugar selection proceeds
-    degree by degree (the weights do not enter the block order).  The
-    fiber kernel is generated by the images of the kernel generators
-    under x -> 0.
+    the leading monomial).  Nothing else is built here: the rings, the
+    relations T{n}_{j} - f_{n,j} t^n and the kernels come from one
+    elimination of t on the first read of a kernel
+    (``ReesPresentation._eliminate_t``).
     """
     if a < 1:
         raise ValueError("presentation bound must be at least 1")
-    ctx = F.ctx
-
-    def wdeg(g):
-        # the largest term degree, which is the degree of a homogeneous g
-        return max(mono_wdeg(m, ctx.weights) for m, _ in g.terms)
-
-    kept = sorted(
-        _chosen_generators(F, a),
-        key=lambda ng: (ng[0], wdeg(ng[1]), ctx.key(ng[1].lm())),
-    )
+    key = F.ctx.key
+    kept = sorted(_chosen_generators(F, a), key=lambda ng: (ng[0], _wdeg(ng[1]), key(ng[1].lm())))
+    counters = dict.fromkeys(range(1, a + 1), 0)
     chosen: List[Tuple[str, int, Polynomial]] = []
-    counters = {n: 0 for n in range(1, a + 1)}
     for n, g in kept:
         counters[n] += 1
         chosen.append((f"T{n}_{counters[n]}@", n, g))
-
-    tnames = tuple(name for name, _, _ in chosen)
-
-    if not tnames:
-        combined = RingContext(ctx.p, ctx.variables, MonomialOrder.grevlex(), ctx.weights)
-        return ReesPresentation(base_ctx=ctx, ring_ctx=combined, fiber_ctx=None, generators=())
-
-    # t@ before the base and fiber variables, graded so that
-    # T{n}_j - f t^n is homogeneous; ``_eliminate`` ranks t@ above the rest
-    ring = RingContext(
-        ctx.p,
-        (_AUX,) + ctx.variables + tnames,
-        weights=(1,) + ctx.weights + tuple(wdeg(g) + n for _, n, g in chosen),
-    )
-    tvar = ring.var(_AUX)
-    relations = []
-    for name, degree, gen in chosen:
-        lifted = Polynomial(
-            ring,
-            tuple(((0,) + m + (0,) * len(tnames), c) for m, c in gen.terms),
-        )
-        relations.append(ring.var(name) - lifted * tvar ** degree)
-    combined = RingContext(
-        ctx.p, ctx.variables + tnames, MonomialOrder.grevlex(),
-        ctx.weights + tuple(wdeg(g) for _, _, g in chosen),
-    )
-    fiber_ctx = RingContext(
-        ctx.p, tnames, MonomialOrder.grevlex(), tuple(deg for _, deg, _ in chosen)
-    )
-    return ReesPresentation(
-        base_ctx=ctx,
-        ring_ctx=combined,
-        fiber_ctx=fiber_ctx,
-        generators=tuple(chosen),
-        relations=tuple(relations),
-    )
+    return ReesPresentation(base_ctx=F.ctx, generators=tuple(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +542,12 @@ def analytic_spread(I: Ideal) -> SpreadReport:
     spread and a much smaller presentation, and the certificate is
     recorded in the report notes.  Otherwise the ideal is presented
     itself.  When two cheap bounds meet, they give ell and the
-    presentation's kernel is never computed (``_spread``); the report's
-    ``bounds`` holds them either way.  Reports of nonzero ideals are
-    memoized by ``_spread``, a ``functools.lru_cache`` of the last 1024
-    ideals asked about, so a repeated question returns the same report
-    object.
+    presentation stays its generators: no Rees ring, relation or kernel
+    is built for it unless a caller reads a kernel (``_spread``); the
+    report's ``bounds`` holds them either way.  Reports of nonzero
+    ideals are memoized by ``_spread``, a ``functools.lru_cache`` of the
+    last 1024 ideals asked about, so a repeated question returns the
+    same report object.
     """
     _validate_spread_input(I)
     if I.is_zero:
@@ -579,8 +565,8 @@ def _spread(I: Ideal) -> SpreadReport:
     Bounds the spread by L <= ell <= U, where L is the larger of ht(I)
     and ``_initial_jacobian_rank`` and U the smallest of nvars, mu(I)
     (the rank of the basis's residues modulo m*I) and the size of a
-    certified reduction.  When L == U that is ell, and the Rees kernel
-    of the presentation is never computed; otherwise ell is the
+    certified reduction.  When L == U that is ell, and the presentation
+    stays its generators, no ring or kernel built; otherwise ell is the
     dimension of its fiber kernel.
     """
     n, gens = I.ctx.nvars, I.gb.basis
@@ -626,7 +612,7 @@ def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
     I1 = trunc.materialize(1)
     bound = 3 * a
     pres = None if a == 1 and not I1.is_zero else rees_presentation(trunc, a)
-    if pres is not None and pres.fiber_ctx is None:
+    if pres is not None and not pres.generators:
         return SpreadReport(
             ell=0, ring_dim=F.ctx.nvars, ht=None, presentation=pres, notes=("zero filtration",),
         )

@@ -141,6 +141,37 @@ def tdegree_weights(pres):
     return (0,) * pres.base_ctx.nvars + tuple(deg for _, deg, _ in pres.generators)
 
 
+def rees_weights(pres):
+    """Weights of the ring of a Rees kernel: the base weights, then for
+    each T{n}_j the largest weighted degree of a term of its generator."""
+    base = pres.base_ctx
+    top = (max(mono_wdeg(m, base.weights) for m, _ in g.terms) for _, _, g in pres.generators)
+    return base.weights + tuple(top)
+
+
+def rees_relations(pres):
+    """The relations T{n}_j - f t^n of a Rees presentation, built from its
+    base ring and generators alone.
+
+    They live in a ring with ``t@`` first, then the base and fiber
+    variables, where t@ weighs 1 and T{n}_j weighs n more than in
+    ``rees_weights``; f is lifted term by term.
+    """
+    base, names = pres.base_ctx, tvar_names(pres)
+    degrees = tuple(n for _, n, _ in pres.generators)
+    top = rees_weights(pres)[base.nvars:]
+    ring = RingContext(
+        base.p, ("t@",) + base.variables + names,
+        weights=(1,) + base.weights + tuple(w + n for w, n in zip(top, degrees)),
+    )
+    t, pad = ring.var("t@"), (0,) * len(names)
+
+    def lift(g):
+        return sum((ring.monomial((0,) + m + pad, c) for m, c in g.terms), ring.zero())
+
+    return [ring.var(name) - lift(g) * t ** n for name, n, g in pres.generators]
+
+
 def homogeneous_under(g, weights):
     """Whether every term of g has the same degree under the weight vector."""
     return len({mono_wdeg(m, weights) for m, _ in g.terms}) == 1

@@ -13,6 +13,7 @@ from oracles import (
     homogeneous_under,
     huneke_pair,
     naive_buchberger,
+    rees_weights,
     subs,
     substitution_images,
     tdegree_weights,
@@ -24,6 +25,7 @@ from spreadlab import (
     HomogeneityError,
     MonomialOrder,
     Polynomial,
+    ReesPresentation,
     RingContext,
     analytic_spread,
     analytic_spread_truncated,
@@ -201,17 +203,42 @@ def test_rees_kernel_koszul(ctx3):
         assert subs(g, images).is_zero
 
 
+def _check_kernel_rings(pres):
+    """The kernels' rings, checked against the base ring and generators."""
+    names = tvar_names(pres)
+    rees_ctx, fiber_ctx = pres.rees_kernel.ctx, pres.fiber_kernel.ctx
+    assert rees_ctx.variables == pres.base_ctx.variables + names
+    assert rees_ctx.weights == rees_weights(pres)
+    assert fiber_ctx.variables == names
+    assert fiber_ctx.weights == tdegree_weights(pres)[pres.base_ctx.nvars:]
+    return rees_ctx, fiber_ctx
+
+
 def test_rees_kernel_homogeneous_in_both_gradings(curve_symbolic):
     pres = rees_presentation(curve_symbolic.truncate(2), 2)
+    rees_ctx, fiber_ctx = _check_kernel_rings(pres)
     tweights = tdegree_weights(pres)
     for g in pres.rees_kernel.gb.basis:
         assert homogeneous_under(g, tweights)                 # T-degrees
-        assert homogeneous_under(g, pres.ring_ctx.weights)    # w-degrees
+        assert homogeneous_under(g, rees_ctx.weights)         # w-degrees
     for g in pres.fiber_kernel.gb.basis:
-        assert homogeneous_under(g, pres.fiber_ctx.weights)
+        assert homogeneous_under(g, fiber_ctx.weights)
     ext, images = substitution_images(pres)
     for g in pres.rees_kernel.gb.basis:
         assert subs(g, images).is_zero
+
+
+def test_presentation_without_generators(ctx3):
+    assert [f.name for f in dataclasses.fields(ReesPresentation) if f.init] == [
+        "base_ctx", "generators"
+    ]
+    zero = Filtration.adic(ideal(ctx3))
+    pres = rees_presentation(zero, 1)
+    assert pres.generators == ()
+    assert pres.rees_kernel.is_zero and pres.rees_kernel.ctx.variables == ctx3.variables
+    assert pres.fiber_kernel is None
+    rep = analytic_spread_truncated(zero, 1)
+    assert (rep.ell, rep.witness_exponent, rep.notes) == (0, None, ("zero filtration",))
 
 
 def test_rees_dimension_is_dim_plus_one(ctx3, curve_prime):
@@ -253,10 +280,9 @@ def test_rees_kernel_keeps_elimination_basis(monkeypatch, curve_symbolic):
     presentations.append(rees_presentation(Filtration.adic(mono6), 1))
     presentations.append(rees_presentation(curve_symbolic.truncate(2), 2))
     for pres in presentations:
-        assert pres.rees_kernel.gb.basis == groebner_basis(
-            pres.rees_kernel.gens, pres.ring_ctx
-        ).basis
-        assert pres.ring_ctx not in rings
+        rees_ctx, _ = _check_kernel_rings(pres)
+        assert pres.rees_kernel.gb.basis == groebner_basis(pres.rees_kernel.gens, rees_ctx).basis
+        assert rees_ctx not in rings
 
 
 ORDERS = {
@@ -347,8 +373,8 @@ def test_fiber_variables_in_degree_order():
         for name, n, _ in pres.generators:
             count[n] += 1
             assert name == f"T{n}_{count[n]}@"
-        assert pres.fiber_ctx.variables == tvar_names(pres)
-        assert pres.ring_ctx.variables == ctx.variables + tvar_names(pres)
+        assert pres.base_ctx is ctx
+        _check_kernel_rings(pres)
 
 
 def test_chosen_generators_are_the_greedy_walk():

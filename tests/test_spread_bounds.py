@@ -16,8 +16,10 @@ import pytest
 
 import spreadlab.filtrations as filtrations
 import spreadlab.ideals as ideals
+from oracles import rees_relations, rees_weights, tvar_names
 from spreadlab import (
     Filtration,
+    MonomialOrder,
     RingContext,
     analytic_spread,
     analytic_spread_truncated,
@@ -132,9 +134,39 @@ def test_lazy_rees_kernel_equals_an_eager_elimination():
         (Filtration.symbolic(_curve_prime((3, 4, 5))).truncate(2), 2),
     ):
         pres = rees_presentation(F, a)
-        eager = ideals._eliminate(pres.ring_ctx, ("t@",), pres.relations[0].ctx, pres.relations)
+        base, relations = pres.base_ctx, rees_relations(pres)
+        target = RingContext(
+            base.p, base.variables + tvar_names(pres), MonomialOrder.grevlex(), rees_weights(pres)
+        )
+        eager = ideals._eliminate(target, ("t@",), relations[0].ctx, relations)
+        assert pres.rees_kernel.ctx == target
         assert pres.rees_kernel.gb.basis == eager.gb.basis
         assert pres.rees_kernel is pres.rees_kernel
+
+
+def test_a_settled_spread_builds_no_rees_ring(monkeypatch, rees_eliminations):
+    P = _curve_prime((3, 4, 7))
+    filtrations._spread.cache_clear()
+    built = []
+    make = filtrations.RingContext
+
+    def recording(*args, **kwargs):
+        ctx = make(*args, **kwargs)
+        built.append(ctx.variables)
+        return ctx
+
+    monkeypatch.setattr(filtrations, "RingContext", recording)
+    rings = rees_eliminations()
+    rep = analytic_spread(P)
+    assert (rep.ell, rep.bounds) == (2, (2, 2))
+    assert not any("t@" in v or "T1_1@" in v for v in built)
+    # reading a kernel builds the Rees, combined and fiber rings once
+    names = tvar_names(rep.presentation)
+    assert krull_dim(rep.presentation.fiber_kernel) == 2
+    assert sorted(v for v in built if "T1_1@" in v) == sorted(
+        [("t@",) + P.ctx.variables + names, P.ctx.variables + names, names]
+    )
+    assert len(rings) == 1
 
 
 def test_threads_reading_a_settled_kernel_get_one_object(rees_eliminations):
