@@ -13,7 +13,8 @@ constructors each pass one rule:
   two-factor sum is the sum of the products over every partition of n
   into parts <= a only because the members form a filtration: the
   smallest part i of such a partition is at most n/2, and the product
-  of the other parts lies in I_{a,n-i};
+  of the other parts lies in I_{a,n-i}.  The a-th truncation of an a-th
+  truncation is itself;
 * ``Filtration.trivial_max(ctx)`` -- I_n equal to the maximal ideal for
   every n >= 1.
 
@@ -30,7 +31,9 @@ over the member's reduced basis that is one engine run
 (``groebner.new_generators``).  Before presenting an ideal I,
 ``analytic_spread`` looks for a reduction J among I's generators,
 certified by I^2 = J*I + m*I^2 from the residues of the products of the
-basis elements outside m*I (graded Nakayama).
+basis elements outside m*I (graded Nakayama).  ``analytic_spread`` is its
+own memo, a bounded ``functools.lru_cache`` keyed by the ideal, so a
+repeated question is one hash lookup.
 
 Most spreads need no Rees kernel.  ``analytic_spread`` bounds ell(I)
 below by L, the larger of ht(I) and the Jacobian rank of the initial
@@ -135,9 +138,15 @@ class Filtration:
         return cls(ctx, lambda F, n: maximal_ideal(F.ctx))
 
     def truncate(self, a: int) -> "Filtration":
-        """The a-th truncated filtration generated by the first a members."""
+        """The a-th truncated filtration generated by the first a members.
+
+        The a-th truncation of an a-th truncation is itself, so it is
+        returned as it is, members and bases included.
+        """
         if a < 1:
             raise ValueError("truncation bound must be at least 1")
+        if self.truncation_bound == a:
+            return self
         members = tuple(self.materialize(n) for n in range(1, a + 1))
         trunc = Filtration(
             self.ctx, lambda F, n: members[n - 1] if n <= a else _lower_products(F, n)
@@ -321,15 +330,16 @@ def rees_presentation(F: Filtration, a: int = 1) -> ReesPresentation:
 class SpreadReport:
     """Analytic spread with its bounds and evidence.
 
-    Frozen because ``analytic_spread`` memoizes reports and hands the
-    same object to every caller asking about the same ideal.  ``bounds``
-    is (L, U), the cheap lower and upper bounds of a nonzero ideal's
-    spread (``analytic_spread``); L == U means ell was settled by them
-    and no Rees kernel was computed.  A truncation generated by I_1 gets
-    the report of I_1, bounds included (``analytic_spread_truncated``),
-    so ``bounds`` is None only for the zero ideal and for truncations
-    with a kept generator above degree 1.  ``bounds_ok`` is
-    ht <= ell <= dim R, read from the fields.
+    Frozen because ``analytic_spread`` is a memo: it hands the same
+    report object, the zero ideal's included, to every caller asking
+    about the same ideal.  ``bounds`` is (L, U), the cheap lower and
+    upper bounds of a nonzero ideal's spread (``analytic_spread``);
+    L == U means ell was settled by them and no Rees kernel was
+    computed.  A truncation generated by I_1 gets the report of I_1,
+    bounds included (``analytic_spread_truncated``), so ``bounds`` is
+    None only for the zero ideal and for truncations with a kept
+    generator above degree 1.  ``bounds_ok`` is ht <= ell <= dim R, read
+    from the fields.
     """
 
     ell: int
@@ -348,9 +358,16 @@ class SpreadReport:
 
 
 def _validate_spread_input(I: Ideal):
+    """Refuse an ideal that is not proper or not weighted-homogeneous.
+
+    Both are read off the reduced basis, which is homogeneous exactly
+    when the ideal is, so the verdict depends on the ideal alone and
+    not on the generators it was given by: ``analytic_spread`` memoizes
+    by the ideal, and a memo hit is not validated again.
+    """
     if not I.is_proper:
         raise ValueError("analytic spread wants a proper ideal")
-    if not I.is_homogeneous():
+    if any(weighted_degree(g) is None for g in I.gb.basis):
         raise HomogeneityError(
             "analytic spread needs weighted-homogeneous generators; "
             "inhomogeneous input would break the graded-local dictionary"
@@ -528,6 +545,7 @@ def _reduction_shortcut(I: Ideal, level1: List[dict]):
     return None
 
 
+@functools.lru_cache(maxsize=1024)
 def analytic_spread(I: Ideal) -> SpreadReport:
     """Analytic spread of an ideal: dimension of its special fiber.
 
@@ -535,41 +553,35 @@ def analytic_spread(I: Ideal) -> SpreadReport:
     the ideal of variables).  The fiber cone R[It]/(x)R[It] is k[T] modulo
     the fiber kernel of the Rees presentation of I, so its dimension is
     the local analytic spread.  The report records the classical bounds
-    ht(I) <= ell <= dim R.  For an ideal with more generators than
-    variables, a few small subsets of its generators are scanned for a
-    certified reduction (``_reduction_shortcut``); when one is found,
-    the fiber is presented from it instead, which has the same analytic
+    ht(I) <= ell <= dim R.
+
+    The spread is bounded by L <= ell <= U, where L is the larger of
+    ht(I) and ``_initial_jacobian_rank`` and U the smallest of nvars,
+    mu(I) (the rank of the basis's residues modulo m*I) and the size of
+    a certified reduction.  For an ideal with more generators than
+    variables, a few small subsets of its generators are scanned for
+    such a reduction (``_reduction_shortcut``); when one is found, the
+    fiber is presented from it instead, which has the same analytic
     spread and a much smaller presentation, and the certificate is
     recorded in the report notes.  Otherwise the ideal is presented
-    itself.  When two cheap bounds meet, they give ell and the
-    presentation stays its generators: no Rees ring, relation or kernel
-    is built for it unless a caller reads a kernel (``_spread``); the
-    report's ``bounds`` holds them either way.  Reports of nonzero
-    ideals are memoized by ``_spread``, a ``functools.lru_cache`` of the
-    last 1024 ideals asked about, so a repeated question returns the
-    same report object.
+    itself.  When L == U that is ell, and the presentation stays its
+    generators: no Rees ring, relation or kernel is built for it unless
+    a caller reads a kernel.  Otherwise ell is the dimension of its
+    fiber kernel.  The report's ``bounds`` holds (L, U) either way.
+
+    The function is its own memo, a ``functools.lru_cache`` of the last
+    1024 ideals asked about, the zero ideal included, so a repeated
+    question is one hash lookup: it returns the same report object and
+    validates nothing again.  Ideals are keyed by their reduced bases,
+    and so is the validation (``_validate_spread_input``).
     """
     _validate_spread_input(I)
+    n, gens = I.ctx.nvars, I.gb.basis
     if I.is_zero:
         return SpreadReport(
-            ell=0, ring_dim=I.ctx.nvars, ht=None, presentation=None,
+            ell=0, ring_dim=n, ht=None, presentation=None,
             notes=("zero ideal: fiber is the residue field",),
         )
-    return _spread(I)
-
-
-@functools.lru_cache(maxsize=1024)
-def _spread(I: Ideal) -> SpreadReport:
-    """The spread report of a proper, homogeneous, nonzero ideal.
-
-    Bounds the spread by L <= ell <= U, where L is the larger of ht(I)
-    and ``_initial_jacobian_rank`` and U the smallest of nvars, mu(I)
-    (the rank of the basis's residues modulo m*I) and the size of a
-    certified reduction.  When L == U that is ell, and the presentation
-    stays its generators, no ring or kernel built; otherwise ell is the
-    dimension of its fiber kernel.
-    """
-    n, gens = I.ctx.nvars, I.gb.basis
     level1 = _residues_modulo_m(gens)
     upper = min(n, _rank(level1, I.ctx.p))
     J, notes = I, ()
@@ -591,8 +603,8 @@ def _spread(I: Ideal) -> SpreadReport:
 def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
     """Analytic spread of the a-th truncation of F.
 
-    When ``F.truncation_bound == a``, F is that truncation already and is
-    used as it is, members and bases included.  Every member I_1..I_a
+    The truncation is ``F.truncate(a)``, which refuses a < 1 and is F
+    itself when F is an a-th truncation already.  Every member I_1..I_a
     must pass the checks of ``analytic_spread``.  The height in the
     report is that of I_1.  A truncation generated by I_1 (a = 1, or no
     kept generator above degree 1) has Rees algebra R[I_1 t], so for a
@@ -604,9 +616,7 @@ def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
     the least such exponent, or its absence up to the bound
     ``witness_bound``.
     """
-    if a < 1:
-        raise ValueError("truncation bound must be at least 1")
-    trunc = F if F.truncation_bound == a else F.truncate(a)
+    trunc = F.truncate(a)
     for n in range(1, a + 1):
         _validate_spread_input(trunc.materialize(n))
     I1 = trunc.materialize(1)
@@ -695,7 +705,9 @@ def finite_generation_probe(
     degrees <= a as far as tested); (ii) the truncation spreads with the
     dichotomy flags; (iii) the spreads of the symbolic powers themselves
     with the below-dimension check at the maximal ideal.  The report is
-    a bounded search, never a proof.  The first truncation's spread is
+    a bounded search, never a proof.  Each truncation is built once, for
+    the match check, and handed as it is to ``analytic_spread_truncated``,
+    whose ``truncate(a)`` returns it.  The first truncation's spread is
     ``analytic_spread(I_1)``, so the first symbolic power's spread is a
     memo hit.
     """

@@ -62,3 +62,22 @@ def rees_eliminations(monkeypatch):
         return rings
 
     return record
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` replaces module.<name> by a wrapper
+    and returns the list it appends the arguments of every later call to."""
+
+    def count(module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return count

@@ -34,6 +34,9 @@ conditions are independent.  The Huneke search looks for the
 length condition of Huneke's criterion (Michigan Math. J. 34, 1987)
 among pairs of reduced-basis elements of symbolic powers, each length
 counted as the standard monomials of one Groebner basis.
+
+Two shared builders are not oracles: the prime of a monomial space curve,
+by the library's elimination, and the monomials of one weighted degree.
 """
 
 import itertools
@@ -46,6 +49,8 @@ from spreadlab import (
     Ideal,
     Polynomial,
     RingContext,
+    eliminate,
+    ideal,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -64,6 +69,21 @@ from spreadlab.fatpoints import (
 from spreadlab.filtrations import _insert_row, _shift, _subtract
 from spreadlab.linalg import nullspace_modp, rank_modp, reduce_rows, rref_modp, span_rows
 from spreadlab.ring import _tokenize, mono_divides, mono_wdeg, weighted_degree
+
+
+def monomial_curve_prime(weights, p=32003):
+    """The prime of the curve (t^a, t^b, t^c) for weights (a, b, c), in
+    x, y, z of those weights, eliminated from k[t, x, y, z]."""
+    ctx = RingContext(p, ("t", "x", "y", "z"), weights=(1,) + tuple(weights))
+    return eliminate(ideal(ctx, *(f"{v} - t^{e}" for v, e in zip("xyz", weights))), ["t"])
+
+
+def weighted_monomials(d, weights):
+    """Exponent tuples of weighted degree d, in itertools.product order."""
+    return [
+        m for m in itertools.product(*(range(d // w + 1) for w in weights))
+        if sum(a * w for a, w in zip(m, weights)) == d
+    ]
 
 
 def mono_div(a, b):

@@ -281,7 +281,7 @@ def test_first_truncation_shares_the_spread_of_its_ideal(monkeypatch, curve_file
 
     monkeypatch.setattr(filtrations, "rees_presentation", counting)
     _session.cache_clear()
-    filtrations._spread.cache_clear()
+    filtrations.analytic_spread.cache_clear()
     code, trunc = run_cli(["ell-trunc", "-f", curve_file, "-F", "S", "-a", "1"], capsys)
     assert code == 0 and (trunc["ell"], trunc["witness_e"], trunc["witness_bound"]) == (3, 1, 3)
     code, ell = run_cli(["ell", "-f", curve_file, "-i", "p"], capsys)

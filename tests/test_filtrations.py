@@ -12,6 +12,7 @@ from oracles import (
     greedy_generator_walk,
     homogeneous_under,
     huneke_pair,
+    monomial_curve_prime,
     naive_buchberger,
     rees_weights,
     subs,
@@ -60,6 +61,14 @@ def test_truncation_at_one_gives_powers(ctx3):
         assert trunc.materialize(n) == ideal_power(base, n)
 
 
+def test_truncation_of_a_truncation_at_its_bound_is_itself(curve_symbolic):
+    T = curve_symbolic.truncate(2)
+    assert T.truncate(2) is T
+    # another bound builds a new truncation from T's members
+    T3 = T.truncate(3)
+    assert T3 is not T and T3.truncation_bound == 3
+
+
 def test_truncation_partition_sum(curve_symbolic):
     # I_{2,3} = I_1 I_2 as ideals: the cube of I_1 is absorbed
     trunc = curve_symbolic.truncate(2)
@@ -75,7 +84,7 @@ def _filtration(name):
         return Filtration.adic(ideal(ctx, "x^2", "x*y", "y^3 - z^3"))
     if name == "trivial_max":
         return Filtration.trivial_max(ctx)
-    return Filtration.symbolic(_curve_prime(name))
+    return Filtration.symbolic(monomial_curve_prime(name))
 
 
 @pytest.mark.parametrize("name", [(3, 4, 5), (3, 4, 7), "adic", "trivial_max"])
@@ -92,6 +101,10 @@ def test_truncation_matches_partition_sum(name):
 def test_truncation_bound_validated(curve_symbolic):
     with pytest.raises(ValueError):
         curve_symbolic.truncate(0)
+    # the truncated spread refuses a < 1 through truncate, on a truncation too
+    for F in (curve_symbolic, curve_symbolic.truncate(1)):
+        with pytest.raises(ValueError, match="truncation bound must be at least 1"):
+            analytic_spread_truncated(F, 0)
 
 
 def test_filtration_refuses_kind_and_data(ctx3):
@@ -249,12 +262,6 @@ def test_rees_dimension_is_dim_plus_one(ctx3, curve_prime):
     assert krull_dim(pres.rees_kernel) == 4
 
 
-def _curve_prime(weights, p=32003):
-    ctx = RingContext(p, ("t", "x", "y", "z"), weights=(1,) + weights)
-    param = [f"{v} - t^{e}" for v, e in zip("xyz", weights)]
-    return ideals.eliminate(ideal(ctx, *param), ["t"])
-
-
 def _record_basis_rings(monkeypatch):
     """The rings of the bases ``ideals`` computes from here on."""
     rings = []
@@ -274,7 +281,7 @@ def test_rees_kernel_keeps_elimination_basis(monkeypatch, curve_symbolic):
     mono6 = ideal(ctx, *(ctx.monomial(m) for m in (
         (0, 4, 0), (1, 0, 3), (1, 2, 1), (2, 0, 2), (2, 1, 1), (3, 0, 1))))
     presentations = [
-        rees_presentation(Filtration.adic(_curve_prime(w)), 1)
+        rees_presentation(Filtration.adic(monomial_curve_prime(w)), 1)
         for w in ((3, 4, 5), (3, 4, 7), (4, 5, 6))
     ]
     presentations.append(rees_presentation(Filtration.adic(mono6), 1))
@@ -351,9 +358,9 @@ def _presentations():
     ctx = RingContext(32003, ("x", "y", "z"))
     mono6 = ideal(ctx, *(ctx.monomial(m) for m in (
         (0, 4, 0), (1, 0, 3), (1, 2, 1), (2, 0, 2), (2, 1, 1), (3, 0, 1))))
-    cases = [(Filtration.adic(_curve_prime(w)), 1) for w in CURVES]
-    cases.append((Filtration.symbolic(_curve_prime((3, 4, 5))), 2))
-    cases.append((Filtration.symbolic(_curve_prime((3, 4, 7))), 2))
+    cases = [(Filtration.adic(monomial_curve_prime(w)), 1) for w in CURVES]
+    cases.append((Filtration.symbolic(monomial_curve_prime((3, 4, 5))), 2))
+    cases.append((Filtration.symbolic(monomial_curve_prime((3, 4, 7))), 2))
     cases.append((Filtration.adic(mono6), 1))
     cases.append((Filtration.adic(ideal(ctx, "x^2 + y", "y*z - z^3", "x*z")), 1))
     return [(F, a, rees_presentation(F, a)) for F, a in cases]
@@ -386,7 +393,7 @@ def test_chosen_generators_are_the_greedy_walk():
     # the walk keeps a generator that the two before it in weighted
     # degree would produce, so these curves keep three fiber variables
     for w in ((3, 4, 7), (3, 5, 8), (4, 6, 7)):
-        pres = rees_presentation(Filtration.adic(_curve_prime(w)), 1)
+        pres = rees_presentation(Filtration.adic(monomial_curve_prime(w)), 1)
         assert len(pres.generators) == 3
 
 
@@ -394,16 +401,16 @@ def _walk_cases():
     """(filtration, a, kept per level) for walks that reject candidates."""
     ctx = RingContext(32003, ("x", "y", "z"))
     inhomogeneous = ideal(ctx, "x^2 + y", "y*z - z^3", "x*z")
-    sym = {w: Filtration.symbolic(_curve_prime(w)) for w in ((3, 4, 7), (4, 5, 7))}
+    sym = {w: Filtration.symbolic(monomial_curve_prime(w)) for w in ((3, 4, 7), (4, 5, 7))}
     return [
         # one of the prime's four basis elements is generated by the others
-        (Filtration.adic(_curve_prime((3, 5, 8))), 1, [3]),
+        (Filtration.adic(monomial_curve_prime((3, 5, 8))), 1, [3]),
         # lower products reject whole levels
         (sym[(3, 4, 7)].truncate(2), 2, [3, 0]),
         (sym[(3, 4, 7)].truncate(3), 3, [3, 0, 0]),
         (sym[(4, 5, 7)].truncate(3), 3, [3, 1, 1]),
         (Filtration.adic(inhomogeneous), 1, [len(inhomogeneous.gb.basis)]),
-        (Filtration.symbolic(_curve_prime((3, 4, 5), p=2**61 - 1)).truncate(2), 2, [3, 1]),
+        (Filtration.symbolic(monomial_curve_prime((3, 4, 5), p=2**61 - 1)).truncate(2), 2, [3, 1]),
     ]
 
 
@@ -477,11 +484,11 @@ def test_substitution_images_beside_a_base_variable_named_t():
 
 def test_paper_scale_symbolic_cube_and_truncation():
     # ell of the third symbolic power of the (3, 4, 5) prime
-    P = _curve_prime((3, 4, 5))
+    P = monomial_curve_prime((3, 4, 5))
     report = analytic_spread(symbolic_power(P, 3))
     assert report.ell == 3 and len(report.presentation.generators) == 6
     # the (4, 5, 7) symbolic algebra truncated at a = 3
-    report = analytic_spread_truncated(Filtration.symbolic(_curve_prime((4, 5, 7))), 3)
+    report = analytic_spread_truncated(Filtration.symbolic(monomial_curve_prime((4, 5, 7))), 3)
     assert report.ell == 2 and report.witness_exponent == 3
     assert len(report.presentation.generators) == 5
 
@@ -500,7 +507,7 @@ def test_huneke_pair_bounds_the_spreads(weights):
     symbolic algebra Noetherian (Huneke, Michigan Math. J. 34, 1987),
     and then p^(kl) and the truncation of the symbolic filtration at
     kl have analytic spread at most 2."""
-    P = _curve_prime(weights)
+    P = monomial_curve_prime(weights)
     assert colength(ideal(P.ctx, *P.gens, "x")) == weights[0]
     k, l, _, _ = huneke_pair(P, "x")
     assert (k, l) == HUNEKE_PAIRS[weights]
@@ -541,6 +548,21 @@ def test_spread_rejects_inhomogeneous(ctx3):
         analytic_spread(ideal(ctx3, "x + y^2"))
 
 
+def test_spread_validates_the_ideal_not_its_generators(ctx3):
+    # (x + y^2, y^2) = (x, y^2) is homogeneous though one generator is
+    # not: it is answered whichever generators the memo saw first
+    mixed, graded = ideal(ctx3, "x + y^2", "y^2"), ideal(ctx3, "x", "y^2")
+    for first, second in ((mixed, graded), (graded, mixed)):
+        filtrations.analytic_spread.cache_clear()
+        rep = analytic_spread(first)
+        assert analytic_spread(second) is rep
+        assert (rep.ell, rep.ht, rep.bounds) == (2, 2, (2, 2))
+    # a refusal is not memoized
+    for _ in range(2):
+        with pytest.raises(HomogeneityError):
+            analytic_spread(ideal(ctx3, "x + y^2"))
+
+
 def test_spread_zero_ideal(ctx3):
     rep = analytic_spread(ideal(ctx3, []))
     assert rep.ell == 0 and rep.bounds_ok
@@ -572,19 +594,6 @@ def test_trivial_max_truncations_have_full_spread(ctx3):
         assert rep.witness_exponent == 1
 
 
-def _count_calls(monkeypatch, name):
-    """The arguments of every later call of filtrations.<name>."""
-    calls = []
-    fn = getattr(filtrations, name)
-
-    def counting(*args):
-        calls.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(filtrations, name, counting)
-    return calls
-
-
 # curve truncations whose kept generators all lie in degree 1
 DEGREE_ONE_TRUNCATIONS = [(w, 1) for w in CURVES] + [
     (w, a) for a in (2, 3) for w in ((3, 4, 7), (3, 5, 8), (4, 5, 6), (4, 6, 7))
@@ -593,8 +602,8 @@ DEGREE_ONE_TRUNCATIONS = [(w, 1) for w in CURVES] + [
 
 @pytest.mark.parametrize("weights, a", DEGREE_ONE_TRUNCATIONS)
 def test_truncation_presented_by_I1_has_its_spread(monkeypatch, rees_eliminations, weights, a):
-    filtrations._spread.cache_clear()
-    F = Filtration.symbolic(_curve_prime(weights))
+    filtrations.analytic_spread.cache_clear()
+    F = Filtration.symbolic(monomial_curve_prime(weights))
     rings = rees_eliminations()
     rep = analytic_spread_truncated(F, a)
     # past a = 1 no Rees ring is eliminated: the bounds (2, 2) of the four
@@ -633,9 +642,9 @@ def test_truncated_spread_rejects_an_inhomogeneous_higher_member(ctx3):
     assert analytic_spread_truncated(F, 1).ell == 2
 
 
-def test_truncation_with_a_degree_two_generator_searches_for_its_witness(monkeypatch):
-    spreads = _count_calls(monkeypatch, "analytic_spread")
-    rep = analytic_spread_truncated(Filtration.symbolic(_curve_prime((3, 4, 5))), 2)
+def test_truncation_with_a_degree_two_generator_searches_for_its_witness(count_calls):
+    spreads = count_calls(filtrations, "analytic_spread")
+    rep = analytic_spread_truncated(Filtration.symbolic(monomial_curve_prime((3, 4, 5))), 2)
     assert [n for _, n, _ in rep.presentation.generators] == [1, 1, 1, 2]
     # ell(I_1) = 3 misses the truncation's 2; ell(I_2) meets it
     assert (rep.ell, rep.witness_exponent, len(spreads)) == (2, 2, 2)
@@ -643,8 +652,33 @@ def test_truncation_with_a_degree_two_generator_searches_for_its_witness(monkeyp
 
 @pytest.mark.parametrize("weights", [(3, 4, 5), (3, 4, 7)])
 def test_probe_first_symbolic_spread_is_that_of_I(weights):
-    report = finite_generation_probe(_curve_prime(weights), a_max=1, n_max=2)
-    assert report["symbolic_power_spreads"] == {1: analytic_spread(_curve_prime(weights)).ell}
+    report = finite_generation_probe(monomial_curve_prime(weights), a_max=1, n_max=2)
+    assert report["symbolic_power_spreads"] == {1: analytic_spread(monomial_curve_prime(weights)).ell}
+
+
+# ell(p^(n)) for n = 1, 2, 3, then (ell, witness exponent) of the truncations
+# at a = 2, 3, over F_32003; the (5, 6, 7) cube and its a = 3 truncation take
+# minutes and are left out
+PAPER_SCALE_SPREADS = {
+    (3, 4, 5): ((3, 2, 3), ((2, 2), (2, 2))),
+    (3, 4, 7): ((2, 2, 2), ((2, 1), (2, 1))),
+    (3, 5, 7): ((3, 2, 3), ((2, 2), (2, 2))),
+    (3, 5, 8): ((2, 2, 2), ((2, 1), (2, 1))),
+    (4, 5, 6): ((2, 2, 2), ((2, 1), (2, 1))),
+    (4, 6, 7): ((2, 2, 2), ((2, 1), (2, 1))),
+    (5, 6, 7): ((3, 2), ((2, 2),)),
+    (4, 5, 7): ((3, 3, 2), ((3, 1), (2, 3))),
+}
+
+
+@pytest.mark.parametrize("weights", PAPER_SCALE_SPREADS)
+def test_paper_scale_spreads_of_curve_primes(weights):
+    powers, truncations = PAPER_SCALE_SPREADS[weights]
+    F = Filtration.symbolic(monomial_curve_prime(weights))
+    got = tuple(analytic_spread(F.materialize(n)).ell for n in range(1, len(powers) + 1))
+    assert got == powers
+    reports = [analytic_spread_truncated(F, a) for a in range(2, len(truncations) + 2)]
+    assert tuple((rep.ell, rep.witness_exponent) for rep in reports) == truncations
 
 
 # --- equimultiplicity --------------------------------------------------------------

@@ -20,7 +20,12 @@ import pytest
 
 import spreadlab.filtrations as filtrations
 import spreadlab.ideals as ideals
-from oracles import exponent_rank, reduction_certificate_reference, residues_modulo_m_square
+from oracles import (
+    exponent_rank,
+    reduction_certificate_reference,
+    residues_modulo_m_square,
+    weighted_monomials,
+)
 from spreadlab import RingContext, analytic_spread, ideal
 from spreadlab.filtrations import _reduction_shortcut, _residues_modulo_m
 from spreadlab.ring import mono_wdeg, weighted_degree
@@ -38,16 +43,9 @@ MONO6 = (
 )
 
 
-def _weighted_monomials(d, weights):
-    return [
-        m for m in itertools.product(*(range(d // w + 1) for w in weights))
-        if sum(a * w for a, w in zip(m, weights)) == d
-    ]
-
-
 def _form(rng, ctx, d, terms):
     """A form of weighted degree d with up to ``terms`` random terms."""
-    monos = _weighted_monomials(d, ctx.weights)
+    monos = weighted_monomials(d, ctx.weights)
     f = ctx.zero()
     for m in rng.sample(monos, min(len(monos), terms)):
         f = f + ctx.monomial(m, rng.randrange(1, ctx.p))
@@ -149,7 +147,7 @@ def test_failed_scan_runs_no_groebner_basis(monkeypatch):
 
 def _dense_form(rng, ctx, d):
     """A form of weighted degree d with every monomial of that degree."""
-    return _form(rng, ctx, d, len(_weighted_monomials(d, ctx.weights)))
+    return _form(rng, ctx, d, len(weighted_monomials(d, ctx.weights)))
 
 
 def _subsets(ngens, nvars):
@@ -258,27 +256,45 @@ def test_dense_weighted_instance_forms_only_products_over_S(monkeypatch):
 # --- spread memo -------------------------------------------------------------------
 
 def test_spread_memo_is_bounded_lru(monkeypatch):
-    assert filtrations._spread.cache_info().maxsize == 1024
-    memo = functools.lru_cache(maxsize=3)(filtrations._spread.__wrapped__)
-    monkeypatch.setattr(filtrations, "_spread", memo)
+    assert filtrations.analytic_spread.cache_info().maxsize == 1024
+    memo = functools.lru_cache(maxsize=3)(filtrations.analytic_spread.__wrapped__)
+    monkeypatch.setattr(filtrations, "analytic_spread", memo)
     ctx = RingContext(32003, ("x", "y", "z"))
     ideals_asked = [ideal(ctx, f"x^{k}", f"y^{k}") for k in range(1, 7)]
     reports = []
     for I in ideals_asked:
-        reports.append(analytic_spread(I))
+        reports.append(filtrations.analytic_spread(I))
         assert memo.cache_info().currsize <= 3
     assert memo.cache_info()[:2] == (0, 6)
     # a hit returns the same report and makes its ideal the newest entry
-    assert analytic_spread(ideal(ctx, "y^4", "x^4")) is reports[3]
+    assert filtrations.analytic_spread(ideal(ctx, "y^4", "x^4")) is reports[3]
     # the oldest entries went first: the first ideal is asked again
-    reports[0] = analytic_spread(ideals_asked[0])
+    reports[0] = filtrations.analytic_spread(ideals_asked[0])
     assert memo.cache_info()[:2] == (1, 7)
     # the refreshed entry outlived the fifth ideal's, which was the oldest
     for k in (5, 3, 0):
-        assert analytic_spread(ideals_asked[k]) is reports[k]
+        assert filtrations.analytic_spread(ideals_asked[k]) is reports[k]
     assert memo.cache_info()[:2] == (4, 7)
-    analytic_spread(ideals_asked[4])
+    filtrations.analytic_spread(ideals_asked[4])
     assert memo.cache_info()[:2] == (4, 8)
+
+
+def test_a_repeated_spread_is_one_lookup(count_calls):
+    ctx = RingContext(32003, ("x", "y", "z"))
+    filtrations.analytic_spread.cache_clear()
+    validated = count_calls(filtrations, "_validate_spread_input")
+    rep = analytic_spread(ideal(ctx, "x^2", "x*y", "y^2", "z^3"))
+    # the same ideal from other generators is the same question
+    assert analytic_spread(ideal(ctx, "z^3", "y^2 + x*y", "x*y", "x^2")) is rep
+    assert len(validated) == 1
+    assert filtrations.analytic_spread.cache_info()[:2] == (1, 1)
+
+
+def test_the_zero_ideal_has_one_report():
+    ctx = RingContext(32003, ("x", "y", "z"))
+    rep = analytic_spread(ideal(ctx, []))
+    assert analytic_spread(ideal(ctx, [])) is rep
+    assert rep.notes == ("zero ideal: fiber is the residue field",)
 
 
 def test_spread_memo_under_threads(monkeypatch):
@@ -289,15 +305,15 @@ def test_spread_memo_under_threads(monkeypatch):
         ideal(ctx, "y^2 - x*z", "x*y - z^2"), ideal(ctx, "x^3", "y^3", "z^3", "x*y*z"),
         ideal(ctx, "x*y", "y*z", "x*z"),
     ]
-    alone = [filtrations._spread.__wrapped__(I).ell for I in asked]
+    alone = [filtrations.analytic_spread.__wrapped__(I).ell for I in asked]
     # a cap below the 8 ideals makes the threads evict each other's entries
-    memo = functools.lru_cache(maxsize=4)(filtrations._spread.__wrapped__)
-    monkeypatch.setattr(filtrations, "_spread", memo)
+    memo = functools.lru_cache(maxsize=4)(filtrations.analytic_spread.__wrapped__)
+    monkeypatch.setattr(filtrations, "analytic_spread", memo)
     seen, sizes = {}, []
 
     def ask(k):
         for i in [*range(k, len(asked)), *range(k)]:      # each thread starts elsewhere
-            seen[k, i] = analytic_spread(asked[i]).ell
+            seen[k, i] = filtrations.analytic_spread(asked[i]).ell
             sizes.append(memo.cache_info().currsize)
 
     workers = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
@@ -338,7 +354,7 @@ def test_equigenerated_monomial_spread_is_exponent_rank(nvars):
             support = [tuple(2 * e for e in unit[i]) for i in chosen]
             support += [tuple(a + b for a, b in zip(unit[i], unit[j])) for i, j in pairs]
         else:
-            monos = _weighted_monomials(rng.randrange(2, 4), ctx.weights)
+            monos = weighted_monomials(rng.randrange(2, 4), ctx.weights)
             support = rng.sample(monos, min(len(monos), rng.randrange(2, nvars + 3)))
         rep = analytic_spread(ideal(ctx, [ctx.monomial(m) for m in support]))
         assert rep.ell == exponent_rank(support)

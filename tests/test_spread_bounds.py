@@ -1,14 +1,13 @@
 """The bounds L <= ell <= U that settle an analytic spread, and the lazy
 Rees kernel they spare.
 
-``filtrations._spread`` takes L = max(ht I, the Jacobian rank of the
-initial forms of I's generators of least weighted order) and
+``filtrations.analytic_spread`` takes L = max(ht I, the Jacobian rank
+of the initial forms of I's generators of least weighted order) and
 U = min(nvars, mu(I), the size of a certified reduction).  When L == U
 the report's ell is L and the presentation's kernels are never computed.
 Every bound is checked here against ell from the forced fiber kernel.
 """
 
-import itertools
 import random
 import threading
 
@@ -16,14 +15,19 @@ import pytest
 
 import spreadlab.filtrations as filtrations
 import spreadlab.ideals as ideals
-from oracles import rees_relations, rees_weights, tvar_names
+from oracles import (
+    monomial_curve_prime,
+    rees_relations,
+    rees_weights,
+    tvar_names,
+    weighted_monomials,
+)
 from spreadlab import (
     Filtration,
     MonomialOrder,
     RingContext,
     analytic_spread,
     analytic_spread_truncated,
-    eliminate,
     ideal,
     krull_dim,
     rees_presentation,
@@ -33,20 +37,12 @@ from spreadlab import (
 MERSENNE = 2**61 - 1
 
 
-def _curve_prime(weights, p=32003):
-    ctx = RingContext(p, ("t", "x", "y", "z"), weights=(1,) + weights)
-    return eliminate(ideal(ctx, *(f"{v} - t^{e}" for v, e in zip("xyz", weights))), ["t"])
-
-
 def _random_ideal(rng, ctx):
     """Two to five forms of weighted degree 2 or 3 with one to three terms."""
     gens = []
     for _ in range(rng.randrange(2, 6)):
         d = rng.randrange(2, 4)
-        monos = [
-            m for m in itertools.product(*(range(d // w + 1) for w in ctx.weights))
-            if sum(a * w for a, w in zip(m, ctx.weights)) == d
-        ]
+        monos = weighted_monomials(d, ctx.weights)
         f = ctx.zero()
         for m in rng.sample(monos, min(len(monos), rng.randrange(1, 4))):
             f = f + ctx.monomial(m, rng.randrange(1, ctx.p))
@@ -74,9 +70,9 @@ def test_bounds_hold_and_settled_spreads_match_the_fiber_kernel(p):
 
 
 def test_paper_scale_cubes_settle_with_no_rees_elimination(rees_eliminations):
-    cube = symbolic_power(_curve_prime((3, 5, 7)), 3)
-    square = symbolic_power(_curve_prime((4, 5, 7)), 2)
-    filtrations._spread.cache_clear()
+    cube = symbolic_power(monomial_curve_prime((3, 5, 7)), 3)
+    square = symbolic_power(monomial_curve_prime((4, 5, 7)), 2)
+    filtrations.analytic_spread.cache_clear()
     rings = rees_eliminations()
     for I in (cube, square):
         rep = analytic_spread(I)
@@ -86,8 +82,8 @@ def test_paper_scale_cubes_settle_with_no_rees_elimination(rees_eliminations):
 
 def test_the_567_prime_declines_and_keeps_the_rees_path(rees_eliminations):
     # the Jacobian rank of its initial forms is 2 < mu = 3
-    P = _curve_prime((5, 6, 7))
-    filtrations._spread.cache_clear()
+    P = monomial_curve_prime((5, 6, 7))
+    filtrations.analytic_spread.cache_clear()
     rings = rees_eliminations()
     rep = analytic_spread(P)
     assert (rep.ell, rep.ht, rep.bounds) == (3, 2, (2, 3))
@@ -97,8 +93,8 @@ def test_the_567_prime_declines_and_keeps_the_rees_path(rees_eliminations):
 def test_a_settled_spread_at_the_mersenne_prime(monkeypatch, rees_eliminations):
     # ht = 2, but the initial forms y^2 - x*z, y*z, z^2 under w = (1, 1, 1)
     # have a Jacobian of rank 3 = mu
-    P = _curve_prime((3, 4, 5), p=MERSENNE)
-    filtrations._spread.cache_clear()
+    P = monomial_curve_prime((3, 4, 5), p=MERSENNE)
+    filtrations.analytic_spread.cache_clear()
     rings = rees_eliminations()
     rep = analytic_spread(P)
     assert (rep.ell, rep.ht, rep.bounds) == (3, 2, (3, 3))
@@ -112,7 +108,7 @@ def test_the_ring_weights_settle_an_ideal_generated_in_one_weighted_degree(rees_
     # gives rank 1; under the ring's weights all three generators have
     # degree 3 and their Jacobian has rank 3 = mu > ht = 2
     ctx = RingContext(32003, ("x", "y", "z"), weights=(1, 2, 3))
-    filtrations._spread.cache_clear()
+    filtrations.analytic_spread.cache_clear()
     rings = rees_eliminations()
     rep = analytic_spread(ideal(ctx, "x^3", "x*y", "z"))
     assert (rep.ell, rep.ht, rep.bounds) == (3, 2, (3, 3))
@@ -129,9 +125,9 @@ def test_truncations_carry_bounds_only_through_the_first_member(curve_symbolic):
 def test_lazy_rees_kernel_equals_an_eager_elimination():
     ctx = RingContext(32003, ("x", "y", "z"))
     for F, a in (
-        (Filtration.adic(_curve_prime((3, 4, 7))), 1),
+        (Filtration.adic(monomial_curve_prime((3, 4, 7))), 1),
         (Filtration.adic(ideal(ctx, "x^2", "x*y", "y^3 - z^3")), 1),
-        (Filtration.symbolic(_curve_prime((3, 4, 5))).truncate(2), 2),
+        (Filtration.symbolic(monomial_curve_prime((3, 4, 5))).truncate(2), 2),
     ):
         pres = rees_presentation(F, a)
         base, relations = pres.base_ctx, rees_relations(pres)
@@ -145,8 +141,8 @@ def test_lazy_rees_kernel_equals_an_eager_elimination():
 
 
 def test_a_settled_spread_builds_no_rees_ring(monkeypatch, rees_eliminations):
-    P = _curve_prime((3, 4, 7))
-    filtrations._spread.cache_clear()
+    P = monomial_curve_prime((3, 4, 7))
+    filtrations.analytic_spread.cache_clear()
     built = []
     make = filtrations.RingContext
 
@@ -174,7 +170,7 @@ def test_threads_reading_a_settled_kernel_get_one_object(rees_eliminations):
     # before it starts, so every thread reads while the first one runs
     ctx = RingContext(32003, ("x", "y", "z"))
     I = ideal(ctx, "y^4", "x*z^3", "x*y^2*z", "x^2*z^2", "x^2*y*z", "x^3*z")
-    filtrations._spread.cache_clear()
+    filtrations.analytic_spread.cache_clear()
     rings = rees_eliminations(pause=0.05)
     rep = analytic_spread(I)
     assert rep.bounds == (3, 3) and rings == []

@@ -18,14 +18,13 @@ import random
 import pytest
 
 import spreadlab.ideals as ideals
-from oracles import saturation_index_by_colon
+from oracles import monomial_curve_prime, saturation_index_by_colon, weighted_monomials
 from spreadlab import GroebnerBasis, MonomialOrder, RingContext, ideal
 from spreadlab.filtrations import symbolic_power
 from spreadlab.ideals import (
     _certifies_saturation,
     _reorder,
     _saturate_variable,
-    eliminate,
     ideal_power,
     ideal_product,
     maximal_ideal,
@@ -37,12 +36,6 @@ from spreadlab.ring import HomogeneityError
 
 # the space curves (t^a, t^b, t^c) of the benchmark's spread-rees stream
 CURVES = ((3, 4, 5), (3, 4, 7), (3, 5, 7), (3, 5, 8), (4, 5, 6), (4, 6, 7), (5, 6, 7), (4, 5, 7))
-
-
-def curve_prime(weights, p=32003):
-    ctx = RingContext(p, ("t", "x", "y", "z"), weights=(1,) + weights)
-    param = [f"{v} - t^{e}" for v, e in zip("xyz", weights)]
-    return eliminate(ideal(ctx, *param), ["t"])
 
 
 def assert_saturation_matches_oracles(A):
@@ -76,7 +69,7 @@ def assert_matches_oracles(I, n):
 @pytest.mark.parametrize("weights", CURVES)
 @pytest.mark.parametrize("n", (2, 3))
 def test_curve_symbolic_powers_match_oracles(weights, n):
-    P = curve_prime(weights)
+    P = monomial_curve_prime(weights)
     S = assert_matches_oracles(P, n)
     assert S.contains_ideal(ideal_power(P, n))
     # no variable lies in the prime and m is the only other possible
@@ -84,19 +77,12 @@ def test_curve_symbolic_powers_match_oracles(weights, n):
     assert certified_pieces(ideal_power(P, n), S) == [0, 1, 2]
 
 
-def _weighted_monomials(d, weights):
-    return [
-        m for m in itertools.product(*(range(d // w + 1) for w in weights))
-        if sum(a * w for a, w in zip(m, weights)) == d
-    ]
-
-
 def _random_homogeneous_ideal(rng, ctx):
     """Two or three sparse forms of weighted degree 2 to 4."""
     gens = []
     for _ in range(rng.choice((2, 3))):
         while True:
-            monos = _weighted_monomials(rng.randrange(2, 5), ctx.weights)
+            monos = weighted_monomials(rng.randrange(2, 5), ctx.weights)
             if monos:
                 break
         support = rng.sample(monos, min(len(monos), rng.randrange(1, 4)))
@@ -153,7 +139,7 @@ def _random_recipe_ideal(rng, ctx):
     gens = []
     for _ in range(rng.randrange(2, ctx.nvars + 2)):
         while True:
-            monos = _weighted_monomials(rng.randrange(2, 5), ctx.weights)
+            monos = weighted_monomials(rng.randrange(2, 5), ctx.weights)
             if monos:
                 break
         f = ctx.zero()
@@ -188,18 +174,6 @@ def test_seeded_saturations_and_indices_match_oracles(order, p):
     assert max(indices) >= 3 and min(indices) == 0
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    real = getattr(ideals, name)
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(ideals, name, counting)
-    return calls
-
-
 def _refuse(monkeypatch, name, why):
     def refuse(*args):
         raise AssertionError(why)
@@ -207,14 +181,14 @@ def _refuse(monkeypatch, name, why):
     monkeypatch.setattr(ideals, name, refuse)
 
 
-def test_prime_needs_no_intersection(monkeypatch, curve_prime):
+def test_prime_needs_no_intersection(monkeypatch, curve_prime, count_calls):
     # p^2 has no associated prime but p and m, and x is not in p, so the
     # first piece p^2 : x^inf is the saturation and is certified: one
     # saturation-order basis, no containment check, no intersection
     power = ideal_power(curve_prime, 2)
-    calls = _count_calls(monkeypatch, "intersect")
-    bases = _count_calls(monkeypatch, "_saturate_variable")
-    containments = _count_calls(monkeypatch, "_basis_contains")
+    calls = count_calls(ideals, "intersect")
+    bases = count_calls(ideals, "_saturate_variable")
+    containments = count_calls(ideals, "_basis_contains")
     got = saturate(power, maximal_ideal(curve_prime.ctx))[0]
     assert calls == [] and len(bases) == 1 and containments == []
     assert symbolic_power(curve_prime, 2) == got
@@ -226,7 +200,7 @@ def test_prime_needs_no_intersection(monkeypatch, curve_prime):
 def test_symbolic_power_computes_no_index(monkeypatch):
     # both powers are certified at x_0, so no normal form is read: the
     # index rule of saturate is the only reader on this route
-    cases = [(curve_prime((4, 5, 7)), 2), (curve_prime((3, 4, 5)), 3)]
+    cases = [(monomial_curve_prime((4, 5, 7)), 2), (monomial_curve_prime((3, 4, 5)), 3)]
     calls = []
     real = GroebnerBasis.normal_form
 
@@ -243,7 +217,7 @@ def test_symbolic_power_computes_no_index(monkeypatch):
         assert S == saturate(power, m)[0] == saturate_by_elimination(power, m)
 
 
-def test_piece_certified_only_at_the_last_variable(monkeypatch):
+def test_piece_certified_only_at_the_last_variable(monkeypatch, count_calls):
     # the pieces for x, y and z strictly contain the saturation, which is
     # the piece for w; generators and index as the intersection of
     # minimal pieces gave them
@@ -251,7 +225,7 @@ def test_piece_certified_only_at_the_last_variable(monkeypatch):
     ctx = RingContext(101, ("x", "y", "z", "w"), MonomialOrder.weighted_grevlex(weights), weights)
     A = ideal(ctx, "14*z^2", "-8*x^3 + 14*x*z^2 + 45*z^3", "-28*x^2 + 4*x*z + 39*z^2",
               "-8*x^2*z^2 - 34*z*w", "-22*y^4")
-    bases = _count_calls(monkeypatch, "_saturate_variable")
+    bases = count_calls(ideals, "_saturate_variable")
     sat, index = saturate(A, maximal_ideal(ctx))
     assert len(bases) == 4
     assert [str(g) for g in sat.gens] == ["z^2", "x^2 - 29*x*z", "z", "y^4"]
@@ -261,7 +235,7 @@ def test_piece_certified_only_at_the_last_variable(monkeypatch):
     assert (sat, index) == assert_saturation_matches_oracles(A)
 
 
-def test_no_containment_check_before_a_certified_piece(monkeypatch):
+def test_no_containment_check_before_a_certified_piece(monkeypatch, count_calls):
     # a draw of test_seeded_saturations_and_indices_match_oracles (grevlex,
     # p = 32003) whose pieces for x and y are not certified: their
     # containment check is moot once a later piece is
@@ -270,8 +244,8 @@ def test_no_containment_check_before_a_certified_piece(monkeypatch):
     A = ideal(ctx, "9560*y^3 - 5321*y*z^2 + 15712*x", "6929*y^3 + 4454*y*z^2",
               "-310*y^2*w + 9485*z^2*w + 2040*z*w^2", "6931*y*z - 4979*z*w + 1897*w^2",
               "-2381*y^2 + 13879*y*w - 5276*z*w")
-    containments = _count_calls(monkeypatch, "_basis_contains")
-    intersections = _count_calls(monkeypatch, "intersect")
+    containments = count_calls(ideals, "_basis_contains")
+    intersections = count_calls(ideals, "intersect")
     sat, index = saturate(A, maximal_ideal(ctx))
     assert containments == [] and intersections == []
     monkeypatch.undo()
@@ -284,14 +258,14 @@ def _piece(A, i):
     return ideal(A.ctx, [_reorder(f, A.ctx) for f in _saturate_variable(A, i)[1]])
 
 
-def test_only_minimal_pieces_are_intersected(monkeypatch):
+def test_only_minimal_pieces_are_intersected(monkeypatch, count_calls):
     # I^2 : z^inf lies inside I^2 : x^inf, so only the y- and z-pieces meet
     ctx = RingContext(32003, ("x", "y", "z"), weights=(1, 2, 3))
     I = ideal(ctx, "x^6 + 3*x^3*z", "x^4*y + 5*x^2*y^2 - 7*x*y*z")
     power = ideal_power(I, 2)
     pieces = [_piece(power, i) for i in range(3)]
     assert pieces[0].contains_ideal(pieces[2]) and not pieces[2].contains_ideal(pieces[0])
-    calls = _count_calls(monkeypatch, "intersect")
+    calls = count_calls(ideals, "intersect")
     got = saturate(power, maximal_ideal(ctx))[0]
     assert len(calls) == 1
     del calls[:]
