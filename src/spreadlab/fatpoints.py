@@ -20,11 +20,17 @@ C(e_a, j) P_a^(e_a - j) * C(e_b, k) P_b^(e_b - k) * P_c^e_c mod p.
 Each kernel is computed once per scheme.  A scheme and the schemes
 ``with_multiplicities`` derives from it share one table, keyed by
 multiplicities and degree, of the linear-system kernels (basis and
-rank) and of the multiplication-map images (RREF rows and pivots).
-Every array in it is read-only, so one caller cannot change what
-another is handed, and the table holds at most _TABLE_BYTES bytes of
-arrays, least recently used first out; it is freed with the last
-scheme that shares it.
+rank) and of the multiplication-map images.  An image x_k * (degree
+d-1 piece) lies in the degree-d piece, so it is kept in that piece's
+coordinates: its RREF rows and pivots over the free columns of the
+degree-d canonical kernel, with those columns.  The canonical basis is
+the identity on its free columns (each row's free column is its last
+nonzero entry), so v -> v[free] is injective on the piece and keeps
+every rank; the product spans of a containment are reduced in the same
+coordinates.  Every array in the table is read-only, so one caller
+cannot change what another is handed, and the table holds at most
+_TABLE_BYTES bytes of arrays, least recently used first out; it is
+freed with the last scheme that shares it.
 
 Once the conditions are independent, dimensions and surjectivity need
 no elimination.  Write Z for the scheme with multiplicities m_i, A(d)
@@ -50,11 +56,20 @@ characteristic:
 
 The table records, per multiplicity vector, the least d0 that a
 computed kernel showed; no record is ever inferred from a rule.
-``h0``, the piece dimensions of the containment and the census, and
-the target dimension of a multiplication map use rule 1, and a map
-from degree d >= d0 + 2 is reported onto by rule 2 with no image.
-``linear_system`` always eliminates, since its basis is the canonical
-kernel.
+``h0`` and the piece dimensions of the containment and the census use
+rule 1, and a map from degree d >= d0 + 2 is reported onto by rule 2,
+with no image and rule 1's target dimension.  ``linear_system`` always
+eliminates, since its basis is the canonical kernel.
+
+The probe makes rule 2 apply from the first possible degree.  Every
+d0 is at least e = min{e : N(e) >= k}, since k independent rows need
+k columns.  Before a multiplication map builds an image into degree d
+with no recorded d0 <= d - 2, it reads the degree-e kernel if
+e <= d - 2.  If the conditions are independent there, that kernel
+records d0 = e and rule 2 settles d: one k x N(e) elimination in place
+of the source and target kernels and the image.  Otherwise the kernel
+stays in the table, and the image is built; the target kernel it is
+kept in gives the target dimension.
 """
 
 from __future__ import annotations
@@ -65,7 +80,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -211,25 +226,29 @@ def _all_pair_products(rowsa, da: int, rowsb, db: int, p: int) -> np.ndarray:
     """Coefficient vectors of u * v for u in rowsa and then v in rowsb,
     as rows in that order.
 
-    Each row u forms its outer products with a block of rowsb at once
-    (all of it unless that exceeds _PRODUCT_BLOCK entries), reduced mod
-    p, and sums each product monomial's group with one reduceat: a sum
-    of at most min(len(monomial_basis(da)), len(monomial_basis(db)))
+    A block of rows of rowsa forms its outer products with a block of
+    rowsb in one step, the blocks as large as keep that temporary within
+    _PRODUCT_BLOCK entries (a single pair may exceed it), reduced mod p;
+    each product monomial's group is then summed with one reduceat: a
+    sum of at most min(len(monomial_basis(da)), len(monomial_basis(db)))
     residues, so it stays in int64.
     """
     rowsa = np.asarray(rowsa, dtype=np.int64).reshape(-1, len(monomial_basis(da)))
     rowsb = np.asarray(rowsb, dtype=np.int64).reshape(-1, len(monomial_basis(db)))
     order, starts = _product_groups(da, db)
-    nb = rowsb.shape[0]
-    step = max(1, _PRODUCT_BLOCK // order.size)
-    out = np.empty((rowsa.shape[0] * nb, starts.size), dtype=np.int64)
-    for i, u in enumerate(rowsa):
-        for j in range(0, nb, step):
-            block = rowsb[j:j + step]
-            outer = (u[None, :, None] * block[:, None, :] % p).reshape(len(block), order.size)
-            first = i * nb + j
-            out[first:first + len(block)] = np.add.reduceat(outer[:, order], starts, axis=1) % p
-    return out
+    na, nb = rowsa.shape[0], rowsb.shape[0]
+    pairs = max(1, _PRODUCT_BLOCK // order.size)
+    step_b = max(1, min(nb, pairs))
+    step_a = max(1, pairs // step_b)
+    out = np.empty((na, nb, starts.size), dtype=np.int64)
+    for i in range(0, na, step_a):
+        a = rowsa[i:i + step_a]
+        for j in range(0, nb, step_b):
+            b = rowsb[j:j + step_b]
+            outer = (a[:, None, :, None] * b[None, :, None, :] % p).reshape(-1, order.size)
+            sums = np.add.reduceat(outer[:, order], starts, axis=1) % p
+            out[i:i + len(a), j:j + len(b)] = sums.reshape(len(a), len(b), -1)
+    return out.reshape(na * nb, starts.size)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +534,31 @@ def _frame_axes(points, p: int):
     return P, _FRAME_AXES[2 - np.argmax(nonzero[:, ::-1], axis=1)]
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _exponents(d: int) -> np.ndarray:
+    """monomial_basis(d) as a read-only (3, N) array, one row per variable."""
+    e = np.array(monomial_basis(d), dtype=np.int64).T
+    e.flags.writeable = False
+    return e
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _local_tables(m: int, d: int, p: int):
+    """Read-only tables of _condition_matrix for multiplicities up to m
+    in degree d over F_p: C(e, j) mod p and max(e - j, 0) as (m, d + 1)
+    arrays (rows j < m, columns e <= d), and the local exponents j and k
+    of the rows of a point of multiplicity m, by j + k and then by j."""
+    binom = np.array(
+        [[comb(e, j) % p for e in range(d + 1)] for j in range(m)], dtype=np.int64
+    )
+    drop = np.maximum(np.arange(d + 1)[None, :] - np.arange(m)[:, None], 0)
+    j = np.array([j for s in range(m) for j in range(s + 1)], dtype=np.int64)
+    k = np.array([s - j for s in range(m) for j in range(s + 1)], dtype=np.int64)
+    for table in (binom, drop, j, k):
+        table.flags.writeable = False
+    return binom, drop, j, k
+
+
 def _condition_matrix(points, mults, d: int, p: int) -> np.ndarray:
     """Rows imposing vanishing to order mults[i] at points[i] on degree-d
     forms, point after point.
@@ -526,6 +570,8 @@ def _condition_matrix(points, mults, d: int, p: int) -> np.ndarray:
     is C(e_a, j) pt_a^(e_a - j) * C(e_b, k) pt_b^(e_b - k) * pt_c^e_c mod p.
     A point of multiplicity m has one row per (j, k) with j + k < m,
     ordered by j + k and then by j; points of multiplicity 0 have none.
+    The tables that depend only on m, d and p come from
+    :func:`_exponents` and :func:`_local_tables`.
     """
     check_modulus(p)
     kept = [(pt, m) for pt, m in zip(points, mults) if m >= 1]
@@ -539,16 +585,11 @@ def _condition_matrix(points, mults, d: int, p: int) -> np.ndarray:
     powers = np.ones((r, 3, d + 1), dtype=np.int64)     # coords^t, t <= d
     for t in range(1, d + 1):
         powers[:, :, t] = powers[:, :, t - 1] * coords % p
+    binom, drop, j, k = _local_tables(m, d, p)
     # shifted[:, x, j, e] = C(e, j) coords_x^(e - j): the s^j coefficient
     # of (coords_x + s)^e, for the two frame axes x
-    binom = np.array(
-        [[comb(e, j) % p for e in range(d + 1)] for j in range(m)], dtype=np.int64
-    )
-    drop = np.maximum(np.arange(d + 1)[None, :] - np.arange(m)[:, None], 0)
     shifted = binom * powers[:, :2, drop] % p
-    j = np.array([j for s in range(m) for j in range(s + 1)], dtype=np.int64)
-    k = np.array([s - j for s in range(m) for j in range(s + 1)], dtype=np.int64)
-    e = np.array(monomial_basis(d), dtype=np.int64).T[axes]   # (r, 3, N): e_a, e_b, e_c
+    e = _exponents(d)[axes]                             # (r, 3, N): e_a, e_b, e_c
     point = point[:, :, None]
     rows = (
         shifted[point, 0, j[None, :, None], e[:, None, 0, :]]
@@ -613,6 +654,21 @@ def _independent_from(scheme: FatPointScheme) -> Optional[int]:
     return scheme._table.least(scheme.multiplicities)
 
 
+def _condition_count(mults) -> int:
+    """k = sum m_i (m_i + 1) / 2, the number of interpolation conditions."""
+    return sum(mi * (mi + 1) // 2 for mi in mults)
+
+
+def _first_possible_degree(mults) -> int:
+    """The least e with N(e) >= k: below it the k conditions cannot be
+    independent, so it is the first degree whose kernel can show a d0."""
+    k = _condition_count(mults)
+    e = 0
+    while (e + 1) * (e + 2) // 2 < k:
+        e += 1
+    return e
+
+
 def h0(scheme: FatPointScheme, d: int, m=None) -> int:
     """Dimension of the degree-d piece, optionally overriding
     multiplicities: N(d) - k by rule 1 from a recorded d0 on, else the
@@ -620,7 +676,7 @@ def h0(scheme: FatPointScheme, d: int, m=None) -> int:
     s = scheme if m is None else scheme.with_multiplicities(m)
     d0 = _independent_from(s)
     if d0 is not None and d >= d0:
-        return (d + 1) * (d + 2) // 2 - sum(mi * (mi + 1) // 2 for mi in s.multiplicities)
+        return (d + 1) * (d + 2) // 2 - _condition_count(s.multiplicities)
     return linear_system(s, d).h0
 
 
@@ -644,36 +700,59 @@ def mult_map_surjective(scheme: FatPointScheme, d: int, m: int) -> MultMapReport
     return _mult_map(scheme, d, m)[0]
 
 
+# The image x_k * (degree d-1 piece) as RREF rows and pivots over the
+# free columns of the degree-d canonical kernel, which it lies in.
+_Image = namedtuple("_Image", "rows pivots columns")
+
+
+def _free_columns(basis: np.ndarray) -> np.ndarray:
+    """Each row's last nonzero column.  On a canonical kernel these are
+    its free columns and the basis is the identity there, so v -> v[free]
+    is injective on the kernel's span."""
+    return basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
+
+
 def _mult_map(scheme: FatPointScheme, d: int, m: int):
-    """The report of mult_map_surjective, with the RREF rows and pivots of
-    the image x_k * (degree d-1 piece), for callers that reduce against it;
-    the image is computed once per scheme.
+    """The report of mult_map_surjective, with the image x_k * (degree
+    d-1 piece) as an _Image, for callers that reduce against it; the
+    image is computed once per scheme.
 
     From degree d0 + 2 on (module docstring, rule 2) the map is onto and
-    no image is built: the rows and pivots are None.  Otherwise the
-    image comes first, since its degree-(d-1) kernel may show the
-    conditions independent and so give the target's h0 by rule 1.
+    no image is built: the image is None.  With no such d0 recorded, the
+    probe of the module docstring first reads the kernel of degree
+    :func:`_first_possible_degree`, which may record one.  A map rule 2
+    leaves open reads the degree-d canonical kernel: it gives the
+    target's h0, and the image, which it holds, is projected to its free
+    columns before it is row-reduced.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
     s = scheme.with_multiplicities(m)
     d0 = _independent_from(s)
+    if d0 is None or d0 > d - 2:
+        e = _first_possible_degree(s.multiplicities)
+        if e <= d - 2:
+            linear_system(s, e)                 # the probe: it may record d0 = e
+            d0 = _independent_from(s)
     if d0 is not None and d >= d0 + 2:
         target_dim = h0(s, d)
-        return MultMapReport(True, target_dim, target_dim), None, None
+        return MultMapReport(True, target_dim, target_dim), None
+
+    target = linear_system(s, d)
 
     def image_rref():
-        image = _variable_multiples(linear_system(s, d - 1).basis, d - 1, s.p)
-        return rref_modp(image, s.p) if image.size else (image, ())
+        columns = _free_columns(target.basis)
+        image = _variable_multiples(linear_system(s, d - 1).basis, d - 1, s.p)[:, columns]
+        rows, pivots = rref_modp(image, s.p) if image.size else (image[:0], ())
+        return _Image(rows, pivots, columns)
 
-    image, pivots = s._table.lookup(("image", s.multiplicities, d), image_rref)
-    target_dim = h0(s, d)
+    image = s._table.lookup(("image", s.multiplicities, d), image_rref)
     report = MultMapReport(
-        surjective=(image.shape[0] == target_dim),
-        image_dim=image.shape[0],
-        target_dim=target_dim,
+        surjective=(image.rows.shape[0] == target.h0),
+        image_dim=image.rows.shape[0],
+        target_dim=target.h0,
     )
-    return report, image, pivots
+    return report, image
 
 
 _UNIT_LINEAR_FORMS = np.eye(3, dtype=np.int64)
@@ -684,45 +763,52 @@ def _variable_multiples(space_rows: np.ndarray, d_minus_1: int, p: int) -> np.nd
     return _all_pair_products(_UNIT_LINEAR_FORMS, 1, space_rows, d_minus_1, p)
 
 
-def _power_spans(pieces: Dict[int, np.ndarray], s: int, degrees: Set[int], p: int):
+def _power_spans(pieces: Dict[int, np.ndarray], s: int, degrees: Dict[int, np.ndarray], p: int):
     """Spans of s-fold products of piece elements, in the wanted total
-    degrees.
+    degrees, each in the columns ``degrees`` maps it to.
 
     Computed by repeated pairwise span products, which generate the
     same subspaces as the full s-fold product sets.  Intermediate
     levels are capped at the largest degree that can still contribute
     to an s-fold product within max(degrees), and the last level
     combines only the pairs whose total degree is wanted, so no span is
-    built in a degree nobody reads.  A wanted degree that no product
-    reaches has no entry.
+    built in a degree nobody reads.  The last level's products are
+    projected to their degree's columns before they are row-reduced: the
+    free columns of the target kernel that holds them, which keep every
+    rank.  A wanted degree that no product reaches has no entry.
     """
     levels = {1: {d: rows for d, rows in pieces.items() if rows.shape[0]}}
     if not levels[1] or not degrees:
         return {}
+    if s == 1:
+        return {D: rows[:, degrees[D]] for D, rows in levels[1].items() if D in degrees}
     d_min = min(levels[1])
     d_max = max(degrees)
 
     def combine(ka: int, kb: int, k_total: int):
         bound = d_max - (s - k_total) * d_min
+        last = k_total == s
         raw: Dict[int, List[np.ndarray]] = {}
         for da, rowsa in levels[ka].items():
             for db, rowsb in levels[kb].items():
                 D = da + db
-                if D > bound or (k_total == s and D not in degrees):
+                if D > bound or (last and D not in degrees):
                     continue
-                raw.setdefault(D, []).append(
-                    _all_pair_products(rowsa, da, rowsb, db, p)
-                )
-        return {
-            D: span_rows(np.vstack(chunks), p) for D, chunks in raw.items()
-        }
+                products = _all_pair_products(rowsa, da, rowsb, db, p)
+                raw.setdefault(D, []).append(products[:, degrees[D]] if last else products)
+        spans = {}
+        for D, chunks in raw.items():
+            rows = np.vstack(chunks)
+            # a product of nonzero forms is nonzero, so one is its own span
+            spans[D] = rows if rows.shape[0] == 1 else span_rows(rows, p)
+        return spans
 
     k = 1
     while k < s:
         step = min(k, s - k)
         levels[k + step] = combine(k, step, k + step)
         k += step
-    return {D: rows for D, rows in levels[s].items() if D in degrees}
+    return levels[s]
 
 
 def _power_containment(
@@ -739,22 +825,26 @@ def _power_containment(
     piece bases and the product spans are built, in one
     :func:`_power_spans` call, only when a degree is left open, and
     only in the degrees it leaves open, and reduced against its image.
-    Only the pieces of degree at most max(open) - (s - 1) * min(piece
-    degrees) are built: the level cap of :func:`_power_spans`, above
-    which a piece enters no product it keeps.  A degree no product
-    reaches is contained.
+    Spans and image share the image's coordinates, the free columns of
+    the degree-D target kernel, so a span's rows are its products'
+    coordinates there.  Only the pieces of degree at most max(open) -
+    (s - 1) * min(piece degrees) are built: the level cap of
+    :func:`_power_spans`, above which a piece enters no product it
+    keeps.  A degree no product reaches is contained.
     """
     maps = {D: _mult_map(scheme, D, m) for D in sorted(degrees)}
-    open_degrees = {D for D, (cert, _, _) in maps.items() if not cert.surjective}
+    open_degrees = {D: image.columns for D, (cert, image) in maps.items() if not cert.surjective}
     spans = {}
     if open_degrees:
         cap = max(open_degrees) - (s - 1) * min(piece_degrees)
         pieces = {d: linear_system(system, d).basis for d in piece_degrees if d <= cap}
         spans = _power_spans(pieces, s, open_degrees, scheme.p)
     decided = {}
-    for D, (cert, image, pivots) in maps.items():
+    for D, (cert, image) in maps.items():
         products = spans.get(D)
-        contained = products is None or not reduce_rows(products, image, pivots, scheme.p).any()
+        contained = products is None or not reduce_rows(
+            products, image.rows, image.pivots, scheme.p
+        ).any()
         decided[D] = (cert, products, contained)
     return decided
 

@@ -30,7 +30,9 @@ product span up to the top degree, one factor at a time, before it
 looks at any multiplication map, and the dimension reference
 eliminates every degree it is asked about, where the library reads
 dimensions and surjectivity off the Hilbert function once the
-conditions are independent.  The Huneke search looks for the
+conditions are independent.  The census reference multiplies out
+every s-fold self-product of a piece and reduces it against the
+variable multiples by Gauss-Jordan elimination.  The Huneke search looks for the
 length condition of Huneke's criterion (Michigan Math. J. 34, 1987)
 among pairs of reduced-basis elements of symbolic powers, each length
 counted as the standard monomials of one Groebner basis.
@@ -435,6 +437,71 @@ def h0_and_image_rank_by_elimination(scheme, d):
                    for mono in monomials_of_degree(d - 1)]
         multiples[k * source.shape[0]:(k + 1) * source.shape[0], shifted] = source
     return kernel(d).shape[0], rank_modp(multiples, p)
+
+
+def census_reference(scheme, n_max, d_max, s):
+    """fiber_generator_census's report from its definition.
+
+    Each nonzero piece K_n(d), an elimination of its condition rows,
+    has its s-fold self-products, one per multiset of s basis forms,
+    multiplied out in monomial coordinates with dicts; the piece
+    survives when one of them has a nonzero residue modulo the RREF, by
+    gauss_jordan, of x_k * K_sn(s d - 1), placed by exponent lookup.
+    No table and neither rule of the library's.
+    """
+    p = scheme.p
+
+    def kernel(m, e):
+        rows = _condition_matrix(scheme.points, (m,) * scheme.r, e, p)
+        return nullspace_modp(rows, p)
+
+    def as_dict(row, e):
+        return {mono: int(c) for mono, c in zip(monomials_of_degree(e), row) if c}
+
+    def times(f, g):
+        out = {}
+        for a, c in f.items():
+            for b, k in g.items():
+                mono = tuple(x + y for x, y in zip(a, b))
+                out[mono] = (out.get(mono, 0) + c * k) % p
+        return out
+
+    rows = []
+    for n in range(1, n_max + 1):
+        for d in range(d_max + 1):
+            piece = kernel(n, d)
+            if not piece.shape[0]:
+                continue
+            top = monomials_of_degree(s * d)
+            multiples = []
+            for form in kernel(s * n, s * d - 1) if s * d >= 1 else ():
+                for k in range(3):
+                    shifted = {tuple(x + (i == k) for i, x in enumerate(mono)): c
+                               for mono, c in as_dict(form, s * d - 1).items()}
+                    multiples.append([shifted.get(mono, 0) for mono in top])
+            R, pivots = gauss_jordan(multiples, p)
+            survives = False
+            forms = [as_dict(row, d) for row in piece]
+            for chosen in itertools.combinations_with_replacement(forms, s):
+                product = {(0, 0, 0): 1}
+                for f in chosen:
+                    product = times(product, f)
+                residue = [product.get(mono, 0) for mono in top]
+                for row, c in zip(R, pivots):
+                    f = residue[c]
+                    if f:
+                        residue = [(x - f * y) % p for x, y in zip(residue, row)]
+                survives = survives or any(residue)
+            rows.append({"n": n, "degree": d, "piece_dim": piece.shape[0], "survives": survives})
+    return {
+        "n_max": n_max,
+        "d_max": d_max,
+        "s": s,
+        "seed": scheme.seed,
+        "constraint": "elliptic" if scheme.cubic is not None else "none",
+        "pieces": rows,
+        "survivors": [(row["n"], row["degree"]) for row in rows if row["survives"]],
+    }
 
 
 def poly_roots_brute_force(f, p):

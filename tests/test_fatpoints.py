@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    census_reference,
     condition_rows_reference,
     containment_reference,
     cubic_is_smooth_by_saturation,
@@ -31,8 +32,11 @@ from spreadlab.fatpoints import (
     _all_pair_products,
     _condition_matrix,
     _cubic_is_smooth,
+    _exponents,
+    _first_possible_degree,
     _first_root,
     _independent_from,
+    _local_tables,
     _product_groups,
     _roots_modp,
     _variable_multiples,
@@ -67,6 +71,16 @@ def nagata():
 @pytest.fixture(scope="module")
 def elliptic():
     return sample_scheme(12, 1, "elliptic", seed=ELLIPTIC_SEED)
+
+
+# six points, one of them on x3 = 0 (so its local frame differs), with
+# mixed multiplicities
+SIX_POINTS = ((3, 5, 0), (1, 1, 1), (2, 7, 1), (5, 3, 4), (6, 2, 9), (4, 11, 3))
+SIX_MULTS = (2, 1, 3, 1, 2, 1)
+
+
+def six_point_scheme(p):
+    return FatPointScheme(p, SIX_POINTS, SIX_MULTS, None, 0)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -470,30 +484,28 @@ def test_elliptic_exception_degree(elliptic):
 
 
 def test_containment_builds_spans_only_where_the_map_leaves_it_open(
-    monkeypatch, nagata, elliptic
+    count_calls, nagata, elliptic
 ):
     import spreadlab.fatpoints as fatpoints
 
-    # a degree-D span has (D + 1)(D + 2) / 2 columns
-    degree_of = {(D + 1) * (D + 2) // 2: D for D in range(64)}
-    built = []
-    real = fatpoints.span_rows
+    products = count_calls(fatpoints, "_all_pair_products")
 
-    def recording(P, p):
-        built.append(degree_of[P.shape[1]])
-        return real(P, p)
+    def built():
+        # at s = 2 every product is a last-level span's, of degree da + db;
+        # the other calls are _variable_multiples' images
+        return [da + db for rowsa, da, _, db, _ in products
+                if rowsa is not fatpoints._UNIT_LINEAR_FORMS]
 
-    monkeypatch.setattr(fatpoints, "span_rows", recording)
     rep = graded_power_containment(elliptic, 1, 2, 12)
     certified = {D for D, row in rep["degrees"].items()
                  if row["via"] == "multiplication-map surjectivity"}
     reduced = {D for D, row in rep["degrees"].items()
                if row["via"] == "product-span reduction"}
     assert certified and reduced
-    assert set(built) == reduced
-    built.clear()
+    assert set(built()) == reduced
+    products.clear()
     rep = graded_power_containment(nagata, 1, 4, 21)
-    assert not rep["empty"] and built == []
+    assert not rep["empty"] and built() == []
 
 
 # the "contain" jobs of the fatpoints benchmark: (n, s, d_max) per scheme
@@ -533,13 +545,20 @@ def test_open_degrees_always_have_a_nonzero_product_span(monkeypatch, constraint
 @pytest.mark.parametrize("which, n, s, d_max", [
     ("nagata", 1, 4, 21), ("nagata", 1, 4, 19),
     ("elliptic", 1, 2, 12), ("elliptic", 1, 3, 12), ("elliptic", 1, 4, 13),
+    ("six-point", 1, 2, 10),
 ])
 def test_containment_matches_eager_reference(which, n, s, d_max, nagata, elliptic):
-    scheme = nagata if which == "nagata" else elliptic
-    rep = graded_power_containment(_rebuilt(scheme), n, s, d_max)
+    scheme = {"nagata": nagata, "elliptic": elliptic, "six-point": six_point_scheme(32003)}[which]
+    rebuilt = _rebuilt(scheme)
+    rep = graded_power_containment(rebuilt, n, s, d_max)
     reference = containment_reference(_rebuilt(scheme), n, s, d_max)
     assert rep == reference
     assert repr(rep) == repr(reference)           # key order and value types too
+    if which == "six-point":
+        # its open degree lies in [d0, d0 + 1]: an image built with d0 known
+        d0 = _independent_from(rebuilt.with_multiplicities(s * n))
+        assert [D for D, row in rep["degrees"].items()
+                if row["via"] == "product-span reduction"] == [6] and d0 == 5
 
 
 # --- census --------------------------------------------------------------------------
@@ -560,6 +579,33 @@ def test_nagata_census_no_survivors(nagata):
 def test_census_empty(nagata):
     rep = fiber_generator_census(nagata, 0, 6)
     assert rep["pieces"] == [] and rep["survivors"] == []
+
+
+@pytest.mark.parametrize("constraint, r", [("none", 16), ("elliptic", 12)])
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_census_matches_independent_reference(constraint, r, seed):
+    # the census jobs of the fatpoints benchmark: (n_max, d_max, s) = (2, 6, 2)
+    scheme = sample_scheme(r, 1, constraint, seed=seed)
+    rep = fiber_generator_census(scheme, 2, 6, 2)
+    reference = census_reference(sample_scheme(r, 1, constraint, seed=seed), 2, 6, 2)
+    assert rep == reference and repr(rep) == repr(reference)
+
+
+@pytest.mark.parametrize("p", [101, 32003])
+def test_census_matches_reference_on_mixed_six_points(p):
+    """The table first holds entries of the scheme's own mixed
+    multiplicities; the census's uniform ones must not be confused with
+    them, and its survivors match the definition's."""
+    scheme = six_point_scheme(p)
+    for d in (3, 5, 7, 9):
+        expected_h0, image_rank = h0_and_image_rank_by_elimination(scheme, d)
+        assert h0(scheme, d) == expected_h0
+        assert mult_map_surjective(scheme, d, SIX_MULTS) == MultMapReport(
+            image_rank == expected_h0, image_rank, expected_h0
+        )
+    rep = fiber_generator_census(scheme, 2, 6, 2)
+    assert rep == census_reference(six_point_scheme(p), 2, 6, 2)
+    assert rep["survivors"] == [(1, 3), (2, 5)]
 
 
 def test_census_refuses_nonpositive_s(nagata, elliptic):
@@ -610,48 +656,76 @@ def test_rules_agree_with_direct_elimination(p, constraint):
     assert by_rule[1] > by_rule[2] > 0
 
 
-def test_containment_skips_the_kernel_rule_1_fixes(monkeypatch, nagata):
-    """On 16 general points the triple-point conditions are independent
-    in degree 14 (a 96 x 120 matrix of rank 96), so the degree-15 target
-    needs no 96 x 136 kernel."""
+def test_probe_settles_a_map_from_the_first_possible_degree(count_calls, nagata):
+    """On a fresh table of 16 general points, the map into degree 15 at
+    m = 3 reads only the probe's kernel: the 96 conditions first fit in
+    degree 13 (N(13) = 105), are independent there, and rule 2 settles
+    degree 15 = 13 + 2 with no image and no degree-14 or -15 kernel."""
     import spreadlab.fatpoints as fatpoints
 
-    shapes = []
-    real = fatpoints.nullspace_modp
+    scheme = _rebuilt(nagata).with_multiplicities(3)
+    assert _first_possible_degree(scheme.multiplicities) == 13
+    kernels = count_calls(fatpoints, "nullspace_modp")
+    multiples = count_calls(fatpoints, "_variable_multiples")
+    report = mult_map_surjective(scheme, 15, 3)
+    assert [A.shape for A, _ in kernels] == [(96, 105)] and multiples == []
+    assert _independent_from(scheme) == 13
+    assert not any(key[0] == "image" for key in scheme._table._entries)
+    assert report == MultMapReport(True, 136 - 96, 136 - 96)
+    assert h0_and_image_rank_by_elimination(scheme, 15) == (136 - 96, 136 - 96)
 
-    def recording(A, p):
-        shapes.append(A.shape)
-        return real(A, p)
 
-    monkeypatch.setattr(fatpoints, "nullspace_modp", recording)
+@pytest.mark.parametrize("ascending", [True, False])
+def test_probe_where_the_first_possible_degree_is_dependent(ascending, elliptic):
+    """At m = 2 on the cubic the probe degree is 7 (N(7) = 36 = k), where
+    the cubic's square keeps the conditions dependent; every degree 1-14,
+    asked upward or downward on a fresh table, matches elimination."""
+    scheme = _rebuilt(elliptic).with_multiplicities(2)
+    assert _first_possible_degree(scheme.multiplicities) == 7
+    degrees = range(1, 15) if ascending else range(14, 0, -1)
+    for d in degrees:
+        expected_h0, image_rank = h0_and_image_rank_by_elimination(scheme, d)
+        assert mult_map_surjective(scheme, d, 2) == MultMapReport(
+            image_rank == expected_h0, image_rank, expected_h0
+        ), d
+    assert linear_system(scheme, 7).rank < 36
+
+
+def test_containment_skips_the_kernel_rule_1_fixes(count_calls, monkeypatch, nagata):
+    """On 16 general points the 96 triple-point conditions can first be
+    independent in degree 13 (N(13) = 105), and are: the probe's 96 x 105
+    matrix has rank 96, so rule 2 settles degree 15 with neither the
+    96 x 120 source kernel nor the 96 x 136 target kernel."""
+    import spreadlab.fatpoints as fatpoints
+
+    kernels = count_calls(fatpoints, "nullspace_modp")
     rep = graded_power_containment(_rebuilt(nagata), 1, 3, 15)
-    assert (96, 120) in shapes and (96, 136) not in shapes
-    monkeypatch.setattr(fatpoints, "nullspace_modp", real)
+    shapes = [A.shape for A, _ in kernels]
+    assert (96, 105) in shapes
+    assert (96, 120) not in shapes and (96, 136) not in shapes
+    monkeypatch.undo()
     assert rep == containment_reference(_rebuilt(nagata), 1, 3, 15)
     assert list(rep["degrees"]) == [15]
 
 
-def test_containment_builds_only_pieces_a_kept_product_uses(monkeypatch):
+def test_containment_builds_only_pieces_a_kept_product_uses(count_calls, monkeypatch):
     """The benchmark's ``contain E 1 2 12`` on seed 6 leaves degrees 6, 8
     and 9 open; pieces start in degree 3, so a piece above 9 - 3 enters
     no product of degree at most 9, and the multiplicity-1 kernels of
-    degrees 7 to 12 ((12, 36) to (12, 91)) are never built."""
+    degrees 7 to 12 ((12, 36) to (12, 91)) are never built.  Each image
+    reads its target kernel and then its source kernel; degree 8's
+    kernel records d0 = 8, so degree 9, in [d0, d0 + 1], still builds
+    its image, and its (36, 55) target kernel, while rule 2 settles
+    degrees 10 to 12."""
     import spreadlab.fatpoints as fatpoints
 
-    shapes = []
-    real = fatpoints.nullspace_modp
-
-    def recording(A, p):
-        shapes.append(A.shape)
-        return real(A, p)
-
-    monkeypatch.setattr(fatpoints, "nullspace_modp", recording)
+    kernels = count_calls(fatpoints, "nullspace_modp")
     rep = graded_power_containment(sample_scheme(12, 1, "elliptic", seed=6), 1, 2, 12)
-    assert shapes == [
+    assert [A.shape for A, _ in kernels] == [
         (12, 1), (12, 3), (12, 6), (12, 10), (12, 15),
-        (36, 21), (36, 28), (36, 36), (36, 45), (12, 21), (12, 28),
+        (36, 28), (36, 21), (36, 36), (36, 45), (36, 55), (12, 21), (12, 28),
     ]
-    monkeypatch.setattr(fatpoints, "nullspace_modp", real)
+    monkeypatch.undo()
     assert rep == containment_reference(sample_scheme(12, 1, "elliptic", seed=6), 1, 2, 12)
     assert sorted(D for D, row in rep["degrees"].items()
                   if row["via"] == "product-span reduction") == [6, 8, 9]
@@ -788,8 +862,13 @@ def test_degree_caches_stay_bounded():
     for d in range(80):
         monomial_basis(d)
         _product_groups(d, 1)
-    for info in (monomial_basis.cache_info(), _PRODUCT_GROUPS.cache_info()):
+        _exponents(d)
+        _local_tables(3, d, 32003)
+    for info in (monomial_basis.cache_info(), _PRODUCT_GROUPS.cache_info(),
+                 _exponents.cache_info(), _local_tables.cache_info()):
         assert info.maxsize is not None and info.currsize <= info.maxsize
+    for table in (_exponents(7),) + _local_tables(3, 7, 32003):
+        assert not table.flags.writeable
     # _product_groups is bounded in bytes: (60, 60) alone sorts 1891^2 entries
     order, starts = _product_groups(60, 60)
     assert order.nbytes > _PRODUCT_GROUPS_BYTES
@@ -880,6 +959,18 @@ def test_replaced_points_never_see_the_old_table(nagata):
     for copied in (pickle.loads(pickle.dumps(scheme)), copy.deepcopy(scheme)):
         assert copied == scheme and copied._table.nbytes == 0
         assert h0(copied, 5) == 5
+
+
+def test_images_and_their_columns_count_against_the_table(elliptic):
+    """An image entry holds its RREF rows and the target kernel's free
+    columns, both read-only and both in the table's byte count."""
+    scheme = _rebuilt(elliptic)
+    assert not mult_map_surjective(scheme, 9, 2).surjective
+    table = scheme._table
+    (rows, pivots, columns), size = table._entries[("image", (2,) * 12, 9)]
+    assert size == rows.nbytes + columns.nbytes and columns.size == h0(scheme, 9, 2)
+    assert not rows.flags.writeable and not columns.flags.writeable
+    assert table.nbytes == sum(size for _, size in table._entries.values())
 
 
 def test_table_stays_within_its_byte_cap(monkeypatch):
