@@ -73,9 +73,9 @@ from .ring import DEFAULT_PRIME, MonomialOrder, RingContext, _tokenize
 SCHEMA = "1"
 
 _ORDERS = {
-    "grevlex": lambda weights: MonomialOrder.grevlex(),
-    "lex": lambda weights: MonomialOrder.lex(),
-    "weighted-grevlex": lambda weights: MonomialOrder.weighted_grevlex(weights),
+    "grevlex": MonomialOrder.grevlex,
+    "lex": MonomialOrder.lex,
+    "weighted-grevlex": MonomialOrder.weighted_grevlex,
 }
 
 _RING_KEYS = ("p", "vars", "order", "weights")
@@ -176,8 +176,7 @@ class SessionFile:
         order_name = fields.get("order", "grevlex")
         if order_name not in _ORDERS:
             raise ValueError(f"unknown order {order_name!r}")
-        order = _ORDERS[order_name](weights if weights else (1,) * len(variables))
-        return cls(RingContext(p, variables, order, weights))
+        return cls(RingContext(p, variables, _ORDERS[order_name](), weights))
 
     def _parse_ideal(self, rest: str):
         if "=" not in rest:

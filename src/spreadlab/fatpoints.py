@@ -19,8 +19,8 @@ C(e_a, j) P_a^(e_a - j) * C(e_b, k) P_b^(e_b - k) * P_c^e_c mod p.
 
 Each kernel is computed once per scheme.  A scheme and the schemes
 ``with_multiplicities`` derives from it share one table, keyed by
-multiplicities and degree, of the linear-system kernels (basis and
-rank) and of the multiplication-map images.  An image x_k * (degree
+multiplicities and degree, of the linear-system kernels (their bases)
+and of the multiplication-map images.  An image x_k * (degree
 d-1 piece) lies in the degree-d piece, so it is kept in that piece's
 coordinates: its RREF rows and pivots over the free columns of the
 degree-d canonical kernel, with those columns.  The canonical basis is
@@ -29,8 +29,9 @@ nonzero entry), so v -> v[free] is injective on the piece and keeps
 every rank; the product spans of a containment are reduced in the same
 coordinates.  Every array in the table is read-only, so one caller
 cannot change what another is handed, and the table holds at most
-_TABLE_BYTES bytes of arrays, least recently used first out; it is
-freed with the last scheme that shares it.
+_TABLE_BYTES bytes, each entry charged its measured size, least
+recently used first out; it is freed with the last scheme that shares
+it.
 
 Once the conditions are independent, dimensions and surjectivity need
 no elimination.  Write Z for the scheme with multiplicities m_i, A(d)
@@ -75,6 +76,7 @@ kept in gives the target dimension.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
@@ -102,8 +104,9 @@ from .ring import DEFAULT_PRIME, RingContext, is_prime
 # then cannot keep every table for the process's life.
 _CACHE_SIZE = 64
 
-# Bytes of arrays kept by the _product_groups table, and by each scheme's
-# table of kernels and images; an entry larger than the cap is not kept.
+# Bytes kept by the _product_groups table, and by each scheme's table of
+# kernels and images, as _ArrayTable charges them; an entry larger than
+# the cap is not kept.
 _PRODUCT_GROUPS_BYTES = 2**23
 _TABLE_BYTES = 2**23
 
@@ -120,7 +123,10 @@ _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 class _ArrayTable:
     """Least-recently-used map from keys to tuples of arrays and plain
-    values, holding at most ``maxbytes`` bytes of arrays.  Stored arrays
+    values, holding at most ``maxbytes`` bytes.  An entry is charged
+    ``sys.getsizeof`` of its tuple and of each value, which for an array
+    that owns its data includes that data, so an empty array costs its
+    header and the cap bounds the number of entries too.  Stored arrays
     are made read-only, so every caller can be handed the same ones.  It
     also keeps the least value noted for each of at most _LEAST_KEYS
     keys.  A copy or an unpickled table starts empty."""
@@ -147,11 +153,11 @@ class _ArrayTable:
                 return found[0]
             self.misses += 1
         entry = compute()
-        size = 0
+        size = sys.getsizeof(entry)
         for value in entry:
+            size += sys.getsizeof(value)
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-                size += value.nbytes
         with self._lock:
             if size <= self.maxbytes and key not in self._entries:
                 self._entries[key] = (entry, size)
@@ -610,16 +616,21 @@ class LinearSystem:
     """Kernel of the interpolation conditions in one degree.
 
     The basis is the canonical one of :func:`nullspace_modp`, fixed by
-    the scheme and the degree, so equality does not compare it."""
+    the scheme and the degree, so equality does not compare it.  ``h0``
+    and ``rank``, the rank of the interpolation matrix, are read off its
+    shape: N(d) = h0 + rank."""
 
     scheme: FatPointScheme
     degree: int
     basis: np.ndarray = field(compare=False)    # rows are coefficient vectors; read-only
-    rank: int
 
     @property
     def h0(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1] - self.basis.shape[0]
 
     def verify_vanishing(self) -> bool:
         """Recheck every basis form against every point's local expansion."""
@@ -638,13 +649,12 @@ def linear_system(scheme: FatPointScheme, d: int) -> LinearSystem:
     def kernel():
         A = interpolation_matrix(scheme, d)
         basis = nullspace_modp(A, scheme.p)
-        rank = A.shape[1] - basis.shape[0]
-        if rank == A.shape[0]:          # independent conditions
+        if A.shape[1] - basis.shape[0] == A.shape[0]:      # independent conditions
             scheme._table.note_least(scheme.multiplicities, d)
-        return basis, rank
+        return (basis,)
 
-    basis, rank = scheme._table.lookup(("kernel", scheme.multiplicities, d), kernel)
-    return LinearSystem(scheme, d, basis, rank)
+    (basis,) = scheme._table.lookup(("kernel", scheme.multiplicities, d), kernel)
+    return LinearSystem(scheme, d, basis)
 
 
 def _independent_from(scheme: FatPointScheme) -> Optional[int]:
@@ -686,9 +696,15 @@ def h0(scheme: FatPointScheme, d: int, m=None) -> int:
 
 @dataclass(frozen=True)
 class MultMapReport:
-    surjective: bool
+    """Dimensions of the image x_k * (degree d-1 piece) and of the
+    degree-d piece it lies in; the map is onto when they agree."""
+
     image_dim: int
     target_dim: int
+
+    @property
+    def surjective(self) -> bool:
+        return self.image_dim == self.target_dim
 
 
 def mult_map_surjective(scheme: FatPointScheme, d: int, m: int) -> MultMapReport:
@@ -736,7 +752,7 @@ def _mult_map(scheme: FatPointScheme, d: int, m: int):
             d0 = _independent_from(s)
     if d0 is not None and d >= d0 + 2:
         target_dim = h0(s, d)
-        return MultMapReport(True, target_dim, target_dim), None
+        return MultMapReport(target_dim, target_dim), None
 
     target = linear_system(s, d)
 
@@ -747,12 +763,7 @@ def _mult_map(scheme: FatPointScheme, d: int, m: int):
         return _Image(rows, pivots, columns)
 
     image = s._table.lookup(("image", s.multiplicities, d), image_rref)
-    report = MultMapReport(
-        surjective=(image.rows.shape[0] == target.h0),
-        image_dim=image.rows.shape[0],
-        target_dim=target.h0,
-    )
-    return report, image
+    return MultMapReport(image.rows.shape[0], target.h0), image
 
 
 _UNIT_LINEAR_FORMS = np.eye(3, dtype=np.int64)

@@ -649,9 +649,15 @@ def analytic_spread_truncated(F: Filtration, a: int) -> SpreadReport:
 
 @dataclass
 class EquimultipleReport:
-    equimultiple: bool
+    """Height and analytic spread of an ideal; it is equimultiple when
+    they agree."""
+
     ht: int
     ell: int
+
+    @property
+    def equimultiple(self) -> bool:
+        return self.ht == self.ell
 
 
 def equimultiple_check(I: Ideal) -> EquimultipleReport:
@@ -659,7 +665,7 @@ def equimultiple_check(I: Ideal) -> EquimultipleReport:
     report = analytic_spread(I)
     if report.ht is None:
         raise ValueError("equimultiplicity needs a nonzero ideal")
-    return EquimultipleReport(report.ht == report.ell, report.ht, report.ell)
+    return EquimultipleReport(report.ht, report.ell)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,9 @@ class _Codec:
         # Every key component is a sign-definite linear form in the
         # exponents, so for admitted vectors it lies between 0 and its
         # value at the all-maximal vector, and so does the difference of
-        # two keys' components.  The order may carry weights of its own,
-        # so the width comes from its key, not from ctx.weights.
+        # two keys' components.  Only the weighted kinds read ctx.weights,
+        # a block order through its inner order alone, so the width comes
+        # from the key, not from ctx.weights.
         top = ctx.key((_MAX_EXP,) * n)
         bits = max(abs(c) for c in top).bit_length()
         # the low field: weighted degree over ctx.weights
@@ -144,8 +145,9 @@ def _packed(gens, ctx: RingContext, codec: _Codec):
 
     Text is parsed in ctx.  A polynomial from another ring with ctx's
     characteristic and variables is packed by ctx's codec, and its terms
-    are sorted by the packed keys when that ring's order differs; any
-    other ring raises ContextError.  A zero generator packs as [].
+    are sorted by the packed keys when that ring's order or weights
+    differ, since a weighted order reads its ring's weights; any other
+    ring raises ContextError.  A zero generator packs as [].
     """
     out = []
     for g in gens:
@@ -158,7 +160,7 @@ def _packed(gens, ctx: RingContext, codec: _Codec):
         if own.p != ctx.p or own.variables != ctx.variables:
             raise ContextError("generators from different rings")
         terms = codec.terms(g)
-        if own.order != ctx.order:
+        if own.order != ctx.order or own.weights != ctx.weights:
             terms.sort(reverse=True)
         out.append(terms)
     return out

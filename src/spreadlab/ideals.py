@@ -356,7 +356,8 @@ def _saturation(A: Ideal, B: Ideal) -> Tuple[Ideal, GroebnerBasis]:
 
 
 def _saturate_variable(A: Ideal, i: int) -> Tuple[GroebnerBasis, GroebnerBasis]:
-    """Bases of A and of A : x_i^infinity in the ``saturation`` order for x_i.
+    """Bases of A and of A : x_i^infinity in the ``saturation`` order for
+    x_i, in a ring with A's variables and weights, which that order reads.
 
     In that order x_i divides a weighted-homogeneous polynomial as often
     as it divides the leading monomial, so dividing every element of A's
@@ -368,7 +369,7 @@ def _saturate_variable(A: Ideal, i: int) -> Tuple[GroebnerBasis, GroebnerBasis]:
     ctx = A.ctx
     if not A.is_homogeneous():
         raise HomogeneityError("variable saturation needs weighted-homogeneous generators")
-    sat = RingContext(ctx.p, ctx.variables, MonomialOrder.saturation(ctx.weights, i), ctx.weights)
+    sat = RingContext(ctx.p, ctx.variables, MonomialOrder.saturation(i), ctx.weights)
     G = groebner_basis(A.gens, sat)
     quotients = []
     for g in G:

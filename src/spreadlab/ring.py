@@ -102,26 +102,23 @@ def mono_wdeg(a, w):
 # monomial orders
 # ---------------------------------------------------------------------------
 
-def _order_weights(weights) -> tuple:
-    w = tuple(int(x) for x in weights)
-    if any(x <= 0 for x in w):
-        raise ValueError("order weights must be positive")
-    return w
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A multiplicative total order on exponent tuples.
 
     Orders are exposed as additive key functions: ``key(a)`` is a tuple
     of ints, tuples compare the way the monomials do, and
-    ``key(a*b) == key(a) + key(b)`` componentwise.  Kinds:
+    ``key(a*b) == key(a) + key(b)`` componentwise.  An order holds no
+    weights: the weighted kinds read the weights of the ring it orders,
+    which :class:`RingContext` validates and hands to ``key_function``.
+    Kinds:
 
     * ``grevlex`` -- degree, ties by reverse lexicography.
     * ``lex`` -- plain lexicographic on the exponent tuple.
     * ``wgrevlex`` -- weighted degree first, grevlex tiebreak.
     * ``block`` -- eliminated variables dominate: any monomial touching
-      an eliminated variable outranks every monomial free of them.
+      an eliminated variable outranks every monomial free of them, which
+      the inner order compares under the weights of the variables kept.
     * ``saturation`` -- weighted degree first, then the degree in one
       variable x_i ascending, grevlex tiebreak.  In a weighted-homogeneous
       polynomial the leading monomial has the least x_i-degree, so x_i
@@ -131,7 +128,6 @@ class MonomialOrder:
     """
 
     kind: str = "grevlex"
-    weights: Optional[tuple] = None
     elim: Optional[tuple] = None          # variable indices, block only
     inner: Optional["MonomialOrder"] = None
     var: Optional[int] = None             # variable index, saturation only
@@ -145,8 +141,8 @@ class MonomialOrder:
         return MonomialOrder("lex")
 
     @staticmethod
-    def weighted_grevlex(weights) -> "MonomialOrder":
-        return MonomialOrder("wgrevlex", weights=_order_weights(weights))
+    def weighted_grevlex() -> "MonomialOrder":
+        return MonomialOrder("wgrevlex")
 
     @staticmethod
     def block(elim_indices, inner: "MonomialOrder" = None) -> "MonomialOrder":
@@ -157,12 +153,14 @@ class MonomialOrder:
         )
 
     @staticmethod
-    def saturation(weights, var: int) -> "MonomialOrder":
-        return MonomialOrder("saturation", weights=_order_weights(weights), var=int(var))
+    def saturation(var: int) -> "MonomialOrder":
+        return MonomialOrder("saturation", var=int(var))
 
-    def key_function(self, nvars: int):
-        """Specialized exponent-tuple -> flat int-tuple key closure."""
+    def key_function(self, weights: tuple):
+        """Specialized exponent-tuple -> flat int-tuple key closure for a
+        ring with these weights, one positive int per variable."""
         k = self.kind
+        nvars = len(weights)
         if k == "grevlex":
             def key(exps):
                 return (sum(exps), *map(neg, reversed(exps)))
@@ -170,25 +168,20 @@ class MonomialOrder:
         if k == "lex":
             return tuple
         if k == "wgrevlex":
-            w = self.weights
-            if len(w) != nvars:
-                raise ValueError("order weight length mismatch")
             def key(exps):
                 return (
-                    sum(e * x for e, x in zip(exps, w)),
+                    sum(e * x for e, x in zip(exps, weights)),
                     sum(exps),
                     *map(neg, reversed(exps)),
                 )
             return key
         if k == "saturation":
-            w, i = self.weights, self.var
-            if len(w) != nvars:
-                raise ValueError("order weight length mismatch")
+            i = self.var
             if not 0 <= i < nvars:
                 raise ValueError("saturation variable index out of range")
             def key(exps):
                 return (
-                    sum(e * x for e, x in zip(exps, w)),
+                    sum(e * x for e, x in zip(exps, weights)),
                     -exps[i],
                     sum(exps),
                     *map(neg, reversed(exps)),
@@ -199,7 +192,7 @@ class MonomialOrder:
             if elim and (min(elim) < 0 or max(elim) >= nvars):
                 raise ValueError("block elimination index out of range")
             rest = tuple(i for i in range(nvars) if i not in set(elim))
-            inner_key = self.inner.key_function(len(rest))
+            inner_key = self.inner.key_function(tuple(weights[i] for i in rest))
             def key(exps):
                 inside = [exps[i] for i in elim]
                 head = (sum(inside), *map(neg, reversed(inside)))
@@ -217,7 +210,11 @@ DEFAULT_PRIME = 32003
 
 @dataclass(frozen=True)
 class RingContext:
-    """Ambient polynomial ring data: F_p[variables] with order and weights."""
+    """Ambient polynomial ring data: F_p[variables] with order and weights.
+
+    The weights default to all 1.  They are checked here, one positive
+    int per variable, and are the only weights the ring has: they decide
+    homogeneity, the engine's sugar and the weighted orders' keys."""
 
     p: int = DEFAULT_PRIME
     variables: tuple = ("x", "y", "z")
@@ -240,7 +237,7 @@ class RingContext:
         if any(x <= 0 for x in w):
             raise ValueError("weights must be strictly positive")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_keyfn", self.order.key_function(len(vs)))
+        object.__setattr__(self, "_keyfn", self.order.key_function(w))
 
     @property
     def nvars(self) -> int:

@@ -233,6 +233,32 @@ def test_saturate_index_pinned(name, stdout, tmp_path, capsys):
     assert capsys.readouterr().out == stdout
 
 
+# the curve under its own weighted order: intersect eliminates in a block
+# order whose inner order is weighted-grevlex over x, y, z; stdout
+# recorded when each order carried a copy of the ring's weights
+WEIGHTED_SESSION = """\
+ring p=32003 vars=x,y,z order=weighted-grevlex weights=3,4,5
+ideal p = y^2 - x*z, x^3 - y*z, x^2*y - z^2
+ideal c = x^3, y^2, z^4
+"""
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["intersect", "-i", "p", "-j", "c"],
+     '{"digest":"19e87fdbaa9f","gens":["x^4 - y^3","x^3*y - y^2*z","x^2*y^2 - x^3*z",'
+     '"y^4 - x*y^2*z","x*y^3*z - z^4","y^2*z^3 - x*z^4","x^3*z^3 - y*z^4",'
+     '"x^2*y*z^4 - z^6"],"op":"intersect","schema":"1"}\n'),
+    (["quotient", "-i", "c", "-j", "p"],
+     '{"digest":"e5425e3fbfb9","gens":["y^2","x^3","x^2*y*z + z^3","x*z^3","y*z^3","z^4"],'
+     '"op":"quotient","schema":"1"}\n'),
+], ids=["intersect", "quotient"])
+def test_weighted_order_bases_pinned(argv, stdout, tmp_path, capsys):
+    f = tmp_path / "weighted.ring"
+    f.write_text(WEIGHTED_SESSION)
+    assert main([argv[0], "-f", str(f), *argv[1:]]) == 0
+    assert capsys.readouterr().out == stdout
+
+
 def test_symbolic_command(curve_file, capsys):
     code, out = run_cli(["symbolic", "-f", curve_file, "-i", "p", "-n", "2"], capsys)
     assert code == 0 and out["n"] == 2 and len(out["gens"]) >= 4

@@ -22,6 +22,7 @@ from oracles import (
     tvar_names,
 )
 from spreadlab import (
+    EquimultipleReport,
     Filtration,
     HomogeneityError,
     MonomialOrder,
@@ -295,7 +296,7 @@ def test_rees_kernel_keeps_elimination_basis(monkeypatch, curve_symbolic):
 ORDERS = {
     "grevlex": MonomialOrder.grevlex(),
     "lex": MonomialOrder.lex(),
-    "wgrevlex": MonomialOrder.weighted_grevlex((1, 3, 4, 5)),
+    "wgrevlex": MonomialOrder.weighted_grevlex(),
 }
 
 
@@ -696,6 +697,14 @@ def test_not_equimultiple(ctx2):
 def test_m_primary_always_equimultiple(ctx3):
     rep = equimultiple_check(ideal(ctx3, "x^2", "y^3", "z^5"))
     assert rep.equimultiple and rep.ht == 3 == rep.ell
+
+
+def test_equimultiplicity_is_read_off_height_and_spread(ctx2):
+    # the report stores ht and ell only, so the flag cannot contradict them
+    assert [f.name for f in dataclasses.fields(EquimultipleReport)] == ["ht", "ell"]
+    rep = equimultiple_check(ideal(ctx2, "x^2", "x*y"))
+    rep.ht = 2
+    assert rep.equimultiple
 
 
 # --- nilpotency witnesses ------------------------------------------------------------

@@ -117,16 +117,16 @@ def test_ideal_equal(ctx3):
 
 
 def _oracle_layouts(n):
-    """One ring per key layout on n variables; the weighted orders carry
-    weights of their own, different from the ring's."""
+    """One order per key layout on n variables, and the ring weights
+    1, ..., n they are used with: not all 1, so the sugar degree and the
+    order differ for grevlex, lex and block."""
     ring_w = tuple(range(1, n + 1))
-    order_w = tuple(range(n, 0, -1))
     return (
         ("grevlex", MonomialOrder.grevlex()),
         ("lex", MonomialOrder.lex()),
-        ("wgrevlex", MonomialOrder.weighted_grevlex(order_w)),
+        ("wgrevlex", MonomialOrder.weighted_grevlex()),
         ("block", MonomialOrder.block((0,), MonomialOrder.grevlex())),
-        ("saturation", MonomialOrder.saturation(order_w, n - 1)),
+        ("saturation", MonomialOrder.saturation(n - 1)),
     ), ring_w
 
 
@@ -461,7 +461,7 @@ def _division_rings():
     for p in (101, 32003, 2**61 - 1):
         yield RingContext(p, ("x", "y", "z"))
         yield RingContext(p, ("x", "y", "z"), MonomialOrder.lex())
-        yield RingContext(p, ("x", "y", "z"), MonomialOrder.weighted_grevlex(w), w)
+        yield RingContext(p, ("x", "y", "z"), MonomialOrder.weighted_grevlex(), w)
 
 
 def _random_poly(rng, ctx, terms, top):
@@ -520,7 +520,10 @@ def test_generators_from_another_order_match_their_reordered_copies(p):
     layouts, ring_w = _oracle_layouts(3)
     names = ("x", "y", "z")
     rings = [RingContext(p, names, order, ring_w) for _, order in layouts]
-    rings.append(RingContext(p, names, weights=(2, 3, 1)))     # other ring weights
+    # other ring weights: the same grevlex order, and a weighted order
+    # equal to the one above but ranking by these weights
+    rings.append(RingContext(p, names, weights=(2, 3, 1)))
+    rings.append(RingContext(p, names, MonomialOrder.weighted_grevlex(), (2, 3, 1)))
     for source in rings:
         gens = []
         for _ in range(3):

@@ -208,9 +208,9 @@ def test_curve_square_saturation_strictly_grows(curve_ctx, curve_prime):
 @pytest.mark.parametrize("order", [
     MonomialOrder.grevlex(),
     MonomialOrder.lex(),
-    MonomialOrder.weighted_grevlex((2, 1, 3)),
+    MonomialOrder.weighted_grevlex(),
     MonomialOrder.block((1,), MonomialOrder.lex()),
-    MonomialOrder.saturation((2, 1, 3), 1),
+    MonomialOrder.saturation(1),
 ], ids=lambda order: order.kind)
 def test_maximal_ideal_carries_its_basis(monkeypatch, order):
     # the variables are the reduced basis of m in every order

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -114,11 +115,11 @@ def test_parser_accepts_unicode_minus(ctx3):
 
 
 _PARSER_RINGS = [
-    (order, p, names)
-    for order, names in [
-        (MonomialOrder.grevlex(), ("x", "y", "z")),
-        (MonomialOrder.lex(), ("a", "b1", "c_d", "w")),
-        (MonomialOrder.weighted_grevlex((3, 4, 5)), ("x", "y", "z")),
+    (order, weights, p, names)
+    for order, weights, names in [
+        (MonomialOrder.grevlex(), None, ("x", "y", "z")),
+        (MonomialOrder.lex(), None, ("a", "b1", "c_d", "w")),
+        (MonomialOrder.weighted_grevlex(), (3, 4, 5), ("x", "y", "z")),
     ]
     for p in (2, 101, 32003, 2**61 - 1)
 ]
@@ -193,8 +194,7 @@ def test_parser_matches_arithmetic_oracle():
     oracle's exception type and message on malformed text."""
     rng = random.Random(20261018)
     checked = valid = 0
-    for order, p, names in _PARSER_RINGS:
-        weights = order.weights
+    for order, weights, p, names in _PARSER_RINGS:
         ctx = RingContext(p, names, order, weights)
         texts = list(_MALFORMED) + [f"{p}*{names[0]} + {names[1]}", f"{names[0]}*{names[1]}*{names[0]}^2"]
         for _ in range(120):
@@ -219,13 +219,13 @@ def _random_monomials(rng, n, count, maxe=6):
     [
         MonomialOrder.grevlex(),
         MonomialOrder.lex(),
-        MonomialOrder.weighted_grevlex((3, 4, 5)),
+        MonomialOrder.weighted_grevlex(),
         MonomialOrder.block((0,), MonomialOrder.grevlex()),
     ],
 )
 def test_order_axioms(order):
     rng = random.Random(11)
-    key = order.key_function(3)
+    key = order.key_function((3, 4, 5))
     one = (0, 0, 0)
     for _ in range(300):
         a, b, c = _random_monomials(rng, 3, 3)
@@ -239,9 +239,38 @@ def test_order_axioms(order):
             assert key(one) < key(a)
 
 
+def test_orders_hold_no_weights():
+    assert [f.name for f in dataclasses.fields(MonomialOrder)] == ["kind", "elim", "inner", "var"]
+
+
+def test_weighted_order_reads_its_rings_weights():
+    # one order value, two rings that differ only in weights: x weighs
+    # less than z in the first ring and more in the second
+    order = MonomialOrder.weighted_grevlex()
+    up = RingContext(32003, ("x", "y", "z"), order, (3, 4, 5))
+    down = RingContext(32003, ("x", "y", "z"), order, (5, 4, 3))
+    assert up.order == down.order
+    x, z = (1, 0, 0), (0, 0, 1)
+    assert up.key(x) < up.key(z) and down.key(x) > down.key(z)
+    assert str(up.poly("x + z")) == "z + x" and str(down.poly("x + z")) == "x + z"
+
+
+def test_block_order_ranks_kept_variables_by_their_ring_weights():
+    # t is eliminated; the weighted inner order compares x, y, z by the
+    # ring's weights 5, 4, 3 of those variables
+    ctx = RingContext(32003, ("x", "t", "y", "z"),
+                      MonomialOrder.block((1,), MonomialOrder.weighted_grevlex()), (5, 1, 4, 3))
+    kept = RingContext(32003, ("x", "y", "z"), MonomialOrder.weighted_grevlex(), (5, 4, 3))
+    assert str(ctx.poly("x^3 + y^4 + z^5")) == "y^4 + z^5 + x^3"
+    rng = random.Random(13)
+    for a, b in zip(_random_monomials(rng, 3, 200), _random_monomials(rng, 3, 200)):
+        free_of_t = [(m[0], 0, m[1], m[2]) for m in (a, b)]
+        assert (ctx.key(free_of_t[0]) < ctx.key(free_of_t[1])) == (kept.key(a) < kept.key(b))
+
+
 def test_block_order_elimination_property():
     order = MonomialOrder.block((0, 1), MonomialOrder.grevlex())
-    key = order.key_function(4)
+    key = order.key_function((1, 1, 1, 1))
     rng = random.Random(3)
     for _ in range(200):
         u = tuple(rng.randrange(5) for _ in range(4))
